@@ -1,7 +1,6 @@
 """Simulation throughput per policy: how fast each scheduler chews
-through a fixed trace.  This is the only benchmark family where wall-clock
-time is itself the result (the figure benchmarks time cheap projections of
-a shared suite)."""
+through a fixed trace, timed with pytest-benchmark (the end-to-end
+benchmark of every registered policy is perfbench's ``policy-sweep``)."""
 
 import pytest
 

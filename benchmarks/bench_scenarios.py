@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import time
 
+from repro import api
 from repro.experiments.config import BenchConfig
-from repro.experiments.runner import run_suite
 from repro.scenarios import all_scenarios
 
 POLICIES = ("cplant24.nomax.all", "cons.nomax")
@@ -47,7 +47,7 @@ def test_scenario_sweep(emit):
         wl = sc.build(seed=cfg.seed, **params)
         t_build = time.perf_counter() - t0
         t0 = time.perf_counter()
-        suite = run_suite(wl, POLICIES, **dict(sc.options))
+        suite = api.compare(POLICIES, workload=wl, options=dict(sc.options))
         t_sim = time.perf_counter() - t0
         base, cons = (suite[k] for k in POLICIES)
         ratio = (cons.average_turnaround / base.average_turnaround

@@ -1,14 +1,9 @@
 """Shared benchmark fixtures.
 
-One synthetic CPlant trace and one nine-policy simulation suite are built
-per session and shared by every figure benchmark (the paper's figures are
-projections of the same simulations).  Scale knobs:
-
-* default          — REPRO_BENCH_SCALE=0.2 (~2,600 jobs, ~10 weeks)
-* full trace       — REPRO_BENCH_FULL=1    (13,236 jobs, 33 weeks)
-
-Each benchmark prints its figure/table in the paper's layout (visible in
-the terminal) and writes it to benchmarks/reports/<name>.txt.
+Each ablation/campaign/scenario benchmark prints its report (visible in
+the terminal) and writes it to benchmarks/reports/<name>.txt.  The paper's
+figures and tables are built by ``repro paper build [--only <id>]``; the
+end-to-end benchmark is ``perfbench/run.py`` (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -17,39 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.artifacts import SHAPE_MIN_JOBS
-from repro.experiments.config import BenchConfig, bench_workload
-from repro.experiments.runner import run_suite
-from repro.sched.registry import PAPER_POLICIES
-
 REPORTS = Path(__file__).parent / "reports"
-
-
-@pytest.fixture(scope="session")
-def workload():
-    return bench_workload(BenchConfig.from_env())
-
-
-@pytest.fixture(scope="session")
-def shape(workload):
-    """True when the trace is large enough to assert the paper's shapes."""
-    return len(workload) >= SHAPE_MIN_JOBS
-
-
-@pytest.fixture(scope="session")
-def suite(workload):
-    """All nine paper policies simulated once on the shared trace."""
-    return run_suite(workload, PAPER_POLICIES, progress=True)
-
-
-@pytest.fixture(scope="session")
-def baseline(suite):
-    return suite["cplant24.nomax.all"]
 
 
 @pytest.fixture
 def emit(capsys):
-    """Print a rendered figure/table (uncaptured) and archive it."""
+    """Print a rendered report (uncaptured) and archive it."""
 
     def _emit(name: str, text: str) -> None:
         REPORTS.mkdir(exist_ok=True)

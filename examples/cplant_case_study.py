@@ -10,9 +10,8 @@ Run:  python examples/cplant_case_study.py [--scale 0.1] [--seed 7]
 
 import argparse
 
-from repro import PAPER_POLICIES, GeneratorConfig, generate_cplant_workload
+from repro import PAPER_POLICIES, GeneratorConfig, api, generate_cplant_workload
 from repro.experiments import figures as F
-from repro.experiments.runner import run_suite
 
 
 def main() -> None:
@@ -27,7 +26,7 @@ def main() -> None:
     print(workload.describe())
     print()
 
-    suite = run_suite(workload, PAPER_POLICIES, progress=True)
+    suite = api.compare(PAPER_POLICIES, workload=workload, progress=True)
     print()
 
     for render, data in [

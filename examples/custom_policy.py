@@ -22,8 +22,8 @@ from repro import (
     HybridFSTObserver,
     LossOfCapacityObserver,
     fairness_stats,
+    api,
     generate_cplant_workload,
-    run_policy,
     summarize,
 )
 from repro.metrics.loc import loc_of
@@ -66,7 +66,7 @@ def main() -> None:
     print()
 
     summary, fairness, loc = evaluate_custom(workload)
-    baseline = run_policy(workload, "cplant24.nomax.all")
+    baseline = api.run(policy="cplant24.nomax.all", workload=workload)
 
     header = f"{'policy':<24}{'%unfair':>9}{'avg miss':>12}{'avg TAT':>12}{'LOC%':>8}"
     print(header)

@@ -8,7 +8,7 @@ starvation queue), and prints the user, system, and fairness metrics.
 Run:  python examples/quickstart.py
 """
 
-from repro import GeneratorConfig, generate_cplant_workload, run_policy
+from repro import GeneratorConfig, api, generate_cplant_workload
 
 
 def main() -> None:
@@ -17,7 +17,7 @@ def main() -> None:
     print(workload.describe())
     print()
 
-    run = run_policy(workload, "cplant24.nomax.all")
+    run = api.run(policy="cplant24.nomax.all", workload=workload)
 
     s, f = run.summary, run.fairness
     print("baseline CPlant scheduler (cplant24.nomax.all)")

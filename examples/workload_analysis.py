@@ -11,9 +11,8 @@ Run:  python examples/workload_analysis.py [--swf-out trace.swf]
 
 import argparse
 
-from repro import GeneratorConfig, generate_cplant_workload, write_swf
+from repro import GeneratorConfig, api, generate_cplant_workload, write_swf
 from repro.experiments import figures as F
-from repro.experiments.runner import run_policy
 from repro.experiments.tables import (
     render_table1,
     render_table2,
@@ -42,7 +41,7 @@ def main() -> None:
     print()
 
     print("simulating the baseline policy for Figure 3 ...")
-    baseline = run_policy(workload, "cplant24.nomax.all")
+    baseline = api.run(policy="cplant24.nomax.all", workload=workload)
     print(F.render_fig03(F.fig03_weekly_load(baseline, workload)))
     print()
     print(F.render_fig04(F.fig04_runtime_vs_nodes(workload)))

@@ -3,17 +3,17 @@ Fairness: A Case Study* (Leung, Sabin, Sadayappan; SAND2008-1310 / ICPP).
 
 Quickstart::
 
-    from repro import (
-        generate_cplant_workload, GeneratorConfig, run_policy,
-    )
+    from repro import api
 
-    wl = generate_cplant_workload(GeneratorConfig(scale=0.1), seed=1)
-    run = run_policy(wl, "cplant24.nomax.all")
-    print(run.summary)
-    print(run.fairness)
+    h = api.run(policy="cplant24.nomax.all", scale=0.1, seed=1)
+    print(h.report())
+    print(h.summary)
+    print(h.fairness)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record.
+:mod:`repro.api` is the one way to run simulations (``run``,
+``compare``, ``sweep``, ``build_artifacts``, ``open_session``); see
+docs/ARCHITECTURE.md for the system inventory and docs/PIPELINE.md for
+the paper-artifact build.
 """
 
 from .core import (
@@ -44,10 +44,6 @@ from .experiments import (
     PolicyRun,
     RunOptions,
     bench_workload,
-    run_policy,
-    run_policy_with_options,
-    run_scenario,
-    run_suite,
 )
 from .scenarios import (
     Scenario,
@@ -154,10 +150,6 @@ __all__ = [
     "resource_equality_deficits",
     "run_campaign",
     "run_cell",
-    "run_policy",
-    "run_policy_with_options",
-    "run_scenario",
-    "run_suite",
     "scenario_names",
     "sabin_fst",
     "split_by_runtime_limit",

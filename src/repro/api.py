@@ -5,9 +5,7 @@ build a :class:`SimulationRequest` (policy + exactly one workload source +
 canonical options), call :func:`run`, and get a :class:`SimulationHandle`
 carrying the full metric bundle.  The CLI, the campaign executor, the
 paper-artifact pipeline, and the scheduler service all consume this
-module — the historical trio of divergent entry paths (``run_policy``,
-``run_policy_with_options``, ``run_scenario``) survives only as
-deprecation shims here.
+module; it is the one way to run a simulation.
 
 Quick tour::
 
@@ -32,13 +30,13 @@ lazily, so ``import repro.api`` stays light.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .core.engine import KillPolicy, Observer
 from .experiments import runner as _runner
 from .experiments.runner import PolicyRun, RunOptions
+from .sched.registry import get_policy
 from .workload.generator import GeneratorConfig, generate_cplant_workload
 from .workload.model import Workload
 from .workload.swf import read_swf
@@ -64,11 +62,6 @@ __all__ = [
     "list_scenarios",
     "get_scenario",
     "list_policies",
-    # deprecated shims for the historical entry paths
-    "run_policy",
-    "run_policy_with_options",
-    "run_scenario",
-    "run_suite",
 ]
 
 
@@ -228,25 +221,26 @@ def compare(
     **kwargs: object,
 ) -> Dict[str, SimulationHandle]:
     """Run several policies on one workload (resolved once); keywords are
-    :class:`SimulationRequest` fields minus ``policy``."""
+    :class:`SimulationRequest` fields minus ``policy``.
+
+    Every key is checked against the policy registry first, so an unknown
+    name fails with the registry's ``KeyError`` before anything is built
+    or simulated.
+    """
     keys = [policies] if isinstance(policies, str) else list(policies)
     if not keys:
         raise ValueError("compare needs at least one policy")
+    for key in keys:
+        get_policy(key)
     base = SimulationRequest(policy=keys[0], **kwargs)  # type: ignore[arg-type]
     wl = base.resolve_workload()
-    opts = base.resolve_options()
+    base = replace(base, workload=wl, scenario=None, swf=None, params=(),
+                   options=base.resolve_options())
     out: Dict[str, SimulationHandle] = {}
     for key in keys:
         if progress:
             print(f"[repro] simulating {key} on {wl.name} ...", flush=True)
-        req = replace(base, policy=key, workload=wl, scenario=None,
-                      swf=None, params=(), options=opts)
-        prun = _runner.run_policy(
-            wl, key,
-            observers=list(req.observers) or None,
-            **opts.as_run_kwargs(),
-        )
-        out[key] = SimulationHandle(req, prun)
+        out[key] = run(base, policy=key)
     return out
 
 
@@ -333,48 +327,3 @@ def list_policies() -> Dict[str, object]:
     from .sched.registry import REGISTRY
 
     return dict(REGISTRY)
-
-
-# -- deprecated shims ----------------------------------------------------------
-
-
-def _deprecated(old: str, instead: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; {instead}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_policy(workload: Workload, policy_key: str, **kwargs) -> PolicyRun:
-    """Deprecated: build a :class:`SimulationRequest` and call :func:`run`."""
-    _deprecated("run_policy",
-                "use run(policy=..., workload=...) instead")
-    return _runner.run_policy(workload, policy_key, **kwargs)
-
-
-def run_policy_with_options(
-    workload: Workload, policy_key: str, options: RunOptions
-) -> PolicyRun:
-    """Deprecated: pass ``options`` to a :class:`SimulationRequest`."""
-    _deprecated("run_policy_with_options",
-                "use run(policy=..., workload=..., options=...) instead")
-    return _runner.run_policy_with_options(workload, policy_key, options)
-
-
-def run_scenario(
-    scenario: str, policies, **kwargs
-) -> Dict[str, PolicyRun]:
-    """Deprecated: use :func:`compare` with ``scenario=...``."""
-    _deprecated("run_scenario",
-                "use compare(policies, scenario=...) instead")
-    return _runner.run_scenario(scenario, policies, **kwargs)
-
-
-def run_suite(
-    workload: Workload, policies: Iterable[str], **kwargs
-) -> Dict[str, PolicyRun]:
-    """Deprecated: use :func:`compare` with ``workload=...``."""
-    _deprecated("run_suite",
-                "use compare(policies, workload=...) instead")
-    return _runner.run_suite(workload, list(policies), **kwargs)

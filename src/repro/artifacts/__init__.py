@@ -32,7 +32,6 @@ from .registry import (
     register,
     select_artifacts,
 )
-from .shim import bench_shim, main_shim
 from .spec import (
     SHAPE_MIN_JOBS,
     Artifact,
@@ -56,12 +55,10 @@ __all__ = [
     "SHAPE_MIN_JOBS",
     "all_artifacts",
     "artifact_ids",
-    "bench_shim",
     "build_artifacts",
     "diff_manifests",
     "get_artifact",
     "load_manifest",
-    "main_shim",
     "manifest_doc",
     "plan_build",
     "register",

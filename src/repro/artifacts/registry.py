@@ -4,12 +4,12 @@ Every artifact of the source paper is registered here as one
 :class:`~repro.artifacts.spec.Artifact` — its required simulation cells
 (policy keys), its data projection (reusing the pure functions in
 :mod:`repro.experiments.figures` / :mod:`repro.experiments.tables`), its
-renderer, and the qualitative shape check the benchmark suite asserts.
+renderer, and the qualitative shape check ``repro paper build --check``
+asserts.
 
-The benchmark scripts under ``benchmarks/`` are thin shims over these
-registrations (see :mod:`repro.artifacts.shim`), and ``repro paper
-build`` executes any selection of them through the campaign cache (see
-:mod:`repro.artifacts.build`).
+``repro paper build`` executes any selection of them through the
+campaign cache (see :mod:`repro.artifacts.build`); ``repro figures`` and
+``repro tables`` render the same registrations in-process.
 """
 
 from __future__ import annotations

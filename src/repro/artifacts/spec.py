@@ -11,8 +11,8 @@ cache.
 
 Two input shapes satisfy a spec:
 
-* live :class:`~repro.experiments.runner.PolicyRun` objects (the pytest
-  benchmark path, where the suite is simulated in-process), and
+* live :class:`~repro.experiments.runner.PolicyRun` objects (``repro
+  figures``, where the suite is simulated in-process), and
 * :class:`RecordRun` views over cached campaign metric records (the
   ``repro paper build`` path, where cells come out of the
   content-addressed cache).

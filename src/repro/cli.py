@@ -44,7 +44,6 @@ from .campaign import (
     aggregate_rows,
     default_journal_dir,
 )
-from .experiments import figures as F
 from .experiments.export import (
     export_campaign_csv,
     export_campaign_json,
@@ -56,13 +55,7 @@ from . import api
 from .obs import collect_counters, render_counters, setup_logging
 from .obs.stats import ProgressMeter
 from .workload.analysis import render_analysis
-from .experiments.tables import (
-    render_table1,
-    render_table2,
-    table1_job_counts,
-    table2_proc_hours,
-)
-from .sched.registry import PAPER_POLICIES, REGISTRY
+from .sched.registry import PAPER_POLICIES, REGISTRY, get_policy
 from .workload.generator import GeneratorConfig, generate_cplant_workload
 from .workload.model import Workload
 from .workload.swf import read_swf, write_swf
@@ -73,6 +66,20 @@ def _load_workload(args) -> Workload:
         return read_swf(args.swf)
     cfg = GeneratorConfig(scale=args.scale)
     return generate_cplant_workload(cfg, seed=args.seed)
+
+
+def _policy_keys(arg: Optional[str], default) -> List[str]:
+    """``--policies`` as a list of keys, each checked against the registry
+    before anything is built or simulated; an unknown key prints the
+    registry's message and exits 2."""
+    keys = arg.split(",") if arg else list(default)
+    for key in keys:
+        try:
+            get_policy(key)
+        except KeyError as exc:
+            print(exc.args[0], file=sys.stderr)
+            raise SystemExit(2) from None
+    return keys
 
 
 def _add_workload_args(p: argparse.ArgumentParser) -> None:
@@ -138,9 +145,9 @@ def cmd_trace_summarize(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    keys = _policy_keys(args.policies, PAPER_POLICIES)
     wl = _load_workload(args)
     print(wl.describe())
-    keys = args.policies.split(",") if args.policies else list(PAPER_POLICIES)
     suite = api.compare(keys, workload=wl, progress=True)
     hdr = (f"{'policy':<24}{'%unfair':>9}{'avg miss':>12}{'avg TAT':>12}"
            f"{'LOC%':>8}{'util%':>8}")
@@ -154,40 +161,25 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _render_artifacts(arts, suite, wl: Workload) -> str:
+    inputs = A.ArtifactInputs(suite, wl)
+    return "\n\n".join(art.render(art.data(inputs)) for art in arts)
+
+
 def cmd_figures(args) -> int:
     wl = _load_workload(args)
     print(wl.describe())
     suite = api.compare(PAPER_POLICIES, workload=wl, progress=True)
-    baseline = suite["cplant24.nomax.all"]
-    sections = [
-        F.render_fig03(F.fig03_weekly_load(baseline, wl)),
-        F.render_fig04(F.fig04_runtime_vs_nodes(wl)),
-        F.render_fig05(F.fig05_estimates(wl)),
-        F.render_fig06(F.fig06_overestimation_vs_runtime(wl)),
-        F.render_fig07(F.fig07_overestimation_vs_nodes(wl)),
-        F.render_fig08(F.fig08_percent_unfair_minor(suite)),
-        F.render_fig09(F.fig09_miss_time_minor(suite)),
-        F.render_fig10(F.fig10_miss_by_width_minor(suite)),
-        F.render_fig11(F.fig11_turnaround_minor(suite)),
-        F.render_fig12(F.fig12_turnaround_by_width_minor(suite)),
-        F.render_fig13(F.fig13_loc_minor(suite)),
-        F.render_fig14(F.fig14_percent_unfair_all(suite)),
-        F.render_fig15(F.fig15_miss_time_all(suite)),
-        F.render_fig16(F.fig16_miss_by_width_cons(suite)),
-        F.render_fig17(F.fig17_turnaround_all(suite)),
-        F.render_fig18(F.fig18_turnaround_by_width_cons(suite)),
-        F.render_fig19(F.fig19_loc_all(suite)),
-    ]
-    print("\n\n".join(sections))
+    figures = [a for a in A.all_artifacts() if a.kind == "figure"]
+    print(_render_artifacts(figures, suite, wl))
     return 0
 
 
 def cmd_tables(args) -> int:
     wl = _load_workload(args)
     print(wl.describe())
-    print(render_table1(table1_job_counts(wl)))
-    print()
-    print(render_table2(table2_proc_hours(wl)))
+    tables = [A.get_artifact("table1"), A.get_artifact("table2")]
+    print(_render_artifacts(tables, {}, wl))
     return 0
 
 
@@ -198,9 +190,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
+    keys = _policy_keys(args.policies, PAPER_POLICIES)
     wl = _load_workload(args)
     print(wl.describe())
-    keys = args.policies.split(",") if args.policies else list(PAPER_POLICIES)
     suite = api.compare(keys, workload=wl, progress=True)
     wrote = []
     if args.json:
@@ -429,7 +421,7 @@ def cmd_scenarios_describe(args) -> int:
 def cmd_scenarios_run(args) -> int:
     params = _parse_param_sets(args.set)
     sc = api.get_scenario(args.name)  # unknown name dies before any simulation
-    keys = args.policies.split(",") if args.policies else ["cplant24.nomax.all"]
+    keys = _policy_keys(args.policies, ["cplant24.nomax.all"])
     print(sc.build(seed=args.seed, **params).describe())
     # rebuilds the workload (generation is cheap next to simulation) so the
     # scenario-option merge semantics live in the facade alone

@@ -18,6 +18,7 @@ import copy
 import enum
 import math
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -33,6 +34,9 @@ from .cluster import Cluster
 from .events import Event, EventKind, EventQueue
 from .job import Job, JobState
 from .results import SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - sched.base imports this module
+    from ..sched.base import BaseScheduler
 
 
 class KillPolicy(enum.Enum):
@@ -105,7 +109,7 @@ class Engine:
     def __init__(
         self,
         cluster: Cluster,
-        scheduler: "SchedulerProtocol",
+        scheduler: "BaseScheduler",
         jobs: Sequence[Job],
         observers: Iterable[Observer] = (),
         kill_policy: KillPolicy = KillPolicy.NEVER,
@@ -519,26 +523,3 @@ class Engine:
                 obs.on_schedule_pass(
                     self.now, reason, queue_depth, running, free, started
                 )
-
-
-class SchedulerProtocol:
-    """Interface the engine expects; see :mod:`repro.sched.base`.
-
-    Besides the methods below, schedulers expose ``waiting_jobs()`` (all
-    jobs held in queues), used by the WCL kill rule and end-of-run checks.
-    """
-
-    def attach(self, engine: Engine) -> None:
-        raise NotImplementedError
-
-    def enqueue(self, job: Job, now: float) -> None:
-        raise NotImplementedError
-
-    def on_completion(self, job: Job, now: float) -> None:
-        raise NotImplementedError
-
-    def on_timer(self, payload, now: float, kind: EventKind) -> None:
-        raise NotImplementedError
-
-    def schedule(self, now: float, reason: str) -> None:
-        raise NotImplementedError

@@ -1,16 +1,7 @@
 """Experiment harness: policy runs, figure/table data generators, reports."""
 
 from .config import BenchConfig, bench_workload
-from .runner import (
-    PolicyRun,
-    RunOptions,
-    cached_suite,
-    clear_suite_cache,
-    run_policy,
-    run_policy_with_options,
-    run_scenario,
-    run_suite,
-)
+from .runner import PolicyRun, RunOptions, run_policy
 from .tables import (
     TableComparison,
     render_table1,
@@ -25,14 +16,9 @@ __all__ = [
     "RunOptions",
     "TableComparison",
     "bench_workload",
-    "cached_suite",
-    "clear_suite_cache",
     "render_table1",
     "render_table2",
     "run_policy",
-    "run_policy_with_options",
-    "run_scenario",
-    "run_suite",
     "table1_job_counts",
     "table2_proc_hours",
 ]

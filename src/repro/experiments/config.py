@@ -38,7 +38,7 @@ class BenchConfig:
 
 
 def bench_workload(config: BenchConfig | None = None) -> Workload:
-    """The workload all figure/table benchmarks share."""
+    """The calibrated CPlant trace at the benchmark scale."""
     cfg = config or BenchConfig.from_env()
     return generate_cplant_workload(
         GeneratorConfig(scale=cfg.scale), seed=cfg.seed

@@ -2,11 +2,11 @@
 
 Workload-characterization figures (3-7) consume a workload (Figure 3 also
 needs a baseline simulation).  Policy figures (8-19) consume a policy
-suite from :func:`repro.experiments.runner.run_suite` so the expensive
-simulations are shared across figures.
+suite (policy key -> run, e.g. from :func:`repro.api.compare`) so the
+expensive simulations are shared across figures.
 
 Each ``figNN_*`` function returns plain data (dicts / arrays); each
-``render_figNN`` turns that into the text the benchmarks print.
+``render_figNN`` turns that into the text ``repro paper build`` writes.
 """
 
 from __future__ import annotations

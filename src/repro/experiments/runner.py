@@ -3,8 +3,8 @@ reports.
 
 One :class:`PolicyRun` carries everything Figures 8-19 need for one bar /
 series, so a full policy suite is simulated once and each figure is a cheap
-projection.  Suites are memoized per (workload identity, policy set,
-options) because a dozen benchmarks share them.
+projection.  This module is the engine behind :func:`repro.api.run`; call
+the facade rather than :func:`run_policy` directly.
 """
 
 from __future__ import annotations
@@ -248,12 +248,9 @@ class RunOptions:
         return out
 
     def as_run_kwargs(self) -> Dict[str, object]:
-        """This option set as :func:`run_policy` keyword arguments.
-
-        Values stay hashable (overrides as the canonical tuple of pairs,
-        which ``run_policy`` accepts) so the result can also key memo
-        caches like :func:`cached_suite`.
-        """
+        """This option set as :func:`run_policy` keyword arguments
+        (overrides as the canonical tuple of pairs, which ``run_policy``
+        accepts)."""
         return {
             "estimate_mode": self.estimate_mode,
             "epsilon": self.epsilon,
@@ -262,15 +259,6 @@ class RunOptions:
             "validate": self.validate,
             "reference_orders": self.reference_orders,
         }
-
-
-def run_policy_with_options(
-    workload: Workload,
-    policy_key: str,
-    options: RunOptions,
-) -> PolicyRun:
-    """:func:`run_policy` driven by a canonical :class:`RunOptions`."""
-    return run_policy(workload, policy_key, **options.as_run_kwargs())
 
 
 def _collapse_chunk_fst(
@@ -286,6 +274,24 @@ def _collapse_chunk_fst(
         elif j.chunk_index == 0:
             out[j.parent_id] = fst[j.id]
     return out
+
+
+def metric_observers(
+    estimate_mode: str, reference_orders: Sequence[str] = ("fairshare",)
+) -> List:
+    """The metric observer stack every simulation carries, in order: the
+    paper's fairshare-basis hybrid FST, loss of capacity, then one hybrid
+    FST per extra reference order.
+
+    Batch runs and live service sessions both attach exactly this stack,
+    so the same trace digests identically on either path.
+    """
+    return [
+        HybridFSTObserver(estimate_mode),
+        LossOfCapacityObserver(),
+        *(HybridFSTObserver(estimate_mode, basis=o)
+          for o in reference_orders if o != "fairshare"),
+    ]
 
 
 def run_policy(
@@ -318,17 +324,11 @@ def run_policy(
     if spec.max_runtime is not None:
         wl = split_by_runtime_limit(workload, spec.max_runtime)
     scheduler = spec.make_scheduler(**dict(scheduler_overrides or {}))
-    fst_obs = HybridFSTObserver(estimate_mode)
-    loc_obs = LossOfCapacityObserver()
-    extra_fst_obs = [
-        HybridFSTObserver(estimate_mode, basis=o)
-        for o in orders if o != "fairshare"
-    ]
     engine = Engine(
         Cluster(wl.system_size),
         scheduler,
         wl.jobs,
-        observers=[fst_obs, loc_obs, *extra_fst_obs, *(observers or ())],
+        observers=[*metric_observers(estimate_mode, orders), *(observers or ())],
         kill_policy=kill_policy,
         validate=validate,
     )
@@ -403,82 +403,3 @@ def derive_policy_run(
         fst=metric_fst,
         fairness_by_order=by_order,
     )
-
-
-def run_suite(
-    workload: Workload,
-    policies: Sequence[str],
-    progress: bool = False,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Run several policies on the same workload."""
-    out: Dict[str, PolicyRun] = {}
-    for key in policies:
-        if progress:
-            print(f"[repro] simulating {key} on {workload.name} ...", flush=True)
-        out[key] = run_policy(workload, key, **kwargs)
-    return out
-
-
-def run_scenario(
-    scenario: str,
-    policies: Sequence[str] | str,
-    seed: int = 0,
-    params: Optional[Mapping[str, object]] = None,
-    progress: bool = False,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Build a named scenario's workload and run policies on it.
-
-    The scenario's run-option defaults (e.g. the estimate scenarios set
-    ``estimate_mode="wcl"``) apply unless the caller overrides them; the
-    result is the standard per-policy report, one :class:`PolicyRun` per
-    policy, exactly like :func:`run_suite`.
-    """
-    from ..scenarios import get_scenario  # deferred: scenarios is a leaf pkg
-
-    sc = get_scenario(scenario)
-    wl = sc.build(seed=seed, **dict(params or {}))
-    merged = {**dict(sc.options), **kwargs}
-    keys = [policies] if isinstance(policies, str) else list(policies)
-    return run_suite(wl, keys, progress=progress, **merged)
-
-
-# -- suite memoization --------------------------------------------------------
-
-_SUITE_CACHE: Dict[Tuple, Dict[str, PolicyRun]] = {}
-
-
-def cached_suite(
-    workload: Workload,
-    policies: Sequence[str],
-    cache_key: Optional[str] = None,
-    **kwargs,
-) -> Dict[str, PolicyRun]:
-    """Like :func:`run_suite`, but memoized.
-
-    The cache key is the workload's name (generators encode scale and seed
-    there) unless an explicit ``cache_key`` is given; identical names with
-    different job lists would alias, so generated workloads must carry
-    distinguishing names.
-    """
-    key = (
-        cache_key or workload.name,
-        len(workload),
-        tuple(policies),
-        tuple(sorted(kwargs.items())),
-    )
-    missing = [p for p in policies]
-    if key in _SUITE_CACHE:
-        cached = _SUITE_CACHE[key]
-        missing = [p for p in policies if p not in cached]
-        if not missing:
-            return {p: cached[p] for p in policies}
-    fresh = run_suite(workload, missing, **kwargs)
-    merged = {**_SUITE_CACHE.get(key, {}), **fresh}
-    _SUITE_CACHE[key] = merged
-    return {p: merged[p] for p in policies}
-
-
-def clear_suite_cache() -> None:
-    _SUITE_CACHE.clear()

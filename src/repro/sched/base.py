@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.engine import Engine, SchedulerProtocol
+from ..core.engine import Engine
 from ..core.events import EventKind
 from ..core.job import Job
 from ..obs import counters as _counters
@@ -49,7 +49,7 @@ def _remove_identical(jobs: List[Job], job: Job) -> bool:
     return False
 
 
-class BaseScheduler(SchedulerProtocol):
+class BaseScheduler:
     """Common scaffolding for all policies in this package."""
 
     #: human-readable policy name; subclasses override.

@@ -2,7 +2,7 @@
 
 A :class:`LiveSimulation` wraps an :class:`~repro.core.engine.Engine` in its
 incremental form — ``start / ingest / step_until / finish`` — and keeps the
-metric observers of :func:`repro.experiments.runner.run_policy` attached from
+batch path's :func:`~repro.experiments.runner.metric_observers` attached from
 the first event, so a session that is fed the same jobs a batch run would
 read from a workload finishes with a byte-identical
 :meth:`~repro.core.results.SimulationResult.digest`.
@@ -28,9 +28,12 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 from ..core.cluster import Cluster
 from ..core.engine import Engine
 from ..core.job import Job, JobState
-from ..experiments.runner import PolicyRun, RunOptions, derive_policy_run
-from ..metrics.fairness import HybridFSTObserver
-from ..metrics.loc import LossOfCapacityObserver
+from ..experiments.runner import (
+    PolicyRun,
+    RunOptions,
+    derive_policy_run,
+    metric_observers,
+)
 from ..metrics.users import per_user_fairness
 from ..sched.registry import get_policy, validate_overrides
 
@@ -61,20 +64,13 @@ class LiveSimulation:
         opts = options or RunOptions()
         self.policy = policy
         self.options = opts
-        # the exact observer stack of run_policy(), in the same order, so
-        # live and batch runs of the same trace digest identically
-        self._fst_obs = HybridFSTObserver(opts.estimate_mode)
-        loc_obs = LossOfCapacityObserver()
-        extra = [
-            HybridFSTObserver(opts.estimate_mode, basis=o)
-            for o in opts.reference_orders
-            if o != "fairshare"
-        ]
+        stack = metric_observers(opts.estimate_mode, opts.reference_orders)
+        self._fst_obs = stack[0]
         self.engine = Engine(
             Cluster(system_size),
             spec.make_scheduler(**dict(opts.scheduler_overrides)),
             jobs,
-            observers=[self._fst_obs, loc_obs, *extra, *observers],
+            observers=[*stack, *observers],
             kill_policy=opts.kill_policy,
             validate=opts.validate,
         )

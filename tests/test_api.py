@@ -2,9 +2,8 @@
 
 The contract under test: a :class:`SimulationRequest` fully determines a
 simulation; :func:`api.run` produces a handle whose metrics are identical
-to the historical direct-runner path; options parse through the single
-:meth:`RunOptions.from_mapping` pipeline with structured errors; and the
-deprecated shims still work but warn.
+to the engine-level runner path; and options parse through the single
+:meth:`RunOptions.from_mapping` pipeline with structured errors.
 """
 
 from __future__ import annotations
@@ -104,6 +103,15 @@ def test_compare_needs_at_least_one_policy():
         api.compare([])
 
 
+def test_compare_checks_policies_before_the_workload(monkeypatch):
+    def no_workload(self):
+        raise AssertionError("workload resolved before policy check")
+
+    monkeypatch.setattr(api.SimulationRequest, "resolve_workload", no_workload)
+    with pytest.raises(KeyError, match="unknown policy 'nope'"):
+        api.compare(["easy.fcfs", "nope"], scale=0.02)
+
+
 def test_catalogs_list_scenarios_and_policies():
     assert any(sc.name == "cplant-baseline" for sc in api.list_scenarios())
     assert "easy.fairshare" in api.list_policies()
@@ -198,35 +206,3 @@ def test_structural_observer_runs(small_workload):
                      observers=(_FullObserver(),))
     bare = api.run(policy="fcfs.nobackfill", workload=small_workload)
     assert handle.digest() == bare.digest()
-
-
-# -- deprecated shims ----------------------------------------------------------
-
-
-def test_run_policy_shim_warns_and_matches(small_workload):
-    with pytest.warns(DeprecationWarning, match="run_policy"):
-        old = api.run_policy(small_workload, "easy.fairshare")
-    new = api.run(policy="easy.fairshare", workload=small_workload)
-    assert old.result.digest() == new.digest()
-
-
-def test_run_policy_with_options_shim_warns(small_workload):
-    opts = RunOptions(epsilon=2.0)
-    with pytest.warns(DeprecationWarning, match="run_policy_with_options"):
-        old = api.run_policy_with_options(small_workload, "easy.fairshare", opts)
-    new = api.run(policy="easy.fairshare", workload=small_workload, options=opts)
-    assert old.result.digest() == new.digest()
-
-
-def test_run_suite_shim_warns(small_workload):
-    with pytest.warns(DeprecationWarning, match="run_suite"):
-        old = api.run_suite(small_workload, ["fcfs.nobackfill"])
-    assert set(old) == {"fcfs.nobackfill"}
-
-
-def test_run_scenario_shim_warns():
-    with pytest.warns(DeprecationWarning, match="run_scenario"):
-        old = api.run_scenario("cplant-baseline", ["fcfs.nobackfill"], seed=3)
-    new = api.compare(["fcfs.nobackfill"], scenario="cplant-baseline", seed=3)
-    assert (old["fcfs.nobackfill"].result.digest()
-            == new["fcfs.nobackfill"].digest())

@@ -269,47 +269,6 @@ class TestCrossProcessDeterminism:
         assert manifests[0] == manifests[1]
 
 
-class TestShims:
-    def test_bench_scripts_are_thin_registrations(self):
-        bench = REPO_ROOT / "benchmarks"
-        for art in all_artifacts():
-            matches = list(bench.glob(f"bench_{art.id}_*.py"))
-            if art.id.startswith("table"):
-                matches += list(bench.glob(f"bench_{art.id}*.py"))
-            assert matches, f"no benchmark shim for {art.id}"
-            text = matches[0].read_text()
-            assert f'bench_shim("{art.id}")' in text
-            assert f'main_shim("{art.id}")' in text
-
-    def test_direct_invocation_still_works(self, tmp_path):
-        """`python benchmarks/bench_fig08_....py` must keep working."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        proc = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "benchmarks" / "bench_fig08_percent_unfair_minor.py"),
-                "--scale",
-                "0.02",
-                "--seed",
-                "3",
-                "--out-dir",
-                str(tmp_path),
-                "--cache-dir",
-                str(tmp_path / "cache"),
-                "--no-check",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert "Figure 8" in proc.stdout
-        assert (tmp_path / get_artifact("fig08").output).is_file()
-
-
 class TestPaperCLI:
     def test_subcommands_present(self):
         from repro.cli import build_parser

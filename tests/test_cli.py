@@ -92,6 +92,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cons.nomax" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--scale", "0.02", "--policies", "easy.fcfs,nope"],
+        ["export", "--scale", "0.02", "--policies", "easy.fcfs,nope",
+         "--json", "unused.json"],
+        ["scenarios", "run", "wide-jobs", "--policies", "easy.fcfs,nope"],
+    ])
+    def test_unknown_policy_exits_2_before_simulating(
+        self, argv, monkeypatch, capsys
+    ):
+        from repro import api
+
+        simulated = []
+        monkeypatch.setattr(api, "run", lambda *a, **k: simulated.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unknown policy 'nope'" in capsys.readouterr().err
+        assert simulated == []
+
     def test_tables(self, capsys):
         rc = main(["tables", "--scale", "0.02", "--seed", "1"])
         assert rc == 0

@@ -6,12 +6,8 @@ import pytest
 from repro.experiments import figures as F
 from repro.experiments.config import BenchConfig, bench_workload
 from repro.experiments.report import bar_chart, binned_medians, log_density, series_table
-from repro.experiments.runner import (
-    cached_suite,
-    clear_suite_cache,
-    run_policy,
-    run_suite,
-)
+from repro import api
+from repro.experiments.runner import run_policy
 from repro.experiments.tables import (
     render_table1,
     render_table2,
@@ -32,7 +28,7 @@ def tiny_trace():
 
 @pytest.fixture(scope="module")
 def suite(tiny_trace):
-    return run_suite(tiny_trace, PAPER_POLICIES)
+    return api.compare(PAPER_POLICIES, workload=tiny_trace)
 
 
 class TestRunner:
@@ -57,13 +53,6 @@ class TestRunner:
 
     def test_suite_runs_all(self, suite):
         assert set(suite) == set(PAPER_POLICIES)
-
-    def test_cached_suite_reuses(self, tiny_trace):
-        clear_suite_cache()
-        s1 = cached_suite(tiny_trace, MINOR_POLICIES[:2])
-        s2 = cached_suite(tiny_trace, MINOR_POLICIES[:2])
-        assert s1["cplant24.nomax.all"] is s2["cplant24.nomax.all"]
-        clear_suite_cache()
 
 
 class TestTables:
@@ -141,7 +130,7 @@ class TestFigures:
             assert len(txt.splitlines()) >= 3
 
     def test_missing_policy_raises(self, tiny_trace):
-        partial = run_suite(tiny_trace, MINOR_POLICIES[:2])
+        partial = api.compare(MINOR_POLICIES[:2], workload=tiny_trace)
         with pytest.raises(KeyError, match="missing"):
             F.fig08_percent_unfair_minor(partial)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.cli import main
 from repro.experiments.export import (
     export_per_job_csv,
@@ -12,7 +13,6 @@ from repro.experiments.export import (
     load_suite_json,
     policy_run_record,
 )
-from repro.experiments.runner import run_suite
 from repro.workload.analysis import (
     analyze,
     arrival_pattern,
@@ -28,7 +28,7 @@ from tests.conftest import make_job
 @pytest.fixture(scope="module")
 def tiny_suite():
     wl = generate_cplant_workload(GeneratorConfig(scale=0.02, weeks=4), seed=2)
-    return wl, run_suite(wl, ["cplant24.nomax.all", "cons.nomax"])
+    return wl, api.compare(["cplant24.nomax.all", "cons.nomax"], workload=wl)
 
 
 class TestExport:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import KillPolicy
-from repro.experiments.runner import run_policy, run_suite
+from repro import api
+from repro.experiments.runner import run_policy
 from repro.metrics.weekly import weekly_series
 from repro.sched.registry import PAPER_POLICIES
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
@@ -22,7 +23,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def suite(trace):
-    return run_suite(trace, PAPER_POLICIES)
+    return api.compare(PAPER_POLICIES, workload=trace)
 
 
 class TestCrossPolicy:

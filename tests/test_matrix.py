@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import api
 from repro.experiments.matrix import (
     MATRIX_REFERENCE_ORDERS,
     MatrixConfig,
@@ -18,7 +19,6 @@ from repro.experiments.matrix import (
     run_matrix,
 )
 from repro.campaign.cache import CampaignCache
-from repro.experiments.runner import run_suite
 from repro.metrics.fairness import (
     ReferenceOrder,
     get_reference_order,
@@ -150,7 +150,7 @@ class TestRunMatrix:
 
 class TestMatrixFromSuite:
     def test_requires_fairness_by_order(self, small_workload):
-        suite = run_suite(small_workload, ["fcfs.nobackfill"])
+        suite = api.compare(["fcfs.nobackfill"], workload=small_workload)
         with pytest.raises(ValueError, match="fairness_by_order"):
             matrix_from_suite(suite, ("fairshare",))
 

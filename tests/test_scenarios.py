@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import api
 from repro.campaign import CampaignSpec, cell_key, run_campaign
-from repro.experiments.runner import PolicyRun, run_scenario
+from repro.experiments.runner import PolicyRun
 from repro.scenarios import (
     Param,
     Scenario,
@@ -228,31 +229,36 @@ class TestTransforms:
             flash_crowds(base, n_crowds=0)
 
 
-# -- runner integration -------------------------------------------------------
+# -- api integration ----------------------------------------------------------
 
 class TestRunnerIntegration:
     def test_run_scenario_returns_standard_policy_runs(self):
-        suite = run_scenario(
-            "wide-jobs", ["easy.fcfs", "cons.nomax"], seed=1,
+        suite = api.compare(
+            ["easy.fcfs", "cons.nomax"], scenario="wide-jobs", seed=1,
             params={"n_jobs": 80},
         )
         assert set(suite) == {"easy.fcfs", "cons.nomax"}
-        for run in suite.values():
-            assert isinstance(run, PolicyRun)
-            assert run.summary.n_jobs == 80
+        for handle in suite.values():
+            assert isinstance(handle.run, PolicyRun)
+            assert handle.summary.n_jobs == 80
 
     def test_run_scenario_accepts_single_policy_string(self):
-        suite = run_scenario("wide-jobs", "easy.fcfs", seed=1,
-                             params={"n_jobs": 60})
+        suite = api.compare("easy.fcfs", scenario="wide-jobs", seed=1,
+                            params={"n_jobs": 60})
         assert list(suite) == ["easy.fcfs"]
 
     def test_scenario_options_are_defaults_not_mandates(self):
         # noisy-estimates defaults to estimate_mode="wcl"; caller overrides win
-        suite = run_scenario(
-            "noisy-estimates", "easy.fcfs", seed=1, params=SMALL,
-            estimate_mode="perfect",
+        default = api.compare("easy.fcfs", scenario="noisy-estimates",
+                              seed=1, params=SMALL)["easy.fcfs"]
+        assert default.request.resolve_options().estimate_mode == "wcl"
+        suite = api.compare(
+            "easy.fcfs", scenario="noisy-estimates", seed=1, params=SMALL,
+            options={"estimate_mode": "perfect"},
         )
-        assert suite["easy.fcfs"].summary.n_jobs > 0
+        handle = suite["easy.fcfs"]
+        assert handle.request.resolve_options().estimate_mode == "perfect"
+        assert handle.summary.n_jobs > 0
 
 
 # -- campaign integration -----------------------------------------------------

@@ -10,9 +10,10 @@ Eight checks:
 2. **Link integrity** — every relative markdown link in README.md,
    PAPER.md, and docs/*.md must point at a file that exists.
 3. **Performance docs** — docs/PERFORMANCE.md must exist, name the
-   benchmark/trajectory entry points it documents (they must exist on
+   benchmark entry points it documents by path (``perfbench/run.py``,
+   ``BENCHMARK.json``, ``benchmarks/bench_core.py``; they must exist on
    disk), and docs/ARCHITECTURE.md must carry a Performance section, so
-   the perf-trajectory workflow stays discoverable.
+   the benchmark workflow stays discoverable.
 4. **Pipeline docs** — docs/PIPELINE.md must document every artifact
    registered in ``repro.artifacts`` (as `` `id` ``) plus the build
    CLI and manifest, so the paper-artifact catalog cannot drift.
@@ -95,14 +96,13 @@ def check_performance_docs() -> list[str]:
         return ["missing docs/PERFORMANCE.md"]
     text = perf.read_text()
     for entry_point in (
-        "benchmarks/bench_fulltrace.py",
+        "perfbench/run.py",
+        "BENCHMARK.json",
         "benchmarks/bench_core.py",
-        "tools/bench_trajectory.py",
     ):
-        name = entry_point.rsplit("/", 1)[1]
-        if name not in text:
+        if entry_point not in text:
             problems.append(
-                f"docs/PERFORMANCE.md: does not mention `{name}`"
+                f"docs/PERFORMANCE.md: does not mention `{entry_point}`"
             )
         if not (ROOT / entry_point).is_file():
             problems.append(
