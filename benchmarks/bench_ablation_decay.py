@@ -8,8 +8,8 @@ fairness metrics under the baseline policy: factor 1.0 never forgets
 
 import pytest
 
+from repro import api
 from repro.experiments.config import BenchConfig
-from repro.experiments.runner import run_policy
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 
 FACTORS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -26,8 +26,8 @@ def trace():
 @pytest.fixture(scope="module")
 def sweep(trace):
     return {
-        f: run_policy(trace, "cplant24.nomax.all",
-                      scheduler_overrides={"decay_factor": f})
+        f: api.run(policy="cplant24.nomax.all", workload=trace,
+                   options={"overrides": {"decay_factor": f}})
         for f in FACTORS
     }
 

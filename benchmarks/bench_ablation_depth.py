@@ -1,4 +1,4 @@
-"""Ablation: reservation depth sweep (0 = no guarantee ... inf = dynamic).
+"""Ablation: reservation depth sweep (0 = no guarantee ... inf = consdyn).
 
 The paper's introduction notes production schedulers sit between
 aggressive and conservative by reserving for the first n queued jobs;
@@ -13,9 +13,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine, KillPolicy
 from repro.experiments.config import BenchConfig
-from repro.metrics.fairness import HybridFSTObserver, fairness_stats
-from repro.metrics.loc import LossOfCapacityObserver, loc_of
-from repro.metrics.standard import summarize
+from repro.experiments.runner import derive_policy_run, metric_observers
 from repro.sched.depthk import DepthKScheduler
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 
@@ -34,17 +32,14 @@ def trace():
 def sweep(trace):
     out = {}
     for depth in DEPTHS:
-        fst_obs, loc_obs = HybridFSTObserver(), LossOfCapacityObserver()
+        sched = DepthKScheduler(depth=depth)
         res = Engine(
-            Cluster(trace.system_size), DepthKScheduler(depth=depth),
-            trace.jobs, observers=[fst_obs, loc_obs],
+            Cluster(trace.system_size), sched, trace.jobs,
+            observers=metric_observers("perfect"),
             kill_policy=KillPolicy.IF_NEEDED,
         ).run()
-        out[depth] = (
-            fairness_stats(res.jobs, res.fst("hybrid")),
-            summarize(res),
-            loc_of(res),
-        )
+        run = derive_policy_run(sched.name, res)
+        out[depth] = (run.fairness, run.summary, run.loss_of_capacity)
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine, KillPolicy
 from repro.experiments.config import BenchConfig
-from repro.metrics.fairness import fairness_stats
+from repro.experiments.runner import derive_policy_run, metric_observers
 from repro.sched.noguarantee import NoGuaranteeScheduler
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
 from repro.workload.transforms import split_by_runtime_limit
@@ -30,26 +30,16 @@ def trace():
 
 @pytest.fixture(scope="module")
 def sweep(trace):
-    from repro.metrics.loc import LossOfCapacityObserver, loc_of
-    from repro.metrics.fairness import HybridFSTObserver
-    from repro.workload.transforms import parent_view
-
     out = {}
     for hours in LIMITS:
         wl = split_by_runtime_limit(trace, hours * HOUR)
-        fst_obs, loc_obs = HybridFSTObserver(), LossOfCapacityObserver()
         res = Engine(
             Cluster(wl.system_size), NoGuaranteeScheduler(), wl.jobs,
-            observers=[fst_obs, loc_obs], kill_policy=KillPolicy.IF_NEEDED,
+            observers=metric_observers("perfect"),
+            kill_policy=KillPolicy.IF_NEEDED,
         ).run()
-        jobs = parent_view(res.jobs)
-        fst = {}
-        for j in res.jobs:
-            if not j.is_chunk:
-                fst[j.id] = res.fst("hybrid")[j.id]
-            elif j.chunk_index == 0:
-                fst[j.parent_id] = res.fst("hybrid")[j.id]
-        out[hours] = (fairness_stats(jobs, fst), loc_of(res), len(res.jobs))
+        run = derive_policy_run(f"cplant24.{hours}max.all", res, split=True)
+        out[hours] = (run.fairness, run.loss_of_capacity, len(res.jobs))
     return out
 
 

@@ -71,7 +71,6 @@ from .sched import (
     BaseScheduler,
     ConservativeScheduler,
     DepthKScheduler,
-    DynamicReservationScheduler,
     EasyBackfillScheduler,
     FairshareTracker,
     NoBackfillScheduler,
@@ -83,7 +82,6 @@ from .workload import (
     GeneratorConfig,
     Workload,
     generate_cplant_workload,
-    generate_replications,
     parent_view,
     random_workload,
     read_swf,
@@ -105,7 +103,6 @@ __all__ = [
     "Cluster",
     "ConservativeScheduler",
     "DepthKScheduler",
-    "DynamicReservationScheduler",
     "EasyBackfillScheduler",
     "Engine",
     "FairnessStats",
@@ -139,7 +136,6 @@ __all__ = [
     "consp_fst",
     "fairness_stats",
     "generate_cplant_workload",
-    "generate_replications",
     "get_policy",
     "get_scenario",
     "parent_view",

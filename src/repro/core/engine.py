@@ -223,33 +223,23 @@ class Engine:
 
     # -- incremental lifecycle --------------------------------------------------
     #
-    # ``run()`` is the classic one-shot entry point.  The service layer
-    # drives the same engine incrementally instead:
+    # ``run()`` is the classic one-shot entry point: ``finish()`` on a
+    # fresh engine.  The service layer drives the same engine
+    # incrementally instead:
     #
-    #     engine.start()
     #     engine.ingest(batch_1); engine.step_until(t1)
     #     engine.ingest(batch_2); engine.step_until(t2)
     #     result = engine.finish()
     #
     # State persists between arrivals — nothing is rebuilt per batch — and
-    # a step-driven run over the same job set processes exactly the events
-    # a one-shot ``run()`` would, in the same order, so results (and
+    # both paths go through one event loop (``step_until``), so a
+    # step-driven run over the same job set processes exactly the events a
+    # one-shot ``run()`` would, in the same order, and results (and
     # digests) are byte-identical.
 
     @property
     def finished(self) -> bool:
         return self._result is not None
-
-    def start(self) -> "Engine":
-        """Mark the engine live for incremental driving (idempotent).
-
-        Construction already primes every structure; this exists so the
-        incremental lifecycle reads ``start / ingest / step_until /
-        finish`` and can grow pre-flight work without an API break.
-        """
-        if self._result is not None:
-            raise RuntimeError("engine already finished")
-        return self
 
     def ingest(self, jobs: Sequence[Job]) -> List[Job]:
         """Submit more jobs to a live engine; returns the engine's copies.
@@ -354,16 +344,11 @@ class Engine:
     # -- main loop -----------------------------------------------------------------
 
     def run(self) -> SimulationResult:
+        """Drain the whole run in one go; unlike :meth:`finish`, a second
+        call raises."""
         if self._result is not None:
             raise RuntimeError("engine already finished")
-        while self.events:
-            self._process(self.events.pop())
-            if self._outstanding == 0:
-                # every job completed; leftover timer chains (decay ticks,
-                # starvation re-checks) would only spin the clock forward
-                break
-        self._result = self._finalize()
-        return self._result
+        return self.finish()
 
     def _process(self, ev: Event) -> None:
         if self.max_events is not None and self._events_processed >= self.max_events:

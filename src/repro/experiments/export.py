@@ -136,8 +136,3 @@ def export_campaign_csv(rows, path: PathLike) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def load_campaign_json(path: PathLike) -> Dict[str, object]:
-    """Read back an :func:`export_campaign_json` document."""
-    return json.loads(Path(path).read_text())

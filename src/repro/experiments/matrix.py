@@ -3,8 +3,8 @@
 The paper evaluates its nine policies against one definition of "fair"
 (the fairshare reference order).  This module crosses a policy frontier
 — the paper baseline, the classic FCFS/EASY reference points, and the
-size-based extension policies — with every registered hybrid-FST
-reference order, answering *which policy is fair under whose definition
+size-based extension policies — with every hybrid-FST reference
+order, answering *which policy is fair under whose definition
 of fair*.
 
 One simulation per (scenario, policy) cell suffices: reference orders
@@ -23,15 +23,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..campaign.cache import CampaignCache
 from ..campaign.executor import CellResult, ProgressFn, run_cells
 from ..campaign.spec import CampaignCell, WorkloadSpec
-from ..metrics.fairness import get_reference_order
+from ..metrics.fairness import REFERENCE_ORDERS
 from ..sched.registry import MATRIX_POLICIES, get_policy
 from .runner import RunOptions
 
-#: the reference orders of the default matrix (all built-ins, in the
-#: order the columns render)
-MATRIX_REFERENCE_ORDERS: Tuple[str, ...] = (
-    "fairshare", "fcfs", "shortest-first",
-)
+#: the reference orders of the default matrix (all of them, in the order
+#: the columns render)
+MATRIX_REFERENCE_ORDERS: Tuple[str, ...] = tuple(REFERENCE_ORDERS)
 
 #: the default scenario: the paper's baseline trace recipe
 MATRIX_SCENARIOS: Tuple[str, ...] = ("cplant-baseline",)
@@ -62,7 +60,11 @@ class MatrixConfig:
         for key in self.policies:
             get_policy(key)
         for name in self.reference_orders:
-            get_reference_order(name)
+            if name not in REFERENCE_ORDERS:
+                raise KeyError(
+                    f"unknown reference order (FST basis) {name!r}; "
+                    f"known: {', '.join(sorted(REFERENCE_ORDERS))}"
+                )
 
     def options(self) -> RunOptions:
         # the shared parser pins "fairshare" (always evaluated — it is the

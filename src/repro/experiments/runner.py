@@ -19,6 +19,7 @@ from ..core.engine import Engine, KillPolicy
 from ..core.results import SimulationResult
 from ..metrics.categories import average_miss_by_width, average_turnaround_by_width
 from ..metrics.fairness import (
+    REFERENCE_ORDERS,
     FairnessStats,
     HybridFSTObserver,
     fairness_stats,
@@ -211,13 +212,11 @@ class RunOptions:
             raise ValueError(
                 f"reference_orders must be a list of names, got {raw_orders!r}"
             ) from None
-        from ..metrics.fairness import reference_order_names
-        known = set(reference_order_names())
-        bad_orders = sorted(set(orders) - known)
+        bad_orders = sorted(set(orders) - set(REFERENCE_ORDERS))
         if bad_orders:
             raise ValueError(
                 f"unknown reference_orders {bad_orders}; "
-                f"known: {sorted(known)}"
+                f"known: {sorted(REFERENCE_ORDERS)}"
             )
         # fairshare (the paper's basis, always evaluated) pins first for a
         # canonical identity; the rest keep caller order, deduplicated
@@ -279,19 +278,15 @@ def _collapse_chunk_fst(
 def metric_observers(
     estimate_mode: str, reference_orders: Sequence[str] = ("fairshare",)
 ) -> List:
-    """The metric observer stack every simulation carries, in order: the
-    paper's fairshare-basis hybrid FST, loss of capacity, then one hybrid
-    FST per extra reference order.
+    """The metric observer stack every simulation carries, in order: one
+    hybrid FST observer for every reference order (the paper's fairshare
+    order pinned first), then loss of capacity.
 
     Batch runs and live service sessions both attach exactly this stack,
     so the same trace digests identically on either path.
     """
-    return [
-        HybridFSTObserver(estimate_mode),
-        LossOfCapacityObserver(),
-        *(HybridFSTObserver(estimate_mode, basis=o)
-          for o in reference_orders if o != "fairshare"),
-    ]
+    orders = ("fairshare", *(o for o in reference_orders if o != "fairshare"))
+    return [HybridFSTObserver(estimate_mode, orders), LossOfCapacityObserver()]
 
 
 def run_policy(
@@ -313,8 +308,8 @@ def run_policy(
     tracing to that).
 
     ``reference_orders`` evaluates the hybrid FST against additional
-    "socially just" orders in the *same* simulation (observers are free to
-    stack because they never influence scheduling); the primary
+    "socially just" orders in the *same* simulation (one observer places
+    every order; observers never influence scheduling); the primary
     ``fairness`` block always uses the paper's fairshare basis, and
     per-order stats land in :attr:`PolicyRun.fairness_by_order`.
     """

@@ -3,20 +3,15 @@
 from .categories import (
     average_miss_by_width,
     average_turnaround_by_width,
-    format_by_width,
-    job_counts_by_width,
 )
 from .fairness import (
     DEFAULT_EPSILON,
     FairnessStats,
+    REFERENCE_ORDERS,
     HybridFSTObserver,
-    ReferenceOrder,
     consp_fst,
     fairness_stats,
-    get_reference_order,
     miss_times,
-    reference_order_names,
-    register_reference_order,
     resource_equality_deficits,
     sabin_fst,
 )
@@ -51,7 +46,7 @@ __all__ = [
     "LossOfCapacityObserver",
     "QueueObserver",
     "QueueStats",
-    "ReferenceOrder",
+    "REFERENCE_ORDERS",
     "SummaryStats",
     "UserFairness",
     "heavy_light_split",
@@ -66,15 +61,10 @@ __all__ = [
     "average_wait",
     "consp_fst",
     "fairness_stats",
-    "format_by_width",
     "format_weekly",
-    "get_reference_order",
-    "job_counts_by_width",
     "loc_of",
     "makespan",
     "miss_times",
-    "reference_order_names",
-    "register_reference_order",
     "resource_equality_deficits",
     "sabin_fst",
     "slowdowns",

@@ -11,7 +11,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..core.job import Job
-from ..workload.categories import N_WIDTH, WIDTH_LABELS, width_categories
+from ..workload.categories import N_WIDTH, width_categories
 from .fairness import miss_times
 
 
@@ -42,24 +42,3 @@ def average_turnaround_by_width(jobs: Sequence[Job]) -> np.ndarray:
         return np.zeros(N_WIDTH)
     vals = np.array([j.end_time - j.submit_time for j in jobs])
     return _by_width(jobs, vals)
-
-
-def job_counts_by_width(jobs: Sequence[Job]) -> np.ndarray:
-    if not jobs:
-        return np.zeros(N_WIDTH, dtype=np.int64)
-    cats = width_categories([j.nodes for j in jobs])
-    out = np.zeros(N_WIDTH, dtype=np.int64)
-    np.add.at(out, cats, 1)
-    return out
-
-
-def format_by_width(series: Dict[str, np.ndarray], value_fmt: str = "{:12.0f}") -> str:
-    """Tabulate one or more width-indexed series side by side."""
-    names = list(series)
-    lines = ["width     " + "".join(n.rjust(24)[:24] for n in names)]
-    for i, label in enumerate(WIDTH_LABELS):
-        row = f"{label:<10}" + "".join(
-            value_fmt.format(series[n][i]).rjust(24)[:24] for n in names
-        )
-        lines.append(row)
-    return "\n".join(lines)

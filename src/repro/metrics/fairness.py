@@ -34,13 +34,14 @@ from ..core.job import Job, JobState
 from ..core.listsched import FreeTimeline
 from ..core.profile import ReservationProfile
 from ..core.results import SimulationResult
+from ..sched.queues import fcfs_order
 
 #: seconds of slack before a missed FST counts as unfair (float noise guard)
 DEFAULT_EPSILON = 1.0
 
 
 # --------------------------------------------------------------------------
-# pluggable "socially just" reference orders
+# "socially just" reference orders
 # --------------------------------------------------------------------------
 #
 # The paper's conclusion invites exactly this: "the fairness metric can be
@@ -50,75 +51,31 @@ DEFAULT_EPSILON = 1.0
 # swapping it answers "fair according to whom" — seniority (FCFS), decayed
 # usage (fairshare), or job size (shortest-first, the size-based school of
 # Dell'Amico et al.).
+#
+# Each order is ``order(obs, jobs, now)``: it sorts the waiting jobs into
+# the socially-just start order, reading the scheduler's fairshare
+# ``tracker`` or the hypothetical ``duration_of`` memo from ``obs``, the
+# live :class:`HybridFSTObserver`.
 
-@dataclass(frozen=True)
-class ReferenceOrder:
-    """One named reference order for the hybrid-FST hypothetical schedule.
-
-    ``order(ctx, jobs, now)`` sorts the waiting jobs into the socially-just
-    start order; ``ctx`` is the live :class:`HybridFSTObserver`, exposing
-    the scheduler's fairshare ``tracker`` and the observer's
-    ``duration_of`` memo (the hypothetical-schedule durations) so orders
-    can rank by usage or by size without recomputing either.
-    """
-
-    name: str
-    description: str
-    order: Callable[["HybridFSTObserver", Sequence[Job], float], List[Job]]
-
-
-def _fairshare_reference(ctx: "HybridFSTObserver", jobs, now: float):
-    return ctx.tracker.order(jobs, now)
-
-
-def _fcfs_reference(ctx: "HybridFSTObserver", jobs, now: float):
-    return sorted(jobs, key=lambda j: (j.submit_time, j.id))
-
-
-def _shortest_first_reference(ctx: "HybridFSTObserver", jobs, now: float):
-    return sorted(jobs, key=lambda j: (ctx.duration_of(j), j.submit_time, j.id))
-
-
-_REFERENCE_ORDERS: Dict[str, ReferenceOrder] = {}
-
-
-def register_reference_order(ref: ReferenceOrder) -> ReferenceOrder:
-    if ref.name in _REFERENCE_ORDERS:
-        raise ValueError(f"duplicate reference order {ref.name!r}")
-    _REFERENCE_ORDERS[ref.name] = ref
-    return ref
-
-
-def get_reference_order(name: str) -> ReferenceOrder:
-    try:
-        return _REFERENCE_ORDERS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown reference order (FST basis) {name!r}; "
-            f"known: {', '.join(sorted(_REFERENCE_ORDERS))}"
-        ) from None
-
-
-def reference_order_names() -> Tuple[str, ...]:
-    """Registered names, in registration order."""
-    return tuple(_REFERENCE_ORDERS)
-
-
-register_reference_order(ReferenceOrder(
-    "fairshare",
-    "decayed per-user usage, light users first (the paper's choice)",
-    _fairshare_reference,
-))
-register_reference_order(ReferenceOrder(
-    "fcfs",
-    "strict seniority: arrival order decides the hypothetical schedule",
-    _fcfs_reference,
-))
-register_reference_order(ReferenceOrder(
-    "shortest-first",
-    "smallest hypothetical duration first (size-based fairness)",
-    _shortest_first_reference,
-))
+#: name -> (description, order); the columns of the fairness matrix, in order
+REFERENCE_ORDERS: Dict[
+    str, Tuple[str, Callable[["HybridFSTObserver", List[Job], float], List[Job]]]
+] = {
+    "fairshare": (
+        "decayed per-user usage, light users first (the paper's choice)",
+        lambda obs, jobs, now: obs.tracker.order(jobs, now),
+    ),
+    "fcfs": (
+        "strict seniority: arrival order decides the hypothetical schedule",
+        lambda obs, jobs, now: fcfs_order(jobs, now),
+    ),
+    "shortest-first": (
+        "smallest hypothetical duration first (size-based fairness)",
+        lambda obs, jobs, now: sorted(
+            jobs, key=lambda j: (obs.duration_of(j), j.submit_time, j.id)
+        ),
+    ),
+}
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +89,11 @@ class HybridFSTObserver(Observer):
     ``"perfect"`` (actual runtimes — the default, matching the CONS_P-style
     perfect-estimate reference) or ``"wcl"`` (user estimates).
 
-    ``basis`` names the socially-just order of the hypothetical schedule —
-    any registered :class:`ReferenceOrder` (``"fairshare"``, the paper's
-    choice; ``"fcfs"``; ``"shortest-first"``; plus extensions registered
-    via :func:`register_reference_order`).
+    ``orders`` names the socially-just orders of the hypothetical schedule,
+    each a key of :data:`REFERENCE_ORDERS`.  The ``"fairshare"`` FSTs (the
+    paper's choice) are recorded as the ``fst_hybrid`` series, every other
+    order ``o`` as ``fst_hybrid_<o>``.  :attr:`fst` is the first order's
+    map, which is the fairshare one in every stack the runner builds.
 
     The observer requires a scheduler that exposes ``waiting_jobs()`` and a
     fairshare ``tracker`` (every :class:`repro.sched.BaseScheduler` does).
@@ -147,18 +105,29 @@ class HybridFSTObserver(Observer):
     schedule is built on a compact :class:`FreeTimeline` multiset —
     O(occupations) per placement instead of O(machine size) — stopping at
     the arriving job, whose start later entries in the order cannot move.
+    One timeline is built per arrival; every order but the last places on
+    a copy of it.
     """
 
-    def __init__(self, estimate_mode: str = "perfect", basis: str = "fairshare") -> None:
+    def __init__(
+        self, estimate_mode: str = "perfect", orders: Sequence[str] = ("fairshare",)
+    ) -> None:
         if estimate_mode not in ("perfect", "wcl"):
             raise ValueError("estimate_mode must be 'perfect' or 'wcl'")
-        try:
-            self._reference = get_reference_order(basis)
-        except KeyError as exc:
-            raise ValueError(f"basis: {exc.args[0]}") from None
+        orders = tuple(dict.fromkeys(orders))
+        if not orders:
+            raise ValueError("HybridFSTObserver needs at least one reference order")
+        for name in orders:
+            if name not in REFERENCE_ORDERS:
+                raise ValueError(
+                    f"unknown reference order (FST basis) {name!r}; "
+                    f"known: {', '.join(sorted(REFERENCE_ORDERS))}"
+                )
         self.estimate_mode = estimate_mode
-        self.basis = basis
-        self.fst: Dict[int, float] = {}
+        self.orders = orders
+        #: order name -> {job id -> FST}
+        self._fsts: Dict[str, Dict[int, float]] = {o: {} for o in orders}
+        self.fst: Dict[int, float] = self._fsts[orders[0]]
         self._engine: Engine | None = None
         #: running occupations, maintained across events:
         #: job id -> (nodes, fixed hypothetical end)        ("perfect")
@@ -231,26 +200,34 @@ class HybridFSTObserver(Observer):
 
     def on_arrival(self, job: Job, now: float) -> None:
         engine = self._engine
-        sched = engine.scheduler
+        waiting = engine.scheduler.waiting_jobs()
         # machine state: running occupations at their (mode-dependent) ends
         tl = FreeTimeline.from_pairs(
             engine.cluster.size, now, self._occupation_pairs(now)
         )
-        # hypothetical: everyone queued right now runs in the socially-just
-        # order, no backfilling.  Placement can stop at the arriving job —
-        # later entries in the order cannot move it.
-        order = self._reference.order(self, sched.waiting_jobs(), now)
-        target = job.id
+        last = len(self.orders) - 1
+        for i, name in enumerate(self.orders):
+            # hypothetical: everyone queued right now runs in the socially-
+            # just order, no backfilling.  Placement can stop at the
+            # arriving job — later entries in the order cannot move it.
+            order = REFERENCE_ORDERS[name][1](self, waiting, now)
+            self._fsts[name][job.id] = self._place_until(
+                order, job.id, tl if i == last else tl.copy(), now
+            )
+
+    def _place_until(
+        self, order: List[Job], target: int, tl: FreeTimeline, now: float
+    ) -> float:
         for queued in order:
             start = tl.place(queued.nodes, self.duration_of(queued), earliest=now)
             if queued.id == target:
-                self.fst[target] = start
-                return
-        raise RuntimeError(f"arriving job {job.id} missing from waiting_jobs()")
+                return start
+        raise RuntimeError(f"arriving job {target} missing from waiting_jobs()")
 
     def collect(self, result: SimulationResult) -> None:
-        key = "fst_hybrid" if self.basis == "fairshare" else f"fst_hybrid_{self.basis}"
-        result.series[key] = dict(self.fst)
+        for name, fst in self._fsts.items():
+            key = "fst_hybrid" if name == "fairshare" else f"fst_hybrid_{name}"
+            result.series[key] = dict(fst)
 
 
 # --------------------------------------------------------------------------

@@ -4,15 +4,12 @@ variants, and the conservative-backfilling family."""
 from .base import PRIORITY_POLICIES, BaseScheduler
 from .conservative import ConservativeScheduler
 from .depthk import DepthKScheduler
-from .dynamic import DynamicReservationScheduler
 from .easy import EasyBackfillScheduler, head_reservation
 from .fairshare import DAY, FairshareTracker
 from .nobackfill import NoBackfillScheduler
 from .noguarantee import NoGuaranteeScheduler
 from .queues import (
     fcfs_order,
-    make_fairshare_order,
-    make_srpt_order,
     shortest_first_order,
     widest_first_order,
 )
@@ -36,7 +33,6 @@ __all__ = [
     "ConservativeScheduler",
     "DAY",
     "DepthKScheduler",
-    "DynamicReservationScheduler",
     "EasyBackfillScheduler",
     "FairSojournScheduler",
     "FairshareTracker",
@@ -53,8 +49,6 @@ __all__ = [
     "fcfs_order",
     "get_policy",
     "head_reservation",
-    "make_fairshare_order",
-    "make_srpt_order",
     "policy_names",
     "shortest_first_order",
     "validate_overrides",

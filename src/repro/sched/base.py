@@ -23,10 +23,10 @@ from ..core.job import Job
 from ..obs import counters as _counters
 from .fairshare import DAY, FairshareTracker
 from .queues import (
+    FairshareOrder,
     OrderingPolicy,
     SrptOrder,
     fcfs_order,
-    make_fairshare_order,
     shortest_first_order,
     widest_first_order,
 )
@@ -63,7 +63,7 @@ class BaseScheduler:
     ) -> None:
         self.tracker = FairshareTracker(decay_factor, decay_interval)
         if priority == "fairshare":
-            self.ordering: OrderingPolicy = make_fairshare_order(self.tracker)
+            self.ordering: OrderingPolicy = FairshareOrder(self.tracker)
         elif priority == "fcfs":
             self.ordering = fcfs_order
         elif priority == "spt":

@@ -7,15 +7,18 @@ queue a reservation."  This scheduler is that whole family:
 * depth 0  — no-guarantee backfilling (no reservations at all),
 * depth 1  — aggressive/EASY backfilling,
 * depth k  — the first k jobs in priority order hold reservations,
-* depth ∞  — conservative backfilling.
+* depth ∞  — conservative backfilling with dynamic reservations: the
+  paper's ``consdyn`` policies (Section 5.4), named ``consdyn.<priority>``.
 
 The implementation builds, at every scheduling event, a fresh reservation
 profile containing the running jobs plus earliest-fit reservations for the
 first ``depth`` queued jobs in priority order; any other job may start
 immediately if it fits the profile (i.e. delays none of those
-reservations).  Reservations are not sticky across events (like the
-paper's dynamic variant), which keeps the family uniform in one mechanism;
-the sticky-reservation end of the spectrum is
+reservations).  Reservations are not sticky across events, which keeps
+the family uniform in one mechanism: at depth ∞ every queued job is
+re-placed in priority order at every event, so a job's place in the
+schedule tracks its user's current fairshare standing and "fair" jobs
+cannot starve.  The sticky-reservation end of the spectrum is
 :class:`repro.sched.ConservativeScheduler`.
 """
 
@@ -49,7 +52,10 @@ class DepthKScheduler(BaseScheduler):
             raise ValueError("overrun_extension must be positive")
         self.depth = depth
         self.overrun_extension = overrun_extension
-        self.name = f"depth{'inf' if math.isinf(depth) else depth}.{priority}"
+        self.name = (
+            f"consdyn.{priority}" if math.isinf(depth)
+            else f"depth{depth}.{priority}"
+        )
         #: running-job predicted completion times
         self.predicted_end: Dict[int, float] = {}
         #: last computed reservations (inspection/testing)

@@ -63,6 +63,46 @@ def head_reservation(
     return shadow, free - need
 
 
+def backfill_one(sched, head: Job, candidates: Iterable[Job], now: float) -> bool:
+    """Start the first of ``candidates`` that cannot delay ``head``.
+
+    ``head`` is blocked; its reservation is the shadow time / extra nodes
+    of :func:`head_reservation`.  A candidate that fits now starts if it
+    ends by the shadow time or fits in the extra nodes.  Returns True if a
+    job started (the caller recomputes the reservation from scratch).
+    """
+    cluster = sched.cluster
+    shadow, extra = head_reservation(
+        head.nodes, cluster.free_nodes, now, cluster.running_jobs()
+    )
+    for job in candidates:
+        if not cluster.fits(job):
+            continue
+        if now + job.wcl <= shadow or job.nodes <= extra:
+            c = _counters.ACTIVE
+            if c is not None:
+                c.hit("sched.backfill_start")
+            sched.start(job, now)
+            return True
+    return False
+
+
+def head_first_pass(sched, now: float, backfill: bool) -> None:
+    """Start the priority-order head while it fits.
+
+    At a blocked head the pass stops, or with ``backfill`` EASY-backfills
+    one job around it (:func:`backfill_one`) and starts over.
+    """
+    while sched.queue:
+        order = sched.ordered_queue(now)
+        head = order[0]
+        if sched.cluster.fits(head):
+            sched.start(head, now)
+            continue
+        if not (backfill and backfill_one(sched, head, order[1:], now)):
+            return
+
+
 class EasyBackfillScheduler(BaseScheduler):
     """EASY backfilling with a pluggable queue priority."""
 
@@ -71,25 +111,4 @@ class EasyBackfillScheduler(BaseScheduler):
         self.name = f"easy.{priority}"
 
     def schedule(self, now: float, reason: str) -> None:
-        while self.queue:
-            order = self.ordered_queue(now)
-            head = order[0]
-            if self.cluster.fits(head):
-                self.start(head, now)
-                continue
-            shadow, extra = head_reservation(
-                head.nodes, self.cluster.free_nodes, now, self.cluster.running_jobs()
-            )
-            started = False
-            for job in order[1:]:
-                if not self.cluster.fits(job):
-                    continue
-                if now + job.wcl <= shadow or job.nodes <= extra:
-                    c = _counters.ACTIVE
-                    if c is not None:
-                        c.hit("sched.backfill_start")
-                    self.start(job, now)
-                    started = True
-                    break  # shadow/extra changed; recompute from scratch
-            if not started:
-                return
+        head_first_pass(self, now, backfill=True)

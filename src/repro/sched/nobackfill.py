@@ -10,6 +10,7 @@ reasoning.
 from __future__ import annotations
 
 from .base import BaseScheduler
+from .easy import head_first_pass
 
 
 class NoBackfillScheduler(BaseScheduler):
@@ -21,8 +22,4 @@ class NoBackfillScheduler(BaseScheduler):
 
     def schedule(self, now: float, reason: str) -> None:
         # start from the head while it fits; the first blocked job blocks all
-        while self.queue:
-            head = self.ordered_queue(now)[0]
-            if not self.cluster.fits(head):
-                return
-            self.start(head, now)
+        head_first_pass(self, now, backfill=False)

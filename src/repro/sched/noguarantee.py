@@ -26,7 +26,7 @@ from ..core.events import EventKind
 from ..core.job import Job, JobState
 from ..obs import counters as _counters
 from .base import BaseScheduler, _remove_identical
-from .easy import head_reservation
+from .easy import backfill_one
 
 
 class NoGuaranteeScheduler(BaseScheduler):
@@ -128,19 +128,8 @@ class NoGuaranteeScheduler(BaseScheduler):
             if self.cluster.fits(head):
                 self.start(head, now)
                 return True
-            shadow, extra = head_reservation(
-                head.nodes, self.cluster.free_nodes, now, self.cluster.running_jobs()
-            )
-            for job in starv[1:] + self.ordered_queue(now):
-                if not self.cluster.fits(job):
-                    continue
-                if now + job.wcl <= shadow or job.nodes <= extra:
-                    c = _counters.ACTIVE
-                    if c is not None:
-                        c.hit("sched.backfill_start")
-                    self.start(job, now)
-                    return True
-            return False
+            candidates = starv[1:] + self.ordered_queue(now)
+            return backfill_one(self, head, candidates, now)
         # pure no-guarantee backfilling: greedy in fairshare order
         for job in self.ordered_queue(now):
             if self.cluster.fits(job):

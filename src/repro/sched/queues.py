@@ -42,11 +42,6 @@ class FairshareOrder:
         return self.tracker.order(jobs, now)
 
 
-def make_fairshare_order(tracker: FairshareTracker) -> OrderingPolicy:
-    """Fairshare order bound to a live usage tracker."""
-    return FairshareOrder(tracker)
-
-
 def widest_first_order(jobs: Iterable[Job], now: float) -> List[Job]:
     """Widest-job-first (extension policy, not in the paper's evaluation)."""
     return sorted(jobs, key=lambda j: (-j.nodes, j.submit_time, j.id))
@@ -82,14 +77,3 @@ class SrptOrder:
             jobs, key=lambda j: (j.wcl + chain_tail(j), j.submit_time, j.id)
         )
 
-
-def make_srpt_order(chain_tail: Callable[[Job], float]) -> OrderingPolicy:
-    """Shortest-remaining-estimate-first over a plain chain-tail callable
-    (kept for direct use; schedulers use :class:`SrptOrder`)."""
-
-    def order(jobs: Iterable[Job], now: float) -> List[Job]:
-        return sorted(
-            jobs, key=lambda j: (j.wcl + chain_tail(j), j.submit_time, j.id)
-        )
-
-    return order

@@ -9,13 +9,13 @@ maximum-runtime split, applied by the experiment runner before simulation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .base import BaseScheduler
 from .conservative import ConservativeScheduler
 from .depthk import DepthKScheduler
-from .dynamic import DynamicReservationScheduler
 from .easy import EasyBackfillScheduler
 from .nobackfill import NoBackfillScheduler
 from .noguarantee import NoGuaranteeScheduler
@@ -55,13 +55,6 @@ def _cons(**fixed) -> Callable[..., BaseScheduler]:
     return factory
 
 
-def _consdyn(**fixed) -> Callable[..., BaseScheduler]:
-    def factory(**kw) -> BaseScheduler:
-        return DynamicReservationScheduler(**{**fixed, **kw})
-
-    return factory
-
-
 _SPECS: Tuple[PolicySpec, ...] = (
     # -- the paper's nine policies (Section 5.5, in order) --
     PolicySpec(
@@ -94,11 +87,13 @@ _SPECS: Tuple[PolicySpec, ...] = (
         "conservative backfilling plus 72 h runtime limits",
     ),
     PolicySpec(
-        "consdyn.nomax", _consdyn(), None,
+        "consdyn.nomax", lambda **kw: DepthKScheduler(depth=math.inf, **kw),
+        None,
         "conservative backfilling with dynamic reservations",
     ),
     PolicySpec(
-        "consdyn.72max", _consdyn(), 72 * HOUR,
+        "consdyn.72max", lambda **kw: DepthKScheduler(depth=math.inf, **kw),
+        72 * HOUR,
         "conservative dynamic reservations plus 72 h runtime limits",
     ),
     # -- reference points beyond the paper's evaluated set --

@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 from ..core.job import Job
 from ..obs import counters as _counters
 from .base import BaseScheduler
-from .easy import head_reservation
+from .easy import head_first_pass
 
 
 class VirtualFairShare:
@@ -147,28 +147,4 @@ class FairSojournScheduler(BaseScheduler):
         self.vfs.add(job, now)
 
     def schedule(self, now: float, reason: str) -> None:
-        while self.queue:
-            order = self.ordered_queue(now)
-            head = order[0]
-            if self.cluster.fits(head):
-                self.start(head, now)
-                continue
-            if self.backfill != "easy":
-                return
-            shadow, extra = head_reservation(
-                head.nodes, self.cluster.free_nodes, now,
-                self.cluster.running_jobs(),
-            )
-            started = False
-            for job in order[1:]:
-                if not self.cluster.fits(job):
-                    continue
-                if now + job.wcl <= shadow or job.nodes <= extra:
-                    c = _counters.ACTIVE
-                    if c is not None:
-                        c.hit("sched.backfill_start")
-                    self.start(job, now)
-                    started = True
-                    break  # shadow/extra changed; recompute from scratch
-            if not started:
-                return
+        head_first_pass(self, now, backfill=self.backfill == "easy")

@@ -1,7 +1,7 @@
 """One live, incrementally-driven simulation (the in-process service core).
 
 A :class:`LiveSimulation` wraps an :class:`~repro.core.engine.Engine` in its
-incremental form — ``start / ingest / step_until / finish`` — and keeps the
+incremental form — ``ingest / step_until / finish`` — and keeps the
 batch path's :func:`~repro.experiments.runner.metric_observers` attached from
 the first event, so a session that is fed the same jobs a batch run would
 read from a workload finishes with a byte-identical
@@ -74,7 +74,6 @@ class LiveSimulation:
             kill_policy=opts.kill_policy,
             validate=opts.validate,
         )
-        self.engine.start()
         self._run: Optional[PolicyRun] = None
 
     @classmethod

@@ -5,7 +5,6 @@ from . import categories, cplant
 from .generator import (
     GeneratorConfig,
     generate_cplant_workload,
-    generate_replications,
     random_workload,
     replication_seeds,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "filter_width",
     "flash_crowds",
     "generate_cplant_workload",
-    "generate_replications",
     "parent_view",
     "random_workload",
     "read_swf",

@@ -116,11 +116,6 @@ def width_bounds_contain(cat: int, nodes: int) -> bool:
     return nodes >= lo and (hi is None or nodes <= hi)
 
 
-def length_bounds_contain(cat: int, runtime: float) -> bool:
-    lo, hi = LENGTH_BOUNDS[cat]
-    return runtime >= lo and (hi is None or runtime < hi)
-
-
 def format_category_table(matrix: np.ndarray, title: str, fmt: str = "{:.0f}") -> str:
     """Render a category matrix in the paper's Tables 1/2 layout."""
     if matrix.shape != (N_WIDTH, N_LENGTH):
@@ -135,11 +130,3 @@ def format_category_table(matrix: np.ndarray, title: str, fmt: str = "{:.0f}") -
         )
         lines.append(row)
     return "\n".join(lines)
-
-
-def width_label_of(nodes: int) -> str:
-    return WIDTH_LABELS[width_category(nodes)]
-
-
-def length_label_of(runtime: float) -> str:
-    return LENGTH_LABELS[length_category(runtime)]

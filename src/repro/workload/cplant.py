@@ -77,12 +77,3 @@ TOTAL_PROC_HOURS = float(TABLE2_PROC_HOURS.sum())
 
 #: implied average utilization at SYSTEM_SIZE nodes
 AVERAGE_UTILIZATION = TOTAL_PROC_HOURS / (TRACE_DAYS * 24.0 * SYSTEM_SIZE)
-
-
-def mean_runtime_hours(width_cat: int, length_cat: int, mean_width: float) -> float:
-    """Mean runtime (hours) Table 2 implies for one cell, given the mean
-    width of jobs generated in that cell."""
-    count = TABLE1_COUNTS[width_cat, length_cat]
-    if count == 0:
-        return 0.0
-    return TABLE2_PROC_HOURS[width_cat, length_cat] / (count * mean_width)

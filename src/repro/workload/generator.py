@@ -22,7 +22,7 @@ Everything is driven by one :class:`numpy.random.Generator` seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -334,14 +334,6 @@ def replication_seeds(base_seed: int, n: int) -> List[int]:
         raise ValueError("need at least one replication")
     ss = np.random.SeedSequence(base_seed)
     return [int(child.generate_state(1)[0]) for child in ss.spawn(n)]
-
-
-def generate_replications(
-    config: GeneratorConfig | None = None,
-    seeds: Sequence[int] = (0,),
-) -> List[Workload]:
-    """One calibrated workload per seed (multi-seed replication studies)."""
-    return [generate_cplant_workload(config, seed=int(s)) for s in seeds]
 
 
 def random_workload(

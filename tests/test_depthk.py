@@ -7,7 +7,6 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.sched.depthk import DepthKScheduler
-from repro.sched.dynamic import DynamicReservationScheduler
 from repro.sched.easy import EasyBackfillScheduler
 from tests.conftest import make_job
 
@@ -49,14 +48,18 @@ class TestDepthSemantics:
         for ja, jb in zip(a.jobs, b.jobs):
             assert ja.start_time == jb.start_time
 
-    def test_depth_inf_equals_dynamic(self):
-        jobs = [make_job(id=i, submit=i * 7.0, nodes=(i % 5) + 2,
-                         runtime=60.0 + 10 * i, user=(i % 3) + 1)
-                for i in range(1, 25)]
-        a = simulate(DepthKScheduler(depth=math.inf), jobs, size=16)
-        b = simulate(DynamicReservationScheduler(), jobs, size=16)
-        for ja, jb in zip(a.jobs, b.jobs):
-            assert ja.start_time == pytest.approx(jb.start_time)
+    def test_consdyn_is_depth_inf(self):
+        """Conservative backfilling with dynamic reservations is depth ∞,
+        under the paper's name; its depth is fixed by the registry."""
+        from repro.sched.registry import get_policy, validate_overrides
+
+        for key in ("consdyn.nomax", "consdyn.72max"):
+            sched = get_policy(key).make_scheduler()
+            assert isinstance(sched, DepthKScheduler)
+            assert sched.depth == math.inf
+            assert sched.name == "consdyn.fairshare"
+            with pytest.raises(ValueError, match="'depth'"):
+                validate_overrides(key, {"depth": 2})
 
     def test_deeper_protects_more(self):
         """With depth 2 the long narrow job (rank 2 after head) gets a

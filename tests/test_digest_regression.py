@@ -154,7 +154,25 @@ def digest_workloads():
     }
 
 
-ALL_DIGESTS = {**RECORDED_DIGESTS, **FRONTIER_DIGESTS}
+#: runs that evaluate several hybrid-FST reference orders at once, so the
+#: per-order ``fst_hybrid_<order>`` series are pinned too (recorded before
+#: the orders shared one observer)
+MULTI_ORDER_DIGESTS = {
+    "easy.srpt|cplant0.03|reference_orders=fairshare,fcfs,shortest-first":
+        "691d1f41a74b0b22be227dc5284e381e3d0c8a567d38a4081f251166ca160e7e",
+    "cplant24.72max.all|cplant0.03|estimate_mode=wcl"
+    "|reference_orders=fairshare,fcfs,shortest-first":
+        "c18539e22464b7c416d439348ba08286f346f16e4bb093d87a3158f5307fa3dd",
+    "consdyn.nomax|overrun|reference_orders=fairshare,fcfs,shortest-first":
+        "74363f2d506d3166b6247966c2f9d5445d86d06a80fcd6f83f925526ba697aca",
+    "fsp.easy|heavy|reference_orders=fairshare,fcfs,shortest-first":
+        "b2e922f4f6401ed5f8dbb0e7694eb255c5f82146718f1d532863680c49828071",
+    "rr.user|small|reference_orders=fcfs,shortest-first":
+        "2837175db251c9d39532fa6810cd3fa975f57bea11987478e89dbfbf096b4669",
+}
+
+
+ALL_DIGESTS = {**RECORDED_DIGESTS, **FRONTIER_DIGESTS, **MULTI_ORDER_DIGESTS}
 
 
 @pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
@@ -164,7 +182,12 @@ def test_digest_matches_recorded_baseline(case, digest_workloads):
     kwargs = {}
     for extra in parts[2:]:
         key, value = extra.split("=")
-        kwargs[key] = KillPolicy[value] if key == "kill_policy" else value
+        if key == "kill_policy":
+            kwargs[key] = KillPolicy[value]
+        elif key == "reference_orders":
+            kwargs[key] = tuple(value.split(","))
+        else:
+            kwargs[key] = value
     run = run_policy(digest_workloads[workload], policy, **kwargs)
     assert run.result.digest() == ALL_DIGESTS[case], (
         f"{case}: simulation outcome changed — optimizations must be "

@@ -1,5 +1,7 @@
 """Edge cases and failure injection for the engine and schedulers."""
 
+import math
+
 import pytest
 
 from repro.core.cluster import Cluster
@@ -8,7 +10,7 @@ from repro.core.job import JobState
 from repro.core.results import SimulationResult
 from repro.sched.base import BaseScheduler
 from repro.sched.conservative import ConservativeScheduler
-from repro.sched.dynamic import DynamicReservationScheduler
+from repro.sched.depthk import DepthKScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
 from tests.conftest import make_job
@@ -19,7 +21,7 @@ class TestZeroAndTinyJobs:
         lambda: NoBackfillScheduler("fcfs"),
         lambda: NoGuaranteeScheduler(),
         lambda: ConservativeScheduler(),
-        lambda: DynamicReservationScheduler(),
+        lambda: DepthKScheduler(depth=math.inf),
     ])
     def test_zero_runtime_jobs(self, factory):
         """Aborted trace jobs have runtime 0; they must flow through every
@@ -48,6 +50,10 @@ class TestZeroAndTinyJobs:
         res = Engine(Cluster(8), NoBackfillScheduler("fcfs"), []).run()
         assert res.jobs == []
         assert res.makespan == 0.0
+        # run() is finish() on a fresh engine: no orphan decay tick
+        assert (res.end_time, res.events_processed) == (0.0, 0)
+        done = Engine(Cluster(8), NoBackfillScheduler("fcfs"), []).finish()
+        assert res.digest() == done.digest()
 
 
 class TestMisbehavingScheduler:

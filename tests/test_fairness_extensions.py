@@ -13,8 +13,10 @@ from tests.conftest import make_job
 
 class TestFcfsBasis:
     def test_basis_validation(self):
-        with pytest.raises(ValueError, match="basis"):
-            HybridFSTObserver(basis="seniority")
+        with pytest.raises(ValueError, match="unknown reference order"):
+            HybridFSTObserver(orders=("fairshare", "seniority"))
+        with pytest.raises(ValueError, match="at least one"):
+            HybridFSTObserver(orders=())
 
     def test_fcfs_basis_orders_by_arrival(self):
         """Under the FCFS basis, a light user's later job does NOT jump
@@ -25,16 +27,13 @@ class TestFcfsBasis:
             make_job(id=3, submit=20.0, nodes=8, runtime=50.0, user=3),
         ]
 
-        def run(basis):
-            sched = NoGuaranteeScheduler()
-            sched.tracker._usage[2] = 1e9  # user 2 very heavy
-            obs = HybridFSTObserver(basis=basis)
-            res = Engine(Cluster(8), sched, jobs, observers=[obs]).run()
-            key = "fst_hybrid" if basis == "fairshare" else "fst_hybrid_fcfs"
-            return res.series[key]
-
-        fair = run("fairshare")
-        fcfs = run("fcfs")
+        sched = NoGuaranteeScheduler()
+        sched.tracker._usage[2] = 1e9  # user 2 very heavy
+        obs = HybridFSTObserver(orders=("fairshare", "fcfs"))
+        res = Engine(Cluster(8), sched, jobs, observers=[obs]).run()
+        fair = res.series["fst_hybrid"]
+        fcfs = res.series["fst_hybrid_fcfs"]
+        assert obs.fst == fair
         # fairshare basis: job 3 (light user) goes before heavy job 2
         assert fair[3] == 100.0
         # FCFS basis: job 2 keeps its place, job 3 queues behind it
@@ -43,21 +42,19 @@ class TestFcfsBasis:
 
     def test_series_key_separation(self):
         jobs = [make_job(id=1, runtime=10.0)]
-        obs_a = HybridFSTObserver(basis="fairshare")
-        obs_b = HybridFSTObserver(basis="fcfs")
+        obs = HybridFSTObserver(orders=("fairshare", "fcfs", "shortest-first"))
         res = Engine(Cluster(8), NoGuaranteeScheduler(), jobs,
-                     observers=[obs_a, obs_b]).run()
-        assert "fst_hybrid" in res.series
-        assert "fst_hybrid_fcfs" in res.series
+                     observers=[obs]).run()
+        assert {"fst_hybrid", "fst_hybrid_fcfs",
+                "fst_hybrid_shortest-first"} <= set(res.series)
 
     def test_both_bases_agree_on_single_user_fcfs_load(self):
         wl = random_workload(40, system_size=16, seed=6, load=1.0, n_users=1)
-        obs_a = HybridFSTObserver(basis="fairshare")
-        obs_b = HybridFSTObserver(basis="fcfs")
-        Engine(Cluster(16), NoGuaranteeScheduler(), wl.jobs,
-               observers=[obs_a, obs_b]).run()
+        obs = HybridFSTObserver(orders=("fairshare", "fcfs"))
+        res = Engine(Cluster(16), NoGuaranteeScheduler(), wl.jobs,
+                     observers=[obs]).run()
         # one user: fairshare order degenerates to FCFS
-        assert obs_a.fst == obs_b.fst
+        assert res.series["fst_hybrid"] == res.series["fst_hybrid_fcfs"]
 
 
 class TestLoadWeightedUnfairness:

@@ -1,4 +1,5 @@
-"""The policy x reference-order fairness matrix and its registry plumbing."""
+"""The policy x reference-order fairness matrix and its reference-order
+table."""
 
 from __future__ import annotations
 
@@ -19,12 +20,7 @@ from repro.experiments.matrix import (
     run_matrix,
 )
 from repro.campaign.cache import CampaignCache
-from repro.metrics.fairness import (
-    ReferenceOrder,
-    get_reference_order,
-    reference_order_names,
-    register_reference_order,
-)
+from repro.metrics.fairness import REFERENCE_ORDERS
 from repro.sched.registry import MATRIX_POLICIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,26 +35,15 @@ TINY = MatrixConfig(
 
 class TestReferenceOrderRegistry:
     def test_builtins_registered_in_order(self):
-        names = reference_order_names()
-        assert names[:3] == ("fairshare", "fcfs", "shortest-first")
-        assert tuple(MATRIX_REFERENCE_ORDERS) == names[:3]
+        names = tuple(REFERENCE_ORDERS)
+        assert names == ("fairshare", "fcfs", "shortest-first")
+        assert MATRIX_REFERENCE_ORDERS == names
+        for description, order in REFERENCE_ORDERS.values():
+            assert description and callable(order)
 
     def test_unknown_order_lists_known_names(self):
         with pytest.raises(KeyError, match="fairshare.*fcfs.*shortest-first"):
-            get_reference_order("lottery")
-
-    def test_duplicate_registration_rejected(self):
-        order = get_reference_order("fcfs")
-        with pytest.raises(ValueError, match="duplicate reference order"):
-            register_reference_order(
-                ReferenceOrder("fcfs", "dup", order.order)
-            )
-
-    def test_order_metadata(self):
-        for name in reference_order_names():
-            ro = get_reference_order(name)
-            assert ro.name == name
-            assert ro.description
+            MatrixConfig(reference_orders=("lottery",))
 
 
 class TestMatrixConfig:

@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) on the core data structures and the
 simulation invariants every policy must uphold."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from repro.core.job import Job
 from repro.core.listsched import ListScheduler
 from repro.core.profile import ReservationProfile
 from repro.sched.conservative import ConservativeScheduler
-from repro.sched.dynamic import DynamicReservationScheduler
+from repro.sched.depthk import DepthKScheduler
 from repro.sched.easy import EasyBackfillScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
@@ -123,7 +125,7 @@ class TestSimulationProperties:
         lambda: EasyBackfillScheduler("fcfs"),
         lambda: NoGuaranteeScheduler(starvation_threshold=1800.0),
         lambda: ConservativeScheduler(),
-        lambda: DynamicReservationScheduler(),
+        lambda: DepthKScheduler(depth=math.inf),
     ]
 
     @given(job_lists(), st.integers(min_value=0, max_value=4))

@@ -1,9 +1,11 @@
 """Tests for the named policy registry."""
 
+import math
+
 import pytest
 
 from repro.sched.conservative import ConservativeScheduler
-from repro.sched.dynamic import DynamicReservationScheduler
+from repro.sched.depthk import DepthKScheduler
 from repro.sched.easy import EasyBackfillScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
@@ -71,8 +73,9 @@ class TestSpecSemantics:
     def test_conservative_types(self):
         assert isinstance(get_policy("cons.nomax").make_scheduler(),
                           ConservativeScheduler)
-        assert isinstance(get_policy("consdyn.nomax").make_scheduler(),
-                          DynamicReservationScheduler)
+        consdyn = get_policy("consdyn.nomax").make_scheduler()
+        assert isinstance(consdyn, DepthKScheduler)
+        assert consdyn.depth == math.inf
 
     def test_overrides_forwarded(self):
         sched = get_policy("cons.nomax").make_scheduler(decay_factor=0.25)

@@ -5,12 +5,14 @@ then on a shared random workload where cross-policy invariants must hold
 (all jobs complete, no over-allocation, deterministic replay).
 """
 
+import math
+
 import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.sched.conservative import ConservativeScheduler
-from repro.sched.dynamic import DynamicReservationScheduler
+from repro.sched.depthk import DepthKScheduler
 from repro.sched.easy import EasyBackfillScheduler, head_reservation
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
@@ -232,7 +234,7 @@ class TestDynamic:
             make_job(id=2, submit=10.0, nodes=8, runtime=50.0, user=2),
             make_job(id=3, submit=40.0, nodes=8, runtime=50.0, user=3),
         ]
-        sched = DynamicReservationScheduler()
+        sched = DepthKScheduler(depth=math.inf)
         # user 2 becomes very heavy after job 2 arrived
         sched.tracker._usage[2] = 1e6
         res = simulate(sched, jobs)
@@ -244,7 +246,7 @@ class TestDynamic:
         jobs = [make_job(id=i, submit=i * 10.0, nodes=2, runtime=50.0)
                 for i in range(1, 5)]
         r1 = simulate(ConservativeScheduler(), jobs)
-        r2 = simulate(DynamicReservationScheduler(), jobs)
+        r2 = simulate(DepthKScheduler(depth=math.inf), jobs)
         for a, b in zip(r1.jobs, r2.jobs):
             assert a.start_time == b.start_time
 
@@ -258,7 +260,7 @@ class TestCrossPolicyInvariants:
         lambda: NoGuaranteeScheduler(),
         lambda: NoGuaranteeScheduler(entrance="fair"),
         lambda: ConservativeScheduler(),
-        lambda: DynamicReservationScheduler(),
+        lambda: DepthKScheduler(depth=math.inf),
     ]
 
     @pytest.mark.parametrize("factory", POLICIES)

@@ -23,8 +23,8 @@ Eight checks:
    Observability section, so the telemetry catalog cannot drift.
 6. **Scheduler docs** — docs/SCHEDULERS.md must document every policy
    key in ``repro.sched.registry`` and every hybrid-FST reference order
-   in ``repro.metrics`` (as `` `name` ``), so the scheduler catalog
-   cannot drift.
+   in ``repro.metrics.REFERENCE_ORDERS`` (as `` `name` ``), so the
+   scheduler catalog cannot drift.
 7. **Robustness docs** — docs/ROBUSTNESS.md must document every fault
    site and kind in ``repro.campaign.faults`` (as `` `name` ``) plus
    the resume/cache-maintenance entry points, and docs/ARCHITECTURE.md
@@ -160,7 +160,7 @@ def check_observability_docs() -> list[str]:
 
 
 def check_scheduler_docs() -> list[str]:
-    from repro.metrics import reference_order_names
+    from repro.metrics import REFERENCE_ORDERS
     from repro.sched.registry import policy_names
 
     doc_path = ROOT / "docs" / "SCHEDULERS.md"
@@ -174,7 +174,7 @@ def check_scheduler_docs() -> list[str]:
     ]
     problems += [
         f"docs/SCHEDULERS.md: reference order `{name}` is not documented"
-        for name in reference_order_names()
+        for name in REFERENCE_ORDERS
         if f"`{name}`" not in doc
     ]
     for needle in ("repro policies", "repro matrix"):
