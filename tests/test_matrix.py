@@ -38,12 +38,16 @@ class TestReferenceOrderRegistry:
         names = tuple(REFERENCE_ORDERS)
         assert names == ("fairshare", "fcfs", "shortest-first")
         assert MATRIX_REFERENCE_ORDERS == names
-        for description, order in REFERENCE_ORDERS.values():
-            assert description and callable(order)
 
     def test_unknown_order_lists_known_names(self):
         with pytest.raises(KeyError, match="fairshare.*fcfs.*shortest-first"):
             MatrixConfig(reference_orders=("lottery",))
+
+    def test_order_metadata(self):
+        for name, (description, order) in REFERENCE_ORDERS.items():
+            assert name
+            assert description
+            assert callable(order)
 
 
 class TestMatrixConfig:
