@@ -6,7 +6,7 @@ account is multiplied by a decay factor every 24 hours, so users who have
 not recently used the machine sort ahead of heavy recent users.
 
 The paper gives the mechanism but not the decay constant; we default to
-x0.5 per 24 h (see DESIGN.md substitution #3).  Usage is charged
+x0.5 per 24 h (docs/ARCHITECTURE.md, substitution 3).  Usage is charged
 continuously (settled lazily at every state change and decay tick) rather
 than in a lump at completion, so a week-long 512-node job weighs on its
 owner's priority while it runs, not only afterwards.
@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Tuple
 
 from ..core.job import Job
 from ..obs import counters as _counters
+from .queues import fcfs_order
 
 #: seconds per day — the decay cadence the paper states.
 DAY = 86_400.0
@@ -124,9 +125,14 @@ class FairshareTracker:
         return (self.usage_of(job.user_id, now), job.submit_time, job.id)
 
     def order(self, jobs: Iterable[Job], now: float) -> list[Job]:
-        """Jobs sorted into fairshare priority order."""
+        """Jobs sorted into fairshare priority order.
+
+        The :meth:`priority_key` order, built as the FCFS order re-sorted
+        stably by each job's user usage: the sort compares plain floats
+        instead of ``(usage, submit, id)`` tuples.
+        """
         self.settle(now)
-        usage = self._usage
-        return sorted(
-            jobs, key=lambda j: (usage.get(j.user_id, 0.0), j.submit_time, j.id)
-        )
+        usage = self._usage.get
+        out = fcfs_order(jobs, now)
+        out.sort(key=lambda j: usage(j.user_id, 0.0))
+        return out

@@ -10,18 +10,32 @@ tie-breaks.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Iterable, List
 
 from ..core.job import Job
-from .fairshare import FairshareTracker
+
+if TYPE_CHECKING:
+    from .fairshare import FairshareTracker
 
 #: ordering callable signature: (jobs, now) -> sorted list
 OrderingPolicy = Callable[[Iterable[Job], float], List[Job]]
 
+_BY_ID = attrgetter("id")
+_BY_SUBMIT = attrgetter("submit_time")
+
 
 def fcfs_order(jobs: Iterable[Job], now: float) -> List[Job]:
-    """First-come-first-serve: by submit time, then id."""
-    return sorted(jobs, key=lambda j: (j.submit_time, j.id))
+    """First-come-first-serve: by submit time, then id.
+
+    Two stable passes on scalar attribute keys (id, then submit time)
+    give the ``(submit_time, id)`` order without building a tuple per
+    job, and every comparison is a C-level int or float compare.  Orders
+    whose primary key is per job or per user re-sort this list stably.
+    """
+    out = sorted(jobs, key=_BY_ID)
+    out.sort(key=_BY_SUBMIT)
+    return out
 
 
 class FairshareOrder:

@@ -28,12 +28,15 @@ every such change, so the order is deterministic and cache-friendly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.job import Job
 from ..obs import counters as _counters
 from .base import BaseScheduler
 from .easy import head_first_pass
+from .queues import fcfs_order
 
 
 class VirtualFairShare:
@@ -45,25 +48,56 @@ class VirtualFairShare:
     nodes.  ``settle(now)`` advances the virtual clock to ``now``;
     ``version`` bumps whenever ranks may have moved, so schedulers can
     cache their sorted queue against it.
+
+    Live jobs sit in numpy slot arrays (remaining work, width), so each
+    breakpoint is a handful of vector operations instead of a Python scan.
+    A freed slot is reused by the next arrival; until then it holds
+    ``rem=+inf``, which never wins the breakpoint minimum and never drains
+    to zero (every width is positive, so every share is).  Every element goes through the same IEEE
+    operations, in the same order, as a per-job loop would (share =
+    ``min(width, size/N)``; ``rem / share``; ``rem - share * dt``), so the
+    virtual completions are bit-for-bit those of the scalar fluid machine.
     """
 
-    __slots__ = ("size", "version", "_vt", "_remaining", "_widths", "_vcomp")
+    __slots__ = ("size", "version", "_vt", "_n", "_slot", "_ids", "_free",
+                 "_rem", "_width", "_vcomp")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.version = 0
         self._vt: float = 0.0
-        #: job id -> remaining virtual node-seconds (insertion = arrival order)
-        self._remaining: Dict[int, float] = {}
-        self._widths: Dict[int, int] = {}
+        #: number of live (not yet virtually complete) jobs
+        self._n = 0
+        #: job id -> slot of a live job; slot -> job id (None when free)
+        self._slot: Dict[int, int] = {}
+        self._ids: List[Optional[int]] = []
+        self._free: List[int] = []
+        #: remaining virtual node-seconds and width per slot
+        self._rem = np.full(0, np.inf)
+        self._width = np.ones(0)
         #: job id -> virtual completion time, once drained
         self._vcomp: Dict[int, float] = {}
+
+    def _alloc(self) -> int:
+        if self._free:
+            return self._free.pop()
+        slot = len(self._ids)
+        if slot == len(self._rem):
+            grow = max(16, slot)
+            self._rem = np.concatenate([self._rem, np.full(grow, np.inf)])
+            self._width = np.concatenate([self._width, np.ones(grow)])
+        self._ids.append(None)
+        return slot
 
     def add(self, job: Job, now: float) -> None:
         """Admit an arrival: settle to ``now``, then insert its work."""
         self.settle(now)
-        self._remaining[job.id] = job.nodes * max(job.wcl, 1e-9)
-        self._widths[job.id] = job.nodes
+        slot = self._alloc()
+        self._slot[job.id] = slot
+        self._ids[slot] = job.id
+        self._rem[slot] = job.nodes * max(job.wcl, 1e-9)
+        self._width[slot] = job.nodes
+        self._n += 1
         self.version += 1
 
     def settle(self, now: float) -> None:
@@ -71,25 +105,26 @@ class VirtualFairShare:
         if now <= self._vt:
             return
         advanced = False
-        while self._remaining and self._vt < now:
-            n = len(self._remaining)
-            fair = self.size / n
+        rem = self._rem
+        while self._n and self._vt < now:
+            share = np.minimum(self._width, self.size / self._n)
             # the next breakpoint: a virtual completion or ``now`` itself
             dt = now - self._vt
-            for jid, rem in self._remaining.items():
-                t = rem / min(self._widths[jid], fair)
-                if t < dt:
-                    dt = t
-            done: List[int] = []
-            for jid in self._remaining:
-                self._remaining[jid] -= min(self._widths[jid], fair) * dt
-                if self._remaining[jid] <= 1e-9:
-                    done.append(jid)
+            first = float((rem / share).min())
+            if first < dt:
+                dt = first
+            rem -= share * dt
+            done = np.flatnonzero(rem <= 1e-9).tolist()
             self._vt += dt
-            for jid in done:
-                del self._remaining[jid]
-                del self._widths[jid]
+            for slot in done:
+                jid = self._ids[slot]
+                del self._slot[jid]
+                self._ids[slot] = None
+                self._free.append(slot)
                 self._vcomp[jid] = self._vt
+            if done:
+                rem[done] = np.inf
+                self._n -= len(done)
             advanced = True
             c = _counters.ACTIVE
             if c is not None:
@@ -102,14 +137,24 @@ class VirtualFairShare:
 
     def rank(self, job: Job) -> Tuple[float, float, int]:
         """Sort key: (projected virtual completion, submit, id)."""
-        rem = self._remaining.get(job.id)
-        if rem is None:
-            vc = self._vcomp.get(job.id, self._vt)
-        else:
-            share = min(self._widths[job.id],
-                        self.size / len(self._remaining))
-            vc = self._vt + rem / share
-        return (vc, job.submit_time, job.id)
+        return (self.projection()(job), job.submit_time, job.id)
+
+    def projection(self) -> Callable[[Job], float]:
+        """A job's projected virtual completion time, frozen at the current
+        state: its drain time once virtually complete, else the current
+        instant plus remaining work over current share.  All live jobs are
+        projected in one vector pass."""
+        vt, slot_of, vcomp = self._vt, self._slot, self._vcomp
+        vc = []
+        if self._n:
+            vc = (vt + self._rem / np.minimum(self._width,
+                                              self.size / self._n)).tolist()
+
+        def key(job: Job) -> float:
+            slot = slot_of.get(job.id)
+            return vcomp.get(job.id, vt) if slot is None else vc[slot]
+
+        return key
 
 
 class FairSojournScheduler(BaseScheduler):
@@ -132,7 +177,9 @@ class FairSojournScheduler(BaseScheduler):
         self.ordering = self._fsp_order
 
     def _fsp_order(self, jobs, now: float) -> List[Job]:
-        return sorted(jobs, key=self.vfs.rank)
+        out = fcfs_order(jobs, now)
+        out.sort(key=self.vfs.projection())
+        return out
 
     def _order_epoch(self, now: float) -> int:
         self.vfs.settle(now)

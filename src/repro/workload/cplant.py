@@ -5,9 +5,10 @@ trace (231 days).  They are both the ground truth the synthetic generator
 is calibrated against and the reference the Table 1/2 reproduction
 benchmarks compare to.
 
-The paper never states the machine size; DESIGN.md substitution #2 derives
-1024 nodes from the Table 2 totals (≈3.97 M proc-hours ⇒ ≈70 % average
-utilization with >90 % peaks, matching Figure 3).
+The paper never states the machine size; substitution 2 in
+docs/ARCHITECTURE.md derives 1024 nodes from the Table 2 totals
+(≈3.97 M proc-hours ⇒ ≈70 % average utilization with >90 % peaks,
+matching Figure 3).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from .categories import N_LENGTH, N_WIDTH
 
-#: nodes in the simulated CPlant/Ross machine (see DESIGN.md)
+#: nodes in the simulated CPlant/Ross machine (docs/ARCHITECTURE.md,
+#: substitution 2)
 SYSTEM_SIZE = 1024
 
 #: trace span (the paper: "13614 jobs over the 7.5 months (231 days)")

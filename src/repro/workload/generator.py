@@ -2,7 +2,7 @@
 
 The paper's SWF trace is not publicly bundled; this generator produces a
 statistically equivalent workload calibrated against everything the paper
-quantifies (DESIGN.md substitution #1):
+quantifies (docs/ARCHITECTURE.md, substitution 1):
 
 * per-cell job counts of **Table 1** (exact at scale=1);
 * per-cell processor-hours of **Table 2** (within ~2%, via in-cell runtime

@@ -6,7 +6,7 @@ are broken into chunks that the scheduler sees as ordinary jobs; chunk
 *k+1* is submitted the instant chunk *k* completes (CPlant users had
 checkpoint/restart scripts for exactly this).  Metrics count chunks as the
 scheduler-visible jobs; :func:`parent_view` rebuilds the per-original-job
-picture when wanted (DESIGN.md substitution #5).
+picture when wanted (docs/ARCHITECTURE.md, substitution 4).
 """
 
 from __future__ import annotations

@@ -172,7 +172,26 @@ MULTI_ORDER_DIGESTS = {
 }
 
 
-ALL_DIGESTS = {**RECORDED_DIGESTS, **FRONTIER_DIGESTS, **MULTI_ORDER_DIGESTS}
+#: the order-heavy policies, recorded before FSP's fluid machine was
+#: vectorised and the fairshare/FCFS sorts moved to scalar keys: the
+#: strict no-backfill variants follow the priority order exactly, and
+#: cplant24.nomax.fair reads the fairshare order through both queues
+ORDER_DIGESTS = {
+    "fairshare.nobackfill|small":
+        "0ab695460252ab2d62ed106cc54bce326ff0315c6db2c935c9c6385610b5314f",
+    "fairshare.nobackfill|heavy":
+        "7b8d149136357efe6a8e1e9ed72aebd55494d444b8c0d10170395bdb4293210d",
+    "fsp.nobackfill|heavy":
+        "cd42e4307930cc6ec38cbab7f9b8ae6c07c915dc9bf95471e8e596fcb54025a8",
+    "fsp.nobackfill|cplant0.03":
+        "821881ea3a1b293e96d122fdf9709473a6aec6198fe264230cc77e2c9d278a0f",
+    "cplant24.nomax.fair|cplant0.03":
+        "45a48a376524bb931ed184052a6b1c22dde2cfa977c86754c7fcd2b511e6f57a",
+}
+
+
+ALL_DIGESTS = {**RECORDED_DIGESTS, **FRONTIER_DIGESTS, **MULTI_ORDER_DIGESTS,
+               **ORDER_DIGESTS}
 
 
 @pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
@@ -207,7 +226,7 @@ def test_digest_is_deterministic(digest_workloads):
 #: scheduler family touched by the frontier, plus the paper baseline
 CROSS_PROCESS_POLICIES = (
     "cplant24.nomax.all", "spt.nobackfill", "easy.srpt", "fsp.easy",
-    "rr.user",
+    "rr.user", "fsp.nobackfill", "fairshare.nobackfill",
 )
 
 

@@ -17,6 +17,8 @@ against IS the real schedule.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,9 @@ from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.core.job import Job
 from repro.experiments.runner import run_policy
+from repro.obs import counters
 from repro.sched.nobackfill import NoBackfillScheduler
+from repro.sched.roundrobin import RoundRobinScheduler
 from repro.workload.model import Workload
 from repro.workload.transforms import split_by_runtime_limit
 
@@ -207,6 +211,55 @@ class TestAgainstNaiveSimulator:
         _assert_same_starts(
             _starts(result), naive_nobackfill(wl.jobs, SIZE, srpt_key)
         )
+
+
+class ScanRoundRobin(RoundRobinScheduler):
+    """Round-robin that rebuilds every user's lane head from the whole
+    queue before each start, ignoring the persistent lanes."""
+
+    def schedule(self, now, reason):
+        while self.queue:
+            heads = {}
+            for job in self.queue:
+                cur = heads.get(job.user_id)
+                if cur is None or (job.submit_time, job.id) < (
+                        cur.submit_time, cur.id):
+                    heads[job.user_id] = job
+            users = sorted(heads)
+            if self._last_user is not None:
+                users = ([u for u in users if u > self._last_user]
+                         + [u for u in users if u <= self._last_user])
+            c = counters.ACTIVE
+            if c is not None:
+                c.hit("rr.rotate")
+            for user in users:
+                if self.cluster.fits(heads[user]):
+                    self._last_user = user
+                    self.start(heads[user], now)
+                    break
+            else:
+                return
+
+
+class TestRoundRobinLanes:
+    """The persistent per-user lanes make the scan's start decisions."""
+
+    @given(jobs=job_lists(max_jobs=30))
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_match_queue_scan_with_chunking(self, jobs):
+        # coarse submit times: many simultaneous arrivals, which chunk
+        # successors (fresh, higher ids) join out of id order
+        jobs = [replace(j, submit_time=float(int(j.submit_time) // 1000 * 1000))
+                for j in jobs]
+        wl = split_by_runtime_limit(Workload(jobs, SIZE, name="rr"), 500.0)
+        runs = []
+        for sched in (RoundRobinScheduler(), ScanRoundRobin()):
+            with counters.collect() as c:
+                result = Engine(Cluster(SIZE), sched,
+                                [j.fresh_copy() for j in wl.jobs],
+                                max_events=100_000).run()
+            runs.append((_starts(result), c.as_dict().get("rr.rotate")))
+        assert runs[0] == runs[1]
 
 
 class TestExactFairnessDifferential:

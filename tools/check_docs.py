@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency checks (run by the CI `docs` job and usable locally).
 
-Eight checks:
+Nine checks:
 
 1. **Scenario catalog** — every scenario registered in
    ``repro.scenarios`` must appear (as `` `name` ``) in
@@ -34,6 +34,10 @@ Eight checks:
    the server dispatches (as `` `op` ``), the backpressure and what-if
    mechanisms, and the serve entry points, and docs/ARCHITECTURE.md
    must carry an API section, so the wire protocol cannot drift.
+9. **Source citations** — every ``*.md`` file named in a ``.py`` file
+   under ``src/`` must exist: a path with a directory (``docs/X.md``)
+   relative to the repository root, a bare name at the root or in
+   ``docs/``, so a docstring cannot point readers at a missing file.
 
 Exit status 0 = consistent; 1 = problems (all listed on stderr).
 
@@ -53,6 +57,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 #: [text](target) — target captured; images share the syntax
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+#: a markdown file name as source code cites it (``docs/SERVICE.md``)
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def check_scenario_catalog() -> list[str]:
@@ -86,6 +92,21 @@ def check_links() -> list[str]:
                 problems.append(
                     f"{doc.relative_to(ROOT)}: broken link -> {target}"
                 )
+    return problems
+
+
+def check_source_citations() -> list[str]:
+    problems: list[str] = []
+    for src in sorted((ROOT / "src").rglob("*.py")):
+        for lineno, line in enumerate(src.read_text().splitlines(), 1):
+            for name in _MD_NAME.findall(line):
+                where = [ROOT / name] if "/" in name else [
+                    ROOT / name, ROOT / "docs" / name]
+                if not any(p.is_file() for p in where):
+                    problems.append(
+                        f"{src.relative_to(ROOT)}:{lineno}: cites missing "
+                        f"{name}"
+                    )
     return problems
 
 
@@ -238,7 +259,8 @@ def main() -> int:
     problems = (check_scenario_catalog() + check_links()
                 + check_performance_docs() + check_pipeline_docs()
                 + check_observability_docs() + check_scheduler_docs()
-                + check_robustness_docs() + check_service_docs())
+                + check_robustness_docs() + check_service_docs()
+                + check_source_citations())
     for p in problems:
         print(f"[check-docs] {p}", file=sys.stderr)
     if problems:
