@@ -4,6 +4,7 @@ CLI surface, and the standalone benchmark shims."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +46,13 @@ EXPECTED_IDS = (
 #: default options, plus the matrix's eight under its reference-order
 #: options (distinct cache keys even where the policy repeats)
 N_FULL_CELLS = len(PAPER_POLICIES) + len(MATRIX_POLICIES)
+
+#: sha256 of the ``SMALL`` build's manifest.json.  The manifest embeds
+#: every artifact's output sha256 and cell key, so this one digest pins
+#: the bytes of the whole build.
+SMALL_MANIFEST_SHA256 = (
+    "5030f7e8257494a644f855e791a81471348a59d414164c5329aaf2fa37680453"
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +149,26 @@ class TestBuild:
         assert again.n_simulated == 0
         assert again.n_cached == N_FULL_CELLS
         assert again.manifest_path.read_bytes() == before
+
+    def test_manifest_matches_the_recorded_digest(self, built):
+        _, _, result = built
+        blob = result.manifest_path.read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == SMALL_MANIFEST_SHA256
+
+    def test_figures_command_prints_the_built_figures(self, built, capsys):
+        root, _, _ = built
+        assert main(["figures", "--scale", str(SMALL.scale),
+                     "--seed", str(SMALL.seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the first line describes the workload; progress lines follow
+        kept = [ln for ln in lines[1:] if not ln.startswith("[repro] ")]
+        texts = []
+        for art in all_artifacts():
+            if art.kind == "figure":
+                text = (root / "out" / art.output).read_text()
+                assert text.endswith("\n")
+                texts.append(text[:-1])
+        assert "\n".join(kept) == "\n\n".join(texts)
 
     def test_manifest_names_inputs_and_digests(self, built):
         root, _, result = built

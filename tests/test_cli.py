@@ -1,5 +1,7 @@
 """CLI tests (argument wiring and output plumbing, small scales only)."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -52,6 +54,14 @@ class TestCommands:
         doc = _json.loads((tmp_path / "matrix.json").read_text())
         assert doc["config"]["policies"] == ["fcfs.nobackfill", "rr.user"]
         assert "cplant-baseline" in doc["matrix"]
+        # recorded bytes of both outputs
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "531fb9c7a3b5b4e2aebcca3d86229205994eb42cb32072a32426b1fba3a7b416"
+        )
+        blob = (tmp_path / "matrix.json").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "2b4a9a13c3527983655103457f9a2c76e3b47733aa293bf05649904925e0f539"
+        )
 
     def test_matrix_rejects_unknown_axis_values(self, capsys):
         assert main(["matrix", "--orders", "bogus", "--no-cache"]) == 2
