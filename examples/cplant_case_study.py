@@ -11,7 +11,7 @@ Run:  python examples/cplant_case_study.py [--scale 0.1] [--seed 7]
 import argparse
 
 from repro import PAPER_POLICIES, GeneratorConfig, api, generate_cplant_workload
-from repro.experiments import figures as F
+from repro.artifacts import ArtifactInputs, get_artifact
 
 
 def main() -> None:
@@ -29,15 +29,9 @@ def main() -> None:
     suite = api.compare(PAPER_POLICIES, workload=workload, progress=True)
     print()
 
-    for render, data in [
-        (F.render_fig08, F.fig08_percent_unfair_minor(suite)),
-        (F.render_fig09, F.fig09_miss_time_minor(suite)),
-        (F.render_fig14, F.fig14_percent_unfair_all(suite)),
-        (F.render_fig15, F.fig15_miss_time_all(suite)),
-        (F.render_fig17, F.fig17_turnaround_all(suite)),
-        (F.render_fig19, F.fig19_loc_all(suite)),
-    ]:
-        print(render(data))
+    inputs = ArtifactInputs(suite)
+    for fig in ("fig08", "fig09", "fig14", "fig15", "fig17", "fig19"):
+        print(get_artifact(fig).build_text(inputs))
         print()
 
     best = min(suite, key=lambda k: suite[k].average_miss_time)

@@ -12,13 +12,7 @@ Run:  python examples/workload_analysis.py [--swf-out trace.swf]
 import argparse
 
 from repro import GeneratorConfig, api, generate_cplant_workload, write_swf
-from repro.experiments import figures as F
-from repro.experiments.tables import (
-    render_table1,
-    render_table2,
-    table1_job_counts,
-    table2_proc_hours,
-)
+from repro.artifacts import BASELINE, ArtifactInputs, get_artifact
 
 
 def main() -> None:
@@ -35,22 +29,17 @@ def main() -> None:
     print(workload.describe())
     print()
 
-    print(render_table1(table1_job_counts(workload)))
-    print()
-    print(render_table2(table2_proc_hours(workload)))
-    print()
+    for table in ("table1", "table2"):
+        print(get_artifact(table).build_text(ArtifactInputs({}, workload)))
+        print()
 
     print("simulating the baseline policy for Figure 3 ...")
-    baseline = api.run(policy="cplant24.nomax.all", workload=workload)
-    print(F.render_fig03(F.fig03_weekly_load(baseline, workload)))
-    print()
-    print(F.render_fig04(F.fig04_runtime_vs_nodes(workload)))
-    print()
-    print(F.render_fig05(F.fig05_estimates(workload)))
-    print()
-    print(F.render_fig06(F.fig06_overestimation_vs_runtime(workload)))
-    print()
-    print(F.render_fig07(F.fig07_overestimation_vs_nodes(workload)))
+    baseline = api.run(policy=BASELINE, workload=workload)
+    inputs = ArtifactInputs({BASELINE: baseline}, workload)
+    print("\n\n".join(
+        get_artifact(fig).build_text(inputs)
+        for fig in ("fig03", "fig04", "fig05", "fig06", "fig07")
+    ))
 
     if args.swf_out:
         write_swf(workload, args.swf_out)

@@ -8,6 +8,7 @@ renders outputs in parallel, and writes a deterministic
 ``manifest.json`` of input/output digests.  See ``docs/PIPELINE.md``.
 """
 
+from ..experiments.export import RecordRun
 from .build import (
     DEFAULT_SCALE,
     DEFAULT_SEED,
@@ -32,12 +33,7 @@ from .registry import (
     register,
     select_artifacts,
 )
-from .spec import (
-    SHAPE_MIN_JOBS,
-    Artifact,
-    ArtifactInputs,
-    RecordRun,
-)
+from .spec import SHAPE_MIN_JOBS, Artifact, ArtifactInputs
 
 __all__ = [
     "Artifact",

@@ -36,15 +36,10 @@ from ..campaign.executor import (
 from ..campaign.journal import RunJournal
 from ..campaign.retry import RetryPolicy, RunReport
 from ..campaign.spec import CampaignCell, WorkloadSpec
+from ..experiments.export import RecordRun
 from ..workload.model import Workload
 from .registry import select_artifacts
-from .spec import (
-    SHAPE_MIN_JOBS,
-    Artifact,
-    ArtifactInputs,
-    RecordRun,
-    suite_subset,
-)
+from .spec import SHAPE_MIN_JOBS, Artifact, ArtifactInputs
 
 PathLike = Union[str, Path]
 
@@ -237,7 +232,7 @@ def build_artifacts(
             for policy, key in plan.cell_keys[art.id].items()
         }
         inputs = ArtifactInputs(
-            suite=suite_subset(suite, art.policies),
+            suite=suite,
             workload=workload if art.needs_workload else None,
         )
         text = art.build_text(inputs, check=check, shape=shape)

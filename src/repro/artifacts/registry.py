@@ -2,10 +2,11 @@
 
 Every artifact of the source paper is registered here as one
 :class:`~repro.artifacts.spec.Artifact` — its required simulation cells
-(policy keys), its data projection (reusing the pure functions in
-:mod:`repro.experiments.figures` / :mod:`repro.experiments.tables`), its
-renderer, and the qualitative shape check ``repro paper build --check``
-asserts.
+(policy keys), its data projection, its renderer, and the qualitative
+shape check ``repro paper build --check`` asserts.  Figures 3-7 and
+Tables 1-2 reuse the projections in :mod:`repro.experiments.figures` /
+:mod:`repro.experiments.tables`; each of Figures 8-19 plots one run
+attribute over one policy set and is one :func:`_policy_figure` row.
 
 ``repro paper build`` executes any selection of them through the
 campaign cache (see :mod:`repro.artifacts.build`); ``repro figures`` and
@@ -14,7 +15,8 @@ campaign cache (see :mod:`repro.artifacts.build`); ``repro figures`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from ..experiments.matrix import (
     matrix_from_suite,
     render_matrix_rows,
 )
+from ..experiments.report import bar_chart, series_table
 from ..experiments.runner import RunOptions
 from ..sched.registry import (
     CONSERVATIVE_POLICIES,
@@ -32,7 +35,8 @@ from ..sched.registry import (
     MINOR_POLICIES,
     PAPER_POLICIES,
 )
-from .spec import Artifact, ArtifactInputs
+from ..workload.categories import WIDTH_LABELS
+from .spec import Artifact
 
 #: the original CPlant scheduler — the baseline bar of every comparison
 BASELINE = PAPER_POLICIES[0]
@@ -86,10 +90,6 @@ def select_artifacts(only: Optional[Sequence[str]] = None) -> List[Artifact]:
 # -- Figure 3: weekly offered load vs utilization ------------------------------
 
 
-def _fig03_data(inp: ArtifactInputs):
-    return inp.suite[BASELINE].weekly
-
-
 def _fig03_check(series, shape: bool) -> None:
     assert (series.utilization <= 1.0 + 1e-9).all()
     if shape:
@@ -105,7 +105,7 @@ register(
         kind="figure",
         title="weekly offered load vs actual utilization",
         output="fig03_weekly_load.txt",
-        data=_fig03_data,
+        data=lambda inp: inp.suite[BASELINE].weekly,
         render=F.render_fig03,
         policies=(BASELINE,),
         check=_fig03_check,
@@ -206,6 +206,47 @@ register(
 )
 
 
+# -- Figures 8-19: one per-run metric over one policy set ----------------------
+
+#: ``bar_chart`` units of the scalar metrics; a ``*_by_width`` metric
+#: renders one row per width category instead
+_BAR_UNITS: Dict[str, Dict[str, object]] = {
+    "percent_unfair": {"percent": True},
+    "average_miss_time": {"unit": "s"},
+    "average_turnaround": {"unit": "s"},
+    "loss_of_capacity": {"percent": True},
+}
+
+
+def _policy_figure(
+    fig_id: str,
+    title: str,
+    output: str,
+    caption: str,
+    policies: Tuple[str, ...],
+    metric: str,
+    check: Callable[[object, bool], None],
+) -> None:
+    """Register the figure plotting run attribute ``metric`` (shared by
+    ``PolicyRun`` and ``RecordRun``) for each policy of ``policies``."""
+    if metric.endswith("_by_width"):
+        render = partial(series_table, caption, WIDTH_LABELS)
+    else:
+        render = partial(bar_chart, caption, **_BAR_UNITS[metric])
+    register(
+        Artifact(
+            id=fig_id,
+            kind="figure",
+            title=title,
+            output=output,
+            data=lambda inp: {k: getattr(r, metric) for k, r in inp.suite.items()},
+            render=render,
+            policies=policies,
+            check=check,
+        )
+    )
+
+
 # -- Figures 8-13: the "minor changes" policy set ------------------------------
 
 
@@ -219,17 +260,14 @@ def _fig08_check(data, shape: bool) -> None:
         assert data["cplant72.72max.fair"] < base
 
 
-register(
-    Artifact(
-        id="fig08",
-        kind="figure",
-        title="percent of jobs missing their fair start time (minor changes)",
-        output="fig08_percent_unfair_minor.txt",
-        data=lambda inp: F.fig08_percent_unfair_minor(inp.suite),
-        render=F.render_fig08,
-        policies=MINOR_POLICIES,
-        check=_fig08_check,
-    )
+_policy_figure(
+    "fig08",
+    "percent of jobs missing their fair start time (minor changes)",
+    "fig08_percent_unfair_minor.txt",
+    "Figure 8: percent of jobs missing their fair start time (minor changes)",
+    MINOR_POLICIES,
+    "percent_unfair",
+    _fig08_check,
 )
 
 
@@ -241,17 +279,14 @@ def _fig09_check(data, shape: bool) -> None:
         assert data["cplant72.72max.fair"] < base
 
 
-register(
-    Artifact(
-        id="fig09",
-        kind="figure",
-        title="average fair-start miss time (minor changes)",
-        output="fig09_miss_time_minor.txt",
-        data=lambda inp: F.fig09_miss_time_minor(inp.suite),
-        render=F.render_fig09,
-        policies=MINOR_POLICIES,
-        check=_fig09_check,
-    )
+_policy_figure(
+    "fig09",
+    "average fair-start miss time (minor changes)",
+    "fig09_miss_time_minor.txt",
+    "Figure 9: average fair-start miss time, seconds (minor changes)",
+    MINOR_POLICIES,
+    "average_miss_time",
+    _fig09_check,
 )
 
 
@@ -264,17 +299,14 @@ def _fig10_check(data, shape: bool) -> None:
         assert wide > narrow
 
 
-register(
-    Artifact(
-        id="fig10",
-        kind="figure",
-        title="average miss time by job width (minor changes)",
-        output="fig10_miss_by_width_minor.txt",
-        data=lambda inp: F.fig10_miss_by_width_minor(inp.suite),
-        render=F.render_fig10,
-        policies=MINOR_POLICIES,
-        check=_fig10_check,
-    )
+_policy_figure(
+    "fig10",
+    "average miss time by job width (minor changes)",
+    "fig10_miss_by_width_minor.txt",
+    "Figure 10: average miss time by job width (minor changes)",
+    MINOR_POLICIES,
+    "miss_by_width",
+    _fig10_check,
 )
 
 
@@ -286,17 +318,14 @@ def _fig11_check(data, shape: bool) -> None:
         assert data["cplant72.72max.fair"] < base
 
 
-register(
-    Artifact(
-        id="fig11",
-        kind="figure",
-        title="average turnaround time (minor changes)",
-        output="fig11_tat_minor.txt",
-        data=lambda inp: F.fig11_turnaround_minor(inp.suite),
-        render=F.render_fig11,
-        policies=MINOR_POLICIES,
-        check=_fig11_check,
-    )
+_policy_figure(
+    "fig11",
+    "average turnaround time (minor changes)",
+    "fig11_tat_minor.txt",
+    "Figure 11: average turnaround time, seconds (minor changes)",
+    MINOR_POLICIES,
+    "average_turnaround",
+    _fig11_check,
 )
 
 
@@ -306,17 +335,14 @@ def _fig12_check(data, shape: bool) -> None:
         assert np.nanmean(base[7:]) > np.nanmean(base[:4])
 
 
-register(
-    Artifact(
-        id="fig12",
-        kind="figure",
-        title="average turnaround time by width (minor changes)",
-        output="fig12_tat_by_width_minor.txt",
-        data=lambda inp: F.fig12_turnaround_by_width_minor(inp.suite),
-        render=F.render_fig12,
-        policies=MINOR_POLICIES,
-        check=_fig12_check,
-    )
+_policy_figure(
+    "fig12",
+    "average turnaround time by width (minor changes)",
+    "fig12_tat_by_width_minor.txt",
+    "Figure 12: average turnaround time by job width (minor changes)",
+    MINOR_POLICIES,
+    "turnaround_by_width",
+    _fig12_check,
 )
 
 
@@ -328,17 +354,14 @@ def _fig13_check(data, shape: bool) -> None:
         assert data["cplant24.72max.all"] < base * 1.05
 
 
-register(
-    Artifact(
-        id="fig13",
-        kind="figure",
-        title="loss of capacity (minor changes)",
-        output="fig13_loc_minor.txt",
-        data=lambda inp: F.fig13_loc_minor(inp.suite),
-        render=F.render_fig13,
-        policies=MINOR_POLICIES,
-        check=_fig13_check,
-    )
+_policy_figure(
+    "fig13",
+    "loss of capacity (minor changes)",
+    "fig13_loc_minor.txt",
+    "Figure 13: loss of capacity (minor changes)",
+    MINOR_POLICIES,
+    "loss_of_capacity",
+    _fig13_check,
 )
 
 
@@ -356,17 +379,14 @@ def _fig14_check(data, shape: bool) -> None:
         assert dyn < data["cons.72max"]
 
 
-register(
-    Artifact(
-        id="fig14",
-        kind="figure",
-        title="percent of unfair jobs (all nine policies)",
-        output="fig14_percent_unfair_all.txt",
-        data=lambda inp: F.fig14_percent_unfair_all(inp.suite),
-        render=F.render_fig14,
-        policies=PAPER_POLICIES,
-        check=_fig14_check,
-    )
+_policy_figure(
+    "fig14",
+    "percent of unfair jobs (all nine policies)",
+    "fig14_percent_unfair_all.txt",
+    "Figure 14: percent of jobs missing their fair start time (all policies)",
+    PAPER_POLICIES,
+    "percent_unfair",
+    _fig14_check,
 )
 
 
@@ -380,17 +400,14 @@ def _fig15_check(data, shape: bool) -> None:
         assert data["consdyn.nomax"] > data["cplant72.72max.fair"]
 
 
-register(
-    Artifact(
-        id="fig15",
-        kind="figure",
-        title="average miss time (all nine policies)",
-        output="fig15_miss_time_all.txt",
-        data=lambda inp: F.fig15_miss_time_all(inp.suite),
-        render=F.render_fig15,
-        policies=PAPER_POLICIES,
-        check=_fig15_check,
-    )
+_policy_figure(
+    "fig15",
+    "average miss time (all nine policies)",
+    "fig15_miss_time_all.txt",
+    "Figure 15: average fair-start miss time, seconds (all policies)",
+    PAPER_POLICIES,
+    "average_miss_time",
+    _fig15_check,
 )
 
 
@@ -401,17 +418,14 @@ def _fig16_check(data, shape: bool) -> None:
         assert cons_wide < base_wide * 1.5
 
 
-register(
-    Artifact(
-        id="fig16",
-        kind="figure",
-        title="average miss time by width (conservative set)",
-        output="fig16_miss_by_width_cons.txt",
-        data=lambda inp: F.fig16_miss_by_width_cons(inp.suite),
-        render=F.render_fig16,
-        policies=CONSERVATIVE_POLICIES,
-        check=_fig16_check,
-    )
+_policy_figure(
+    "fig16",
+    "average miss time by width (conservative set)",
+    "fig16_miss_by_width_cons.txt",
+    "Figure 16: average miss time by job width (conservative set)",
+    CONSERVATIVE_POLICIES,
+    "miss_by_width",
+    _fig16_check,
 )
 
 
@@ -425,17 +439,14 @@ def _fig17_check(data, shape: bool) -> None:
         assert data["consdyn.72max"] < base * 1.25
 
 
-register(
-    Artifact(
-        id="fig17",
-        kind="figure",
-        title="average turnaround time (all nine policies)",
-        output="fig17_tat_all.txt",
-        data=lambda inp: F.fig17_turnaround_all(inp.suite),
-        render=F.render_fig17,
-        policies=PAPER_POLICIES,
-        check=_fig17_check,
-    )
+_policy_figure(
+    "fig17",
+    "average turnaround time (all nine policies)",
+    "fig17_tat_all.txt",
+    "Figure 17: average turnaround time, seconds (all policies)",
+    PAPER_POLICIES,
+    "average_turnaround",
+    _fig17_check,
 )
 
 
@@ -449,17 +460,14 @@ def _fig18_check(data, shape: bool) -> None:
         assert cons_wide < base_wide * 1.5
 
 
-register(
-    Artifact(
-        id="fig18",
-        kind="figure",
-        title="turnaround time by width (conservative set)",
-        output="fig18_tat_by_width_cons.txt",
-        data=lambda inp: F.fig18_turnaround_by_width_cons(inp.suite),
-        render=F.render_fig18,
-        policies=CONSERVATIVE_POLICIES,
-        check=_fig18_check,
-    )
+_policy_figure(
+    "fig18",
+    "turnaround time by width (conservative set)",
+    "fig18_tat_by_width_cons.txt",
+    "Figure 18: average turnaround time by job width (conservative set)",
+    CONSERVATIVE_POLICIES,
+    "turnaround_by_width",
+    _fig18_check,
 )
 
 
@@ -471,17 +479,14 @@ def _fig19_check(data, shape: bool) -> None:
         assert data["cons.72max"] < data["consdyn.nomax"]
 
 
-register(
-    Artifact(
-        id="fig19",
-        kind="figure",
-        title="loss of capacity (all nine policies)",
-        output="fig19_loc_all.txt",
-        data=lambda inp: F.fig19_loc_all(inp.suite),
-        render=F.render_fig19,
-        policies=PAPER_POLICIES,
-        check=_fig19_check,
-    )
+_policy_figure(
+    "fig19",
+    "loss of capacity (all nine policies)",
+    "fig19_loc_all.txt",
+    "Figure 19: loss of capacity (all policies)",
+    PAPER_POLICIES,
+    "loss_of_capacity",
+    _fig19_check,
 )
 
 
@@ -529,10 +534,6 @@ register(
 # -- the fairness matrix: policy x reference order (extension) -----------------
 
 
-def _matrix_data(inp: ArtifactInputs):
-    return matrix_from_suite(inp.suite, MATRIX_REFERENCE_ORDERS)
-
-
 def _matrix_render(rows) -> str:
     out = [
         "Fairness matrix: policy x hybrid-FST reference order "
@@ -564,7 +565,7 @@ register(
         kind="table",
         title="policy x reference-order fairness matrix",
         output="matrix_policy_fairness.txt",
-        data=_matrix_data,
+        data=lambda inp: matrix_from_suite(inp.suite, MATRIX_REFERENCE_ORDERS),
         render=_matrix_render,
         policies=MATRIX_POLICIES,
         check=_matrix_check,

@@ -13,9 +13,9 @@ Two input shapes satisfy a spec:
 
 * live :class:`~repro.experiments.runner.PolicyRun` objects (``repro
   figures``, where the suite is simulated in-process), and
-* :class:`RecordRun` views over cached campaign metric records (the
-  ``repro paper build`` path, where cells come out of the
-  content-addressed cache).
+* :class:`~repro.experiments.export.RecordRun` views over cached
+  campaign metric records (the ``repro paper build`` path, where cells
+  come out of the content-addressed cache).
 
 Both expose the same attribute surface, so every ``data`` function is
 written once and the rendering is byte-identical across paths.
@@ -23,13 +23,10 @@ written once and the rendering is byte-identical across paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-import numpy as np
-
 from ..experiments.runner import RunOptions
-from ..metrics.weekly import WeeklySeries
 from ..workload.model import Workload
 
 #: below this many jobs the paper's policy-shape assertions are
@@ -41,69 +38,14 @@ SHAPE_MIN_JOBS = 1500
 KINDS = ("figure", "table")
 
 
-class RecordRun:
-    """A :class:`~repro.experiments.runner.PolicyRun`-shaped view over a
-    cached campaign metric record.
-
-    The campaign cache stores flattened JSON records
-    (:func:`~repro.experiments.export.policy_run_record`), not job lists;
-    this adapter exposes the slice of the ``PolicyRun`` attribute surface
-    the figure projections consume, reconstructed from those records.
-    """
-
-    __slots__ = ("policy", "record")
-
-    def __init__(self, policy: str, record: Mapping[str, object]) -> None:
-        self.policy = policy
-        self.record = record
-
-    @property
-    def percent_unfair(self) -> float:
-        return float(self.record["fairness"]["percent_unfair"])
-
-    @property
-    def fairness_by_order(self) -> Dict[str, Dict[str, float]]:
-        """Per-reference-order fairness blocks (empty for default runs)."""
-        return dict(self.record.get("fairness_by_order") or {})
-
-    @property
-    def average_miss_time(self) -> float:
-        return float(self.record["fairness"]["average_miss_time"])
-
-    @property
-    def average_turnaround(self) -> float:
-        return float(self.record["summary"]["avg_turnaround"])
-
-    @property
-    def loss_of_capacity(self) -> float:
-        return float(self.record["loss_of_capacity"])
-
-    @property
-    def miss_by_width(self) -> np.ndarray:
-        return np.asarray(self.record["miss_by_width"], dtype=float)
-
-    @property
-    def turnaround_by_width(self) -> np.ndarray:
-        return np.asarray(self.record["turnaround_by_width"], dtype=float)
-
-    @property
-    def weekly(self) -> WeeklySeries:
-        w = self.record["weekly"]
-        return WeeklySeries(
-            week_start=np.asarray(w["week_start"], dtype=float),
-            offered_load=np.asarray(w["offered_load"], dtype=float),
-            utilization=np.asarray(w["utilization"], dtype=float),
-        )
-
-
 @dataclass(frozen=True)
 class ArtifactInputs:
     """Everything an artifact's ``data`` function may consume.
 
     ``suite`` maps policy key -> run-like object (``PolicyRun`` or
-    :class:`RecordRun`), restricted to the artifact's declared policies
-    on the build path; ``workload`` is the shared trace, present only
-    when the artifact declared ``needs_workload``.
+    ``RecordRun``); :meth:`Artifact.build_text` restricts it to the
+    artifact's declared policies.  ``workload`` is the shared trace,
+    present only when the artifact declared ``needs_workload``.
     """
 
     suite: Mapping[str, object]
@@ -154,11 +96,15 @@ class Artifact:
     ) -> str:
         """Project, optionally check, and render this artifact.
 
-        ``shape`` says whether the underlying trace is large enough for
-        the paper's qualitative shape assertions (see
-        :data:`SHAPE_MIN_JOBS`); range/sanity checks run regardless.
+        ``inputs.suite`` may hold more runs than the artifact declares;
+        the projection sees exactly its declared ``policies``, and a
+        missing one raises ``KeyError``.  ``shape`` says whether the
+        underlying trace is large enough for the paper's qualitative
+        shape assertions (see :data:`SHAPE_MIN_JOBS`); range/sanity
+        checks run regardless.
         """
-        data = self.data(inputs)
+        suite = suite_subset(inputs.suite, self.policies)
+        data = self.data(replace(inputs, suite=suite))
         if check and self.check is not None:
             self.check(data, shape)
         return self.render(data)

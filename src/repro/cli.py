@@ -2,34 +2,35 @@
 
 Subcommands::
 
-    repro-sched generate  --scale 0.2 --seed 7 --out trace.swf
-    repro-sched run       --policy cplant24.nomax.all [--swf trace.swf | --scale 0.1]
-    repro-sched compare   --policies cplant24.nomax.all,cons.72max --scale 0.1
-    repro-sched figures   --scale 0.1          # print every paper figure
-    repro-sched tables    --scale 1.0          # print Tables 1-2
-    repro-sched sweep     campaign.json --jobs 4   # parallel cached sweep
-    repro-sched sweep     campaign.json --resume   # continue an interrupted run
-    repro-sched cache     verify|prune             # audit/repair the cell cache
-    repro-sched paper build --scale 0.05 --jobs 4  # build every paper artifact
-    repro-sched paper build --only fig08,table1
-    repro-sched paper list                      # the artifact registry
-    repro-sched paper diff --against other/manifest.json
-    repro-sched matrix    --scale 0.02          # policy x reference-order fairness
-    repro-sched policies                        # list known policies
-    repro-sched trace run --policy cons.nomax --out run.jsonl
-    repro-sched trace summarize run.jsonl       # per-policy decision summary
-    repro-sched scenarios list                  # the scenario library
-    repro-sched scenarios describe heavy-tail-runtimes
-    repro-sched scenarios run heavy-tail-runtimes --set alpha=1.3
-    repro-sched scenarios export bursty-arrivals --out bursty.swf
+    repro generate  --scale 0.2 --seed 7 --out trace.swf
+    repro run       --policy cplant24.nomax.all [--swf trace.swf | --scale 0.1]
+    repro compare   --policies cplant24.nomax.all,cons.72max --scale 0.1
+    repro figures   --scale 0.1          # print every paper figure
+    repro tables    --scale 1.0          # print Tables 1-2
+    repro sweep     campaign.json --jobs 4   # parallel cached sweep
+    repro sweep     campaign.json --resume   # continue an interrupted run
+    repro cache     verify|prune             # audit/repair the cell cache
+    repro paper build --scale 0.05 --jobs 4  # build every paper artifact
+    repro paper build --only fig08,table1
+    repro paper list                      # the artifact registry
+    repro paper diff --against other/manifest.json
+    repro matrix    --scale 0.02          # policy x reference-order fairness
+    repro policies                        # list known policies
+    repro trace run --policy cons.nomax --out run.jsonl
+    repro trace summarize run.jsonl       # per-policy decision summary
+    repro scenarios list                  # the scenario library
+    repro scenarios describe heavy-tail-runtimes
+    repro scenarios run heavy-tail-runtimes --set alpha=1.3
+    repro scenarios export bursty-arrivals --out bursty.swf
 
-``python -m repro ...`` works too, and ``pip install -e .`` provides the
-``repro`` entry point.
+``python -m repro ...`` works too; ``pip install -e .`` provides the
+``repro`` entry point (and its alias ``repro-sched``).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,6 +45,7 @@ from .campaign import (
     aggregate_rows,
     default_journal_dir,
 )
+from .campaign.executor import ProgressFn
 from .experiments.export import (
     export_campaign_csv,
     export_campaign_json,
@@ -163,7 +165,7 @@ def cmd_compare(args) -> int:
 
 def _render_artifacts(arts, suite, wl: Workload) -> str:
     inputs = A.ArtifactInputs(suite, wl)
-    return "\n\n".join(art.render(art.data(inputs)) for art in arts)
+    return "\n\n".join(art.build_text(inputs) for art in arts)
 
 
 def cmd_figures(args) -> int:
@@ -214,6 +216,23 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _progress(prefix: str, width: int, quiet: bool) -> Optional[ProgressFn]:
+    """The campaign progress callback: one ``[prefix] done/total`` line
+    per finished cell (None under ``--quiet``)."""
+    if quiet:
+        return None
+    meter: List[ProgressMeter] = []
+
+    def progress(done, total, cell, source, elapsed):
+        if not meter:
+            meter.append(ProgressMeter(total))
+        tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
+        print(f"[{prefix}] {done:>{width}}/{total} {tag} {cell.label()} "
+              f"— {meter[0].note(done)}", flush=True)
+
+    return progress
+
+
 def _retry_policy(args) -> "RetryPolicy":
     """The :class:`RetryPolicy` described by ``--retries``/``--timeout``."""
     return RetryPolicy(max_attempts=args.retries + 1, timeout=args.timeout)
@@ -233,22 +252,12 @@ def _add_robustness_args(p: argparse.ArgumentParser) -> None:
 def cmd_sweep(args) -> int:
     spec = CampaignSpec.from_json(args.spec)
     cache = None if args.no_cache else CampaignCache(args.cache_dir)
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
-            print(f"[sweep] {done:>4}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
     result = api.sweep(
         spec,
         jobs=args.jobs,
         cache=cache,
         force=args.force,
-        progress=progress,
+        progress=_progress("sweep", 4, args.quiet),
         retry=_retry_policy(args),
         keep_going=args.keep_going,
         resume=args.resume,
@@ -330,7 +339,7 @@ def cmd_cache_prune(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from .experiments.matrix import MatrixConfig, run_matrix
+    from .experiments.matrix import MatrixConfig, render_matrix, run_matrix
 
     try:
         cfg = MatrixConfig(
@@ -347,24 +356,17 @@ def cmd_matrix(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     cache = None if args.no_cache else CampaignCache(args.cache_dir)
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = "cache" if source == "cache" else "run  "
-            print(f"[matrix] {done:>3}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
-    result = run_matrix(
-        cfg, jobs=args.jobs, cache=cache, force=args.force, progress=progress,
+    results, tables = run_matrix(
+        cfg, jobs=args.jobs, cache=cache, force=args.force,
+        progress=_progress("matrix", 3, args.quiet),
     )
-    text = result.render()
+    text = render_matrix(tables, cfg.reference_orders,
+                         policies=cfg.policies, scenarios=cfg.scenarios)
     print(text)
+    n_cached = sum(1 for r in results if r.cached)
     print(
-        f"\nmatrix: {len(result.results)} cells "
-        f"({result.n_simulated} simulated, {result.n_cached} cached) "
+        f"\nmatrix: {len(results)} cells "
+        f"({len(results) - n_cached} simulated, {n_cached} cached) "
         f"— {len(cfg.policies)} policies x {len(cfg.reference_orders)} "
         f"orders x {len(cfg.scenarios)} scenarios"
     )
@@ -373,8 +375,9 @@ def cmd_matrix(args) -> int:
         Path(args.out).write_text(text + "\n")
         wrote.append(args.out)
     if args.json:
+        doc = {"config": dataclasses.asdict(cfg), "matrix": tables}
         Path(args.json).write_text(
-            json.dumps(result.doc(), indent=2, sort_keys=True) + "\n"
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
         wrote.append(args.json)
     for path in wrote:
@@ -461,17 +464,6 @@ def cmd_paper_build(args) -> int:
     only = args.only.split(",") if args.only else None
     cache = None if args.no_cache else CampaignCache(args.cache_dir)
     config = A.PaperConfig(scale=args.scale, seed=args.seed)
-
-    meter: List[ProgressMeter] = []
-
-    def progress(done, total, cell, source, elapsed):
-        if not args.quiet:
-            if not meter:
-                meter.append(ProgressMeter(total))
-            tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
-            print(f"[paper] {done:>3}/{total} {tag} {cell.label()} "
-                  f"— {meter[0].note(done)}", flush=True)
-
     try:
         result = api.build_artifacts(
             only=only,
@@ -481,7 +473,7 @@ def cmd_paper_build(args) -> int:
             cache=cache,
             force=args.force,
             check=args.check,
-            progress=progress,
+            progress=_progress("paper", 3, args.quiet),
             retry=_retry_policy(args),
             resume=args.resume,
         )

@@ -3,7 +3,8 @@
 A policy suite is an expensive artifact (minutes of simulation at full
 scale); these helpers serialize everything the figures need so analysis
 and plotting can happen in a separate process or notebook without
-re-simulating.
+re-simulating.  :class:`RecordRun` reads one such record back through
+the ``PolicyRun`` attributes the artifact projections use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import json
 from pathlib import Path
 from typing import Dict, Mapping, Union
 
+import numpy as np
+
+from ..metrics.weekly import WeeklySeries
 from ..workload.categories import WIDTH_LABELS
 from .runner import PolicyRun
 
@@ -53,6 +57,61 @@ def policy_run_record(run: PolicyRun) -> Dict[str, object]:
             for name, stats in sorted(run.fairness_by_order.items())
         }
     return out
+
+
+class RecordRun:
+    """A :class:`~repro.experiments.runner.PolicyRun`-shaped view over a
+    cached campaign metric record.
+
+    The campaign cache stores flattened JSON records
+    (:func:`policy_run_record`), not job lists; this adapter exposes the
+    slice of the ``PolicyRun`` attribute surface the figure projections
+    consume, reconstructed from those records.
+    """
+
+    __slots__ = ("policy", "record")
+
+    def __init__(self, policy: str, record: Mapping[str, object]) -> None:
+        self.policy = policy
+        self.record = record
+
+    @property
+    def percent_unfair(self) -> float:
+        return float(self.record["fairness"]["percent_unfair"])
+
+    @property
+    def fairness_by_order(self) -> Dict[str, Dict[str, float]]:
+        """Per-reference-order fairness blocks (empty for default runs)."""
+        return dict(self.record.get("fairness_by_order") or {})
+
+    @property
+    def average_miss_time(self) -> float:
+        return float(self.record["fairness"]["average_miss_time"])
+
+    @property
+    def average_turnaround(self) -> float:
+        return float(self.record["summary"]["avg_turnaround"])
+
+    @property
+    def loss_of_capacity(self) -> float:
+        return float(self.record["loss_of_capacity"])
+
+    @property
+    def miss_by_width(self) -> np.ndarray:
+        return np.asarray(self.record["miss_by_width"], dtype=float)
+
+    @property
+    def turnaround_by_width(self) -> np.ndarray:
+        return np.asarray(self.record["turnaround_by_width"], dtype=float)
+
+    @property
+    def weekly(self) -> WeeklySeries:
+        w = self.record["weekly"]
+        return WeeklySeries(
+            week_start=np.asarray(w["week_start"], dtype=float),
+            offered_load=np.asarray(w["offered_load"], dtype=float),
+            utilization=np.asarray(w["utilization"], dtype=float),
+        )
 
 
 def export_suite_json(suite: Mapping[str, PolicyRun], path: PathLike) -> None:
@@ -103,11 +162,6 @@ def export_per_job_csv(run: PolicyRun, path: PathLike) -> None:
                 f"{j.end_time:.3f}", f"{fst:.3f}",
                 f"{max(0.0, j.start_time - fst):.3f}",
             ])
-
-
-def load_suite_json(path: PathLike) -> Dict[str, Dict[str, object]]:
-    """Read back an :func:`export_suite_json` document."""
-    return json.loads(Path(path).read_text())
 
 
 # -- campaign aggregates ------------------------------------------------------

@@ -1,42 +1,26 @@
-"""Data generators for every figure in the paper (Figures 3-19).
+"""Data generators for the workload figures of the paper (Figures 3-7).
 
-Workload-characterization figures (3-7) consume a workload (Figure 3 also
-needs a baseline simulation).  Policy figures (8-19) consume a policy
-suite (policy key -> run, e.g. from :func:`repro.api.compare`) so the
-expensive simulations are shared across figures.
-
-Each ``figNN_*`` function returns plain data (dicts / arrays); each
-``render_figNN`` turns that into the text ``repro paper build`` writes.
+Figure 3 (weekly offered load vs utilization) renders the baseline
+run's ``PolicyRun.weekly`` series; Figures 4-7 (workload scatter
+characterization) consume the workload alone.  Each ``figNN_*``
+function returns plain data (dicts / arrays); each ``render_figNN``
+turns that into the text ``repro paper build`` writes.  Figures 8-19
+each plot one per-run metric over one policy set and are declared as
+one row each in :mod:`repro.artifacts.registry`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict
 
 import numpy as np
 
-from ..metrics.weekly import WeeklySeries, format_weekly, weekly_series
-from ..sched.registry import CONSERVATIVE_POLICIES, MINOR_POLICIES, PAPER_POLICIES
-from ..workload.categories import WIDTH_LABELS
+from ..metrics.weekly import WeeklySeries, format_weekly
 from ..workload.model import Workload
-from .report import bar_chart, binned_medians, log_density, series_table
-from .runner import PolicyRun
-
-Suite = Mapping[str, PolicyRun]
-
-
-def _subset(suite: Suite, keys: Sequence[str]) -> Dict[str, PolicyRun]:
-    missing = [k for k in keys if k not in suite]
-    if missing:
-        raise KeyError(f"suite is missing policies: {missing}")
-    return {k: suite[k] for k in keys}
+from .report import binned_medians, log_density
 
 
 # -- Figure 3: weekly offered load vs utilization --------------------------------
-
-def fig03_weekly_load(baseline: PolicyRun, workload: Workload) -> WeeklySeries:
-    return weekly_series(baseline.result.jobs, workload.system_size)
-
 
 def render_fig03(series: WeeklySeries) -> str:
     head = (
@@ -111,152 +95,3 @@ def render_fig07(data: Dict[str, np.ndarray]) -> str:
         if n > 0
     )
     return txt + "\nmedian factor by nodes (should be roughly flat):\n" + rows
-
-
-# -- Figures 8-13: the "minor changes" policy set -----------------------------------
-
-def fig08_percent_unfair_minor(suite: Suite) -> Dict[str, float]:
-    return {k: r.percent_unfair for k, r in _subset(suite, MINOR_POLICIES).items()}
-
-
-def render_fig08(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 8: percent of jobs missing their fair start time (minor changes)",
-        data, percent=True,
-    )
-
-
-def fig09_miss_time_minor(suite: Suite) -> Dict[str, float]:
-    return {k: r.average_miss_time for k, r in _subset(suite, MINOR_POLICIES).items()}
-
-
-def render_fig09(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 9: average fair-start miss time, seconds (minor changes)",
-        data, unit="s",
-    )
-
-
-def fig10_miss_by_width_minor(suite: Suite) -> Dict[str, np.ndarray]:
-    return {k: r.miss_by_width for k, r in _subset(suite, MINOR_POLICIES).items()}
-
-
-def render_fig10(data: Dict[str, np.ndarray]) -> str:
-    return series_table(
-        "Figure 10: average miss time by job width (minor changes)",
-        WIDTH_LABELS, data,
-    )
-
-
-def fig11_turnaround_minor(suite: Suite) -> Dict[str, float]:
-    return {
-        k: r.average_turnaround for k, r in _subset(suite, MINOR_POLICIES).items()
-    }
-
-
-def render_fig11(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 11: average turnaround time, seconds (minor changes)",
-        data, unit="s",
-    )
-
-
-def fig12_turnaround_by_width_minor(suite: Suite) -> Dict[str, np.ndarray]:
-    return {
-        k: r.turnaround_by_width for k, r in _subset(suite, MINOR_POLICIES).items()
-    }
-
-
-def render_fig12(data: Dict[str, np.ndarray]) -> str:
-    return series_table(
-        "Figure 12: average turnaround time by job width (minor changes)",
-        WIDTH_LABELS, data,
-    )
-
-
-def fig13_loc_minor(suite: Suite) -> Dict[str, float]:
-    return {
-        k: r.loss_of_capacity for k, r in _subset(suite, MINOR_POLICIES).items()
-    }
-
-
-def render_fig13(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 13: loss of capacity (minor changes)", data, percent=True,
-    )
-
-
-# -- Figures 14-19: all nine policies ---------------------------------------------------
-
-def fig14_percent_unfair_all(suite: Suite) -> Dict[str, float]:
-    return {k: r.percent_unfair for k, r in _subset(suite, PAPER_POLICIES).items()}
-
-
-def render_fig14(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 14: percent of jobs missing their fair start time (all policies)",
-        data, percent=True,
-    )
-
-
-def fig15_miss_time_all(suite: Suite) -> Dict[str, float]:
-    return {k: r.average_miss_time for k, r in _subset(suite, PAPER_POLICIES).items()}
-
-
-def render_fig15(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 15: average fair-start miss time, seconds (all policies)",
-        data, unit="s",
-    )
-
-
-def fig16_miss_by_width_cons(suite: Suite) -> Dict[str, np.ndarray]:
-    return {
-        k: r.miss_by_width for k, r in _subset(suite, CONSERVATIVE_POLICIES).items()
-    }
-
-
-def render_fig16(data: Dict[str, np.ndarray]) -> str:
-    return series_table(
-        "Figure 16: average miss time by job width (conservative set)",
-        WIDTH_LABELS, data,
-    )
-
-
-def fig17_turnaround_all(suite: Suite) -> Dict[str, float]:
-    return {
-        k: r.average_turnaround for k, r in _subset(suite, PAPER_POLICIES).items()
-    }
-
-
-def render_fig17(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 17: average turnaround time, seconds (all policies)",
-        data, unit="s",
-    )
-
-
-def fig18_turnaround_by_width_cons(suite: Suite) -> Dict[str, np.ndarray]:
-    return {
-        k: r.turnaround_by_width
-        for k, r in _subset(suite, CONSERVATIVE_POLICIES).items()
-    }
-
-
-def render_fig18(data: Dict[str, np.ndarray]) -> str:
-    return series_table(
-        "Figure 18: average turnaround time by job width (conservative set)",
-        WIDTH_LABELS, data,
-    )
-
-
-def fig19_loc_all(suite: Suite) -> Dict[str, float]:
-    return {
-        k: r.loss_of_capacity for k, r in _subset(suite, PAPER_POLICIES).items()
-    }
-
-
-def render_fig19(data: Dict[str, float]) -> str:
-    return bar_chart(
-        "Figure 19: loss of capacity (all policies)", data, percent=True,
-    )

@@ -17,7 +17,7 @@ rendered table is deterministic byte-for-byte, which the CI
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..campaign.cache import CampaignCache
@@ -25,6 +25,7 @@ from ..campaign.executor import CellResult, ProgressFn, run_cells
 from ..campaign.spec import CampaignCell, WorkloadSpec
 from ..metrics.fairness import REFERENCE_ORDERS
 from ..sched.registry import MATRIX_POLICIES, get_policy
+from .export import RecordRun
 from .runner import RunOptions
 
 #: the reference orders of the default matrix (all of them, in the order
@@ -93,52 +94,8 @@ class MatrixConfig:
         return out
 
 
-@dataclass
-class MatrixResult:
-    """Executed matrix cells plus the config that shaped them."""
-
-    config: MatrixConfig
-    results: List[CellResult] = field(default_factory=list)
-
-    @property
-    def n_cached(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def n_simulated(self) -> int:
-        return sum(1 for r in self.results if not r.cached)
-
-    def table(self) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
-        """scenario -> policy -> reference order -> fairness block."""
-        out: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
-        for res in self.results:
-            scenario = str(res.cell.workload.scenario)
-            rows = res.metrics.get("fairness_by_order") or {}
-            out.setdefault(scenario, {})[res.cell.policy] = {
-                o: dict(rows[o]) for o in self.config.reference_orders
-            }
-        return out
-
-    def doc(self) -> Dict[str, object]:
-        """JSON-safe document (deterministic with sorted serialization)."""
-        return {
-            "config": {
-                "policies": list(self.config.policies),
-                "reference_orders": list(self.config.reference_orders),
-                "scenarios": list(self.config.scenarios),
-                "scale": self.config.scale,
-                "seed": self.config.seed,
-            },
-            "matrix": self.table(),
-        }
-
-    def render(self) -> str:
-        return render_matrix(
-            self.table(),
-            self.config.reference_orders,
-            policies=self.config.policies,
-            scenarios=self.config.scenarios,
-        )
+#: scenario -> policy -> reference order -> fairness block
+MatrixTables = Dict[str, Dict[str, Dict[str, Dict[str, float]]]]
 
 
 def run_matrix(
@@ -147,13 +104,26 @@ def run_matrix(
     cache: Optional[CampaignCache] = None,
     force: bool = False,
     progress: Optional[ProgressFn] = None,
-) -> MatrixResult:
-    """Execute a fairness-matrix sweep through the campaign executor."""
+) -> Tuple[List[CellResult], MatrixTables]:
+    """Execute a fairness-matrix sweep through the campaign executor.
+
+    Returns the executed cells and, per scenario, the table
+    :func:`matrix_from_suite` projects from their metric records (the
+    same projection the registered ``matrix`` artifact renders).
+    """
     cfg = config or MatrixConfig()
     results = run_cells(
         cfg.cells(), jobs=jobs, cache=cache, force=force, progress=progress
     )
-    return MatrixResult(config=cfg, results=results)
+    suites: Dict[str, Dict[str, RecordRun]] = {}
+    for res in results:
+        suite = suites.setdefault(str(res.cell.workload.scenario), {})
+        suite[res.cell.policy] = RecordRun(res.cell.policy, res.metrics)
+    tables = {
+        scenario: matrix_from_suite(suite, cfg.reference_orders)
+        for scenario, suite in suites.items()
+    }
+    return results, tables
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ CLI surface, and the standalone benchmark shims."""
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -82,6 +83,14 @@ class TestRegistry:
 
     def test_every_artifact_has_a_check(self):
         assert all(a.check is not None for a in all_artifacts())
+
+    def test_pipeline_doc_table_matches_the_registry(self):
+        """Same check CI runs via tools/check_docs.py."""
+        path = REPO_ROOT / "tools" / "check_docs.py"
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        assert check_docs.check_pipeline_docs() == []
 
     def test_unknown_ids_fail_fast(self):
         with pytest.raises(KeyError, match="unknown artifact"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.artifacts import BASELINE, ArtifactInputs, get_artifact
 from repro.experiments import figures as F
 from repro.experiments.config import BenchConfig, bench_workload
 from repro.experiments.report import bar_chart, binned_medians, log_density, series_table
@@ -73,10 +74,9 @@ class TestTables:
 
 
 class TestFigures:
-    def test_fig03(self, suite, tiny_trace):
-        series = F.fig03_weekly_load(suite["cplant24.nomax.all"], tiny_trace)
-        assert len(series) >= 4
-        txt = F.render_fig03(series)
+    def test_fig03(self, suite):
+        assert len(suite[BASELINE].weekly) >= 4
+        txt = get_artifact("fig03").build_text(ArtifactInputs(suite))
         assert "Figure 3" in txt
 
     def test_fig04_to_07_render(self, tiny_trace):
@@ -91,48 +91,41 @@ class TestFigures:
             assert "Figure" in txt
 
     def test_minor_figures_cover_minor_policies(self, suite):
-        assert set(F.fig08_percent_unfair_minor(suite)) == set(MINOR_POLICIES)
-        assert set(F.fig09_miss_time_minor(suite)) == set(MINOR_POLICIES)
-        assert set(F.fig11_turnaround_minor(suite)) == set(MINOR_POLICIES)
-        assert set(F.fig13_loc_minor(suite)) == set(MINOR_POLICIES)
+        # the nine-policy suite goes in whole; each figure plots its set
+        for fig in ("fig08", "fig09", "fig11", "fig13"):
+            art = get_artifact(fig)
+            assert art.policies == MINOR_POLICIES
+            text = art.build_text(ArtifactInputs(suite))
+            assert _plotted(text) == set(MINOR_POLICIES)
 
     def test_all_policy_figures_cover_nine(self, suite):
-        assert set(F.fig14_percent_unfair_all(suite)) == set(PAPER_POLICIES)
-        assert set(F.fig15_miss_time_all(suite)) == set(PAPER_POLICIES)
-        assert set(F.fig17_turnaround_all(suite)) == set(PAPER_POLICIES)
-        assert set(F.fig19_loc_all(suite)) == set(PAPER_POLICIES)
+        for fig in ("fig14", "fig15", "fig17", "fig19"):
+            art = get_artifact(fig)
+            assert art.policies == PAPER_POLICIES
+            text = art.build_text(ArtifactInputs(suite))
+            assert _plotted(text) == set(PAPER_POLICIES)
 
     def test_width_figures_shapes(self, suite):
-        for data in (F.fig10_miss_by_width_minor(suite),
-                     F.fig12_turnaround_by_width_minor(suite),
-                     F.fig16_miss_by_width_cons(suite),
-                     F.fig18_turnaround_by_width_cons(suite)):
+        for fig in ("fig10", "fig12", "fig16", "fig18"):
+            data = get_artifact(fig).data(ArtifactInputs(suite))
             for arr in data.values():
                 assert arr.shape == (N_WIDTH,)
 
-    def test_all_renders_nonempty(self, suite, tiny_trace):
-        texts = [
-            F.render_fig08(F.fig08_percent_unfair_minor(suite)),
-            F.render_fig09(F.fig09_miss_time_minor(suite)),
-            F.render_fig10(F.fig10_miss_by_width_minor(suite)),
-            F.render_fig11(F.fig11_turnaround_minor(suite)),
-            F.render_fig12(F.fig12_turnaround_by_width_minor(suite)),
-            F.render_fig13(F.fig13_loc_minor(suite)),
-            F.render_fig14(F.fig14_percent_unfair_all(suite)),
-            F.render_fig15(F.fig15_miss_time_all(suite)),
-            F.render_fig16(F.fig16_miss_by_width_cons(suite)),
-            F.render_fig17(F.fig17_turnaround_all(suite)),
-            F.render_fig18(F.fig18_turnaround_by_width_cons(suite)),
-            F.render_fig19(F.fig19_loc_all(suite)),
-        ]
-        for txt in texts:
-            assert txt.startswith("Figure")
+    def test_all_renders_nonempty(self, suite):
+        for n in range(8, 20):
+            txt = get_artifact(f"fig{n:02d}").build_text(ArtifactInputs(suite))
+            assert txt.startswith(f"Figure {n}:")
             assert len(txt.splitlines()) >= 3
 
     def test_missing_policy_raises(self, tiny_trace):
         partial = api.compare(MINOR_POLICIES[:2], workload=tiny_trace)
         with pytest.raises(KeyError, match="missing"):
-            F.fig08_percent_unfair_minor(partial)
+            get_artifact("fig08").build_text(ArtifactInputs(partial))
+
+
+def _plotted(text):
+    """Policy keys that label a bar of a rendered bar chart."""
+    return {ln.split()[0] for ln in text.splitlines()[1:] if ln.strip()}
 
 
 class TestReportHelpers:

@@ -10,7 +10,6 @@ from repro.experiments.export import (
     export_per_job_csv,
     export_suite_csv,
     export_suite_json,
-    load_suite_json,
     policy_run_record,
 )
 from repro.workload.analysis import (
@@ -42,7 +41,7 @@ class TestExport:
         _, suite = tiny_suite
         path = tmp_path / "suite.json"
         export_suite_json(suite, path)
-        back = load_suite_json(path)
+        back = json.loads(path.read_text())
         assert set(back) == set(suite)
         rec = back["cplant24.nomax.all"]
         assert rec["summary"]["n_jobs"] == suite["cplant24.nomax.all"].summary.n_jobs

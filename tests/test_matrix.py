@@ -82,28 +82,29 @@ class TestMatrixConfig:
         assert [c.policy for c in cells] == list(TINY.policies)
 
 
+def _render(cfg, tables):
+    return render_matrix(tables, cfg.reference_orders,
+                         policies=cfg.policies, scenarios=cfg.scenarios)
+
+
 class TestRunMatrix:
     def test_deterministic_in_process(self):
-        a = run_matrix(TINY)
-        b = run_matrix(TINY)
-        assert a.render() == b.render()
-        assert json.dumps(a.doc(), sort_keys=True) == \
-            json.dumps(b.doc(), sort_keys=True)
+        _, a = run_matrix(TINY)
+        _, b = run_matrix(TINY)
+        assert _render(TINY, a) == _render(TINY, b)
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_cache_round_trip(self, tmp_path):
         cache = CampaignCache(tmp_path / "cells")
-        first = run_matrix(TINY, cache=cache)
-        assert first.n_simulated == len(TINY.policies)
-        assert first.n_cached == 0
-        second = run_matrix(TINY, cache=cache)
-        assert second.n_simulated == 0
-        assert second.n_cached == len(TINY.policies)
-        assert second.render() == first.render()
+        results, first = run_matrix(TINY, cache=cache)
+        assert [r.cached for r in results] == [False] * len(TINY.policies)
+        results, second = run_matrix(TINY, cache=cache)
+        assert [r.cached for r in results] == [True] * len(TINY.policies)
+        assert _render(TINY, second) == _render(TINY, first)
 
     def test_render_shape(self):
-        result = run_matrix(TINY)
-        text = result.render()
-        lines = text.splitlines()
+        _, tables = run_matrix(TINY)
+        lines = _render(TINY, tables).splitlines()
         assert "scenario: cplant-baseline" in lines
         header = next(
             ln for ln in lines if ln.startswith("policy") and " | " in ln
@@ -114,17 +115,19 @@ class TestRunMatrix:
             assert any(ln.startswith(policy) for ln in lines)
 
     def test_fcfs_nobackfill_row_is_exactly_fair_under_fcfs(self):
-        table = run_matrix(TINY).table()
-        block = table["cplant-baseline"]["fcfs.nobackfill"]["fcfs"]
+        _, tables = run_matrix(TINY)
+        block = tables["cplant-baseline"]["fcfs.nobackfill"]["fcfs"]
         assert block["n_unfair"] == 0
 
     def test_deterministic_across_processes(self):
-        here = run_matrix(TINY).render()
+        here = _render(TINY, run_matrix(TINY)[1])
         prog = (
-            "from repro.experiments.matrix import MatrixConfig, run_matrix\n"
+            "from repro.experiments.matrix import MatrixConfig, "
+            "render_matrix, run_matrix\n"
             "cfg = MatrixConfig(policies=('fcfs.nobackfill', 'easy.fcfs', "
             "'rr.user'), scale=0.01, seed=3)\n"
-            "print(run_matrix(cfg).render())\n"
+            "print(render_matrix(run_matrix(cfg)[1], cfg.reference_orders, "
+            "policies=cfg.policies, scenarios=cfg.scenarios))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = (

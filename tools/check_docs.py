@@ -14,9 +14,11 @@ Nine checks:
    ``BENCHMARK.json``, ``benchmarks/bench_core.py``; they must exist on
    disk), and docs/ARCHITECTURE.md must carry a Performance section, so
    the benchmark workflow stays discoverable.
-4. **Pipeline docs** — docs/PIPELINE.md must document every artifact
-   registered in ``repro.artifacts`` (as `` `id` ``) plus the build
-   CLI and manifest, so the paper-artifact catalog cannot drift.
+4. **Pipeline docs** — the artifact table in docs/PIPELINE.md must
+   list exactly the artifacts registered in ``repro.artifacts``, each
+   with its output file, in registry order; the page must also cover
+   the build CLI and manifest, so the paper-artifact catalog cannot
+   drift.
 5. **Observability docs** — docs/OBSERVABILITY.md must document every
    counter in ``repro.obs.counters.CATALOG`` (as `` `name` ``) and the
    trace/stats entry points, and docs/ARCHITECTURE.md must carry an
@@ -59,6 +61,8 @@ sys.path.insert(0, str(ROOT / "src"))
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: a markdown file name as source code cites it (``docs/SERVICE.md``)
 _MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
+#: one row of the docs/PIPELINE.md artifact table: | `id` | `output` | ...
+_ARTIFACT_ROW = re.compile(r"^\| `(\w+)` \| `([\w.]+)` \|", re.M)
 
 
 def check_scenario_catalog() -> list[str]:
@@ -138,17 +142,21 @@ def check_performance_docs() -> list[str]:
 
 
 def check_pipeline_docs() -> list[str]:
-    from repro.artifacts import artifact_ids
+    from repro.artifacts import all_artifacts
 
     doc_path = ROOT / "docs" / "PIPELINE.md"
     if not doc_path.is_file():
         return ["missing docs/PIPELINE.md"]
     doc = doc_path.read_text()
-    problems = [
-        f"docs/PIPELINE.md: registered artifact `{art_id}` is not documented"
-        for art_id in artifact_ids()
-        if f"`{art_id}`" not in doc
-    ]
+    problems = []
+    table = _ARTIFACT_ROW.findall(doc)
+    registry = [(art.id, art.output) for art in all_artifacts()]
+    if table != registry:
+        problems.append(
+            "docs/PIPELINE.md: the artifact table must list the registered "
+            f"(id, output) pairs in registry order; documented {table}, "
+            f"registered {registry}"
+        )
     for needle in ("repro paper build", "manifest.json", "--scale"):
         if needle not in doc:
             problems.append(f"docs/PIPELINE.md: does not mention `{needle}`")
