@@ -370,9 +370,8 @@ _policy_figure(
 
 def _fig14_check(data, shape: bool) -> None:
     if shape:
-        # dynamic reservations track the fairshare ideal closely: fewer
-        # unfair jobs than the baseline and the plain conservative scheme
-        # (at full scale they are the global minimum, as in the paper)
+        # dynamic reservations: fewer unfair jobs than the baseline and
+        # both plain conservative variants
         dyn = min(data["consdyn.nomax"], data["consdyn.72max"])
         assert dyn < data["cplant24.nomax.all"]
         assert dyn < data["cons.nomax"]

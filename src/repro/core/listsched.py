@@ -20,17 +20,24 @@ duplicated (at most one distinct value per running/placed job), so it
 stores a sorted (time, count) multiset and places in O(distinct values)
 — independent of machine size.  The two produce byte-identical start
 times; ``tests/test_listsched.py`` checks them against each other.
+
+:class:`RunningTimeline` is the persistent machine state the hybrid-FST
+observer keeps across events: the running occupations as a sorted
+(end, nodes) multiset, updated per start and completion, from which each
+arrival's base :class:`FreeTimeline` is a copy clamped at ``now``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, List, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import counters as _counters
 from .job import Job
+
+_INF = float("inf")
 
 
 class FreeTimeline:
@@ -129,6 +136,59 @@ class FreeTimeline:
             counts.insert(j, nodes)
         return start
 
+    def place_sequence(
+        self, jobs: Sequence[Job], durations: Mapping[int, float], earliest: float
+    ) -> float:
+        """Place ``jobs`` in order, each for ``durations[job.id]`` and no
+        earlier than ``earliest``; returns the last job's start.
+
+        The fused form of one :meth:`place` per job, for trusted callers:
+        no per-job validation, call or counter update (``listsched.place``
+        is hit once, by the number placed).  ``jobs`` must be non-empty.
+        """
+        times = self._times
+        counts = self._counts
+        # a +inf sentinel (never consumed: the real counts sum to size)
+        # lets the insertion read times[j] without a bounds check
+        times.append(_INF)
+        counts.append(0)
+        for job in jobs:
+            nodes = job.nodes
+            acc = counts[0]
+            if acc > nodes:
+                # the earliest-free entry alone suffices (the common case)
+                start = times[0]
+                counts[0] = acc - nodes
+            else:
+                i = 1
+                while acc < nodes:
+                    acc += counts[i]
+                    i += 1
+                start = times[i - 1]
+                if acc == nodes:
+                    del times[:i]
+                    del counts[:i]
+                else:
+                    i -= 1
+                    del times[:i]
+                    del counts[:i]
+                    counts[0] = acc - nodes
+            if earliest > start:
+                start = earliest
+            t = start + durations[job.id]
+            j = bisect_left(times, t)
+            if times[j] == t:
+                counts[j] += nodes
+            else:
+                times.insert(j, t)
+                counts.insert(j, nodes)
+        del times[-1]
+        del counts[-1]
+        c = _counters.ACTIVE
+        if c is not None:
+            c.hit("listsched.place", len(jobs))
+        return start
+
     def makespan(self) -> float:
         return self._times[-1]
 
@@ -145,6 +205,94 @@ class FreeTimeline:
         clone._times = list(self._times)
         clone._counts = list(self._counts)
         return clone
+
+
+class RunningTimeline:
+    """Running occupations of a ``size``-node machine, kept across events.
+
+    A sorted (end, nodes) multiset: :meth:`add` when a job starts,
+    :meth:`remove` (with the same end) when it completes.  :meth:`at`
+    yields the free-time state at an instant with exactly the semantics
+    of :meth:`FreeTimeline.from_pairs` — ends before ``now`` clamp to
+    ``now``, idle nodes are free at ``now`` — without rebuilding it.
+    """
+
+    __slots__ = ("size", "_busy", "_times", "_counts")
+
+    def __init__(self, size: int) -> None:
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        self.size = size
+        self._busy = 0
+        self._times: List[float] = []
+        self._counts: List[int] = []
+
+    def add(self, end: float, nodes: int) -> None:
+        """Occupy ``nodes`` nodes until ``end``."""
+        busy = self._busy + nodes
+        if busy > self.size:
+            raise ValueError(
+                f"running jobs over-subscribe the machine: {busy} > {self.size}"
+            )
+        self._busy = busy
+        times = self._times
+        j = bisect_left(times, end)
+        if j < len(times) and times[j] == end:
+            self._counts[j] += nodes
+        else:
+            times.insert(j, end)
+            self._counts.insert(j, nodes)
+
+    def remove(self, end: float, nodes: int) -> None:
+        """Release an occupation made by ``add(end, nodes)``."""
+        times = self._times
+        counts = self._counts
+        j = bisect_left(times, end)
+        if j == len(times) or times[j] != end or counts[j] < nodes:
+            raise ValueError(f"no occupation of {nodes} nodes ending at {end}")
+        self._busy -= nodes
+        counts[j] -= nodes
+        if not counts[j]:
+            del times[j]
+            del counts[j]
+
+    def at(
+        self, now: float, moving: Iterable[Tuple[int, float]] = ()
+    ) -> FreeTimeline:
+        """The machine's free times at ``now`` as a new timeline.
+
+        ``moving`` adds (nodes, end) occupations that are not in the
+        multiset because their end depends on ``now``; they are clamped
+        and merged like every other end.
+        """
+        j = bisect_right(self._times, now)
+        times = self._times[j:]
+        counts = self._counts[j:]
+        free = self.size - self._busy + sum(self._counts[:j])
+        for nodes, end in moving:
+            free -= nodes
+            if end <= now:
+                free += nodes
+                continue
+            k = bisect_left(times, end)
+            if k < len(times) and times[k] == end:
+                counts[k] += nodes
+            else:
+                times.insert(k, end)
+                counts.insert(k, nodes)
+        if free < 0:
+            raise ValueError(
+                f"running jobs over-subscribe the machine: "
+                f"{self.size - free} > {self.size}"
+            )
+        if free:
+            times.insert(0, now)
+            counts.insert(0, free)
+        tl = FreeTimeline.__new__(FreeTimeline)
+        tl.size = self.size
+        tl._times = times
+        tl._counts = counts
+        return tl
 
 
 class ListScheduler:

@@ -31,10 +31,10 @@ import numpy as np
 
 from ..core.engine import Engine, KillPolicy, Observer
 from ..core.job import Job, JobState
-from ..core.listsched import FreeTimeline
+from ..core.listsched import RunningTimeline
 from ..core.profile import ReservationProfile
 from ..core.results import SimulationResult
-from ..sched.queues import fcfs_order
+from ..sched.queues import UserLanes, cut_after, fcfs_order
 
 #: seconds of slack before a missed FST counts as unfair (float noise guard)
 DEFAULT_EPSILON = 1.0
@@ -52,28 +52,39 @@ DEFAULT_EPSILON = 1.0
 # usage (fairshare), or job size (shortest-first, the size-based school of
 # Dell'Amico et al.).
 #
-# Each order is ``order(obs, jobs, now)``: it sorts the waiting jobs into
-# the socially-just start order, reading the scheduler's fairshare
-# ``tracker`` or the hypothetical ``duration_of`` memo from ``obs``, the
-# live :class:`HybridFSTObserver`.
+# Each order is ``order(obs, target, now)``: it returns the socially-just
+# start order of the waiting jobs *through the arriving job* ``target``
+# (which is its last entry), reading the scheduler's fairshare
+# ``tracker``, the observer's per-user ``lanes``, the scheduler's
+# ``waiting()`` list or the hypothetical ``durations`` memo from ``obs``,
+# the live :class:`HybridFSTObserver`.  The prefix is all the hybrid FST
+# needs — later entries cannot move the target's start in a list
+# schedule — so an order neither sorts nor returns the jobs behind it.
+
+
+def _shortest_first_through(obs: "HybridFSTObserver", target: Job, now: float):
+    dur = obs.durations
+    cap = dur[target.id]
+    ahead = fcfs_order([j for j in obs.waiting() if dur[j.id] <= cap], now)
+    ahead.sort(key=lambda j: dur[j.id])
+    return cut_after(ahead, target)
+
 
 #: name -> (description, order); the columns of the fairness matrix, in order
 REFERENCE_ORDERS: Dict[
-    str, Tuple[str, Callable[["HybridFSTObserver", List[Job], float], List[Job]]]
+    str, Tuple[str, Callable[["HybridFSTObserver", Job, float], List[Job]]]
 ] = {
     "fairshare": (
         "decayed per-user usage, light users first (the paper's choice)",
-        lambda obs, jobs, now: obs.tracker.order(jobs, now),
+        lambda obs, target, now: obs.tracker.order_through(obs.lanes, target, now),
     ),
     "fcfs": (
         "strict seniority: arrival order decides the hypothetical schedule",
-        lambda obs, jobs, now: fcfs_order(jobs, now),
+        lambda obs, target, now: cut_after(fcfs_order(obs.waiting(), now), target),
     ),
     "shortest-first": (
         "smallest hypothetical duration first (size-based fairness)",
-        lambda obs, jobs, now: sorted(
-            jobs, key=lambda j: (obs.duration_of(j), j.submit_time, j.id)
-        ),
+        _shortest_first_through,
     ),
 }
 
@@ -98,15 +109,19 @@ class HybridFSTObserver(Observer):
     The observer requires a scheduler that exposes ``waiting_jobs()`` and a
     fairshare ``tracker`` (every :class:`repro.sched.BaseScheduler` does).
 
-    Implementation: the running-occupation view is maintained incrementally
-    from the ``on_start``/``on_completion`` hooks (in ``"perfect"`` mode an
-    occupation's hypothetical end is fixed the moment the job starts, so
-    nothing is recomputed per arrival), and the hypothetical no-backfill
-    schedule is built on a compact :class:`FreeTimeline` multiset —
-    O(occupations) per placement instead of O(machine size) — stopping at
-    the arriving job, whose start later entries in the order cannot move.
-    One timeline is built per arrival; every order but the last places on
-    a copy of it.
+    Implementation: everything an arrival reads is kept across events, so
+    an arrival costs the placements ahead of the arriving job and little
+    else.  The running occupations are a :class:`RunningTimeline` updated
+    from ``on_start``/``on_completion``; an arrival's base timeline is a
+    copy of it clamped at ``now``.  In ``"wcl"`` mode a running chunk with
+    estimated work still behind it ends at ``max(start + wcl, now +
+    tail)``, which moves with ``now``: those few occupations are kept
+    aside and merged into each arrival's copy.  The waiting jobs are kept
+    as per-user :class:`UserLanes` (fed from ``on_arrival``/``on_start``)
+    for the fairshare order, and their hypothetical durations are
+    memoized at arrival.  Each order yields only its prefix through the
+    arriving job, which :meth:`FreeTimeline.place_sequence` places in one
+    loop — on a copy of the base for every order but the last.
     """
 
     def __init__(
@@ -129,19 +144,27 @@ class HybridFSTObserver(Observer):
         self._fsts: Dict[str, Dict[int, float]] = {o: {} for o in orders}
         self.fst: Dict[int, float] = self._fsts[orders[0]]
         self._engine: Engine | None = None
-        #: running occupations, maintained across events:
-        #: job id -> (nodes, fixed hypothetical end)        ("perfect")
-        #: job id -> (nodes, start + wcl, tail wcl)         ("wcl")
-        self._occupied: Dict[int, tuple] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        #: running occupations with a fixed end, and that end by job id
+        self._running: RunningTimeline | None = None
+        self._ends: Dict[int, float] = {}
+        #: ``"wcl"`` mode: job id -> (nodes, start + wcl, chain tail wcl)
+        #: for running chunks whose end moves with ``now``
+        self._moving: Dict[int, Tuple[int, float, float]] = {}
+        #: the waiting jobs, per user
+        self.lanes = UserLanes()
         #: per-job hypothetical durations (immutable for a given run —
-        #: runtime/wcl and chain tails never change); queued jobs are
-        #: re-placed at every arrival, so this memo is hit constantly
-        self._durations: Dict[int, float] = {}
+        #: runtime/wcl and chain tails never change), filled at arrival
+        self.durations: Dict[int, float] = {}
+        #: this arrival's ``waiting_jobs()``, fetched on first use
+        self._waiting: List[Job] | None = None
 
     def on_attach(self, engine: Engine) -> None:
         self._engine = engine
-        self._occupied = {}
-        self._durations = {}
+        self._reset()
+        self._running = RunningTimeline(engine.cluster.size)
         sched = engine.scheduler
         if not hasattr(sched, "waiting_jobs") or not hasattr(sched, "tracker"):
             raise TypeError(
@@ -154,11 +177,18 @@ class HybridFSTObserver(Observer):
         """The scheduler's fairshare tracker (for usage-ranked orders)."""
         return self._engine.scheduler.tracker
 
+    def waiting(self) -> List[Job]:
+        """The scheduler's ``waiting_jobs()`` at this arrival, fetched once
+        and only by the orders that read it (callers must not mutate it)."""
+        if self._waiting is None:
+            self._waiting = self._engine.scheduler.waiting_jobs()
+        return self._waiting
+
     def duration_of(self, job: Job) -> float:
         """Hypothetical-schedule duration: a chunk carries its whole
         remaining chain, so the fair reference treats the original trace job
         as one contiguous block regardless of runtime-limit splitting."""
-        d = self._durations.get(job.id)
+        d = self.durations.get(job.id)
         if d is not None:
             return d
         if self.estimate_mode == "wcl":
@@ -168,61 +198,51 @@ class HybridFSTObserver(Observer):
             if self._engine.kill_policy is KillPolicy.AT_WCL:
                 rt = min(rt, job.wcl)
             d = max(rt + self._engine.chain_tail_runtime(job), 1e-9)
-        self._durations[job.id] = d
+        self.durations[job.id] = d
         return d
 
     def on_start(self, job: Job, now: float) -> None:
+        self.lanes.remove(job)
         if self.estimate_mode == "wcl":
-            self._occupied[job.id] = (
-                job.nodes, job.start_time + job.wcl,
-                self._engine.chain_tail_wcl(job),
-            )
+            end = job.start_time + job.wcl
+            tail = self._engine.chain_tail_wcl(job)
+            if tail:
+                self._moving[job.id] = (job.nodes, end, tail)
+                return
         else:
             # in perfect mode the hypothetical end never moves: the job's
             # (kill-policy-capped) runtime plus its chain tail is >= the
             # real occupation, so max(end, now) == end while it runs
-            self._occupied[job.id] = (
-                job.nodes, job.start_time + self.duration_of(job),
-            )
+            end = job.start_time + self.duration_of(job)
+        self._running.add(end, job.nodes)
+        self._ends[job.id] = end
 
     def on_completion(self, job: Job, now: float) -> None:
-        self._occupied.pop(job.id, None)
-
-    def _occupation_pairs(self, now: float):
-        if self.estimate_mode == "wcl":
-            for nodes, wcl_end, tail in self._occupied.values():
-                end = now + tail
-                if wcl_end > end:
-                    end = wcl_end
-                yield nodes, end
+        end = self._ends.pop(job.id, None)
+        if end is not None:
+            self._running.remove(end, job.nodes)
         else:
-            yield from self._occupied.values()
+            self._moving.pop(job.id, None)
 
     def on_arrival(self, job: Job, now: float) -> None:
-        engine = self._engine
-        waiting = engine.scheduler.waiting_jobs()
+        self.lanes.add(job)
+        self.duration_of(job)
         # machine state: running occupations at their (mode-dependent) ends
-        tl = FreeTimeline.from_pairs(
-            engine.cluster.size, now, self._occupation_pairs(now)
-        )
+        moving = self._moving
+        base = self._running.at(now, [
+            (nodes, wcl_end if wcl_end > now + tail else now + tail)
+            for nodes, wcl_end, tail in moving.values()
+        ] if moving else ())
+        durations = self.durations
         last = len(self.orders) - 1
         for i, name in enumerate(self.orders):
             # hypothetical: everyone queued right now runs in the socially-
-            # just order, no backfilling.  Placement can stop at the
-            # arriving job — later entries in the order cannot move it.
-            order = REFERENCE_ORDERS[name][1](self, waiting, now)
-            self._fsts[name][job.id] = self._place_until(
-                order, job.id, tl if i == last else tl.copy(), now
-            )
-
-    def _place_until(
-        self, order: List[Job], target: int, tl: FreeTimeline, now: float
-    ) -> float:
-        for queued in order:
-            start = tl.place(queued.nodes, self.duration_of(queued), earliest=now)
-            if queued.id == target:
-                return start
-        raise RuntimeError(f"arriving job {target} missing from waiting_jobs()")
+            # just order, no backfilling; the order stops at the arriving
+            # job, which later entries cannot move
+            prefix = REFERENCE_ORDERS[name][1](self, job, now)
+            tl = base if i == last else base.copy()
+            self._fsts[name][job.id] = tl.place_sequence(prefix, durations, now)
+        self._waiting = None
 
     def collect(self, result: SimulationResult) -> None:
         for name, fst in self._fsts.items():

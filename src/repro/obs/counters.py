@@ -132,8 +132,8 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("profile.reserve_fitted", "one trusted fast-path reserve"),
     ("profile.release_reserved", "one trusted fast-path release"),
     ("profile.from_occupations", "one batch profile rebuild"),
-    ("listsched.place", "one incremental FreeTimeline placement"),
-    ("listsched.rebuild", "one full FreeTimeline rebuild (from_pairs)"),
+    ("listsched.place", "one job placed on a FreeTimeline"),
+    ("listsched.rebuild", "one base timeline built from scratch (from_pairs)"),
     ("cons.rebuild", "one conservative full-profile rebuild"),
     ("cons.compress", "one compression (improvement) pass executed"),
     ("cons.compress_skipped", "one compression pass skipped as provably clean"),

@@ -26,6 +26,7 @@ from .queues import (
     FairshareOrder,
     OrderingPolicy,
     SrptOrder,
+    _remove_identical,
     fcfs_order,
     shortest_first_order,
     widest_first_order,
@@ -33,20 +34,6 @@ from .queues import (
 
 #: priority keys :class:`BaseScheduler` understands, in catalog order
 PRIORITY_POLICIES = ("fairshare", "fcfs", "spt", "srpt", "widest")
-
-
-def _remove_identical(jobs: List[Job], job: Job) -> bool:
-    """Remove ``job`` (the very object) from a list; True if found.
-
-    ``list.remove`` falls back to the dataclass ``__eq__`` (a 15-field
-    tuple build) for every non-identical element it scans past; queues
-    hold each job object exactly once, so an identity scan suffices.
-    """
-    for i, candidate in enumerate(jobs):
-        if candidate is job:
-            del jobs[i]
-            return True
-    return False
 
 
 class BaseScheduler:

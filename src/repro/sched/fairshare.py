@@ -15,11 +15,12 @@ owner's priority while it runs, not only afterwards.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Tuple
 
 from ..core.job import Job
 from ..obs import counters as _counters
-from .queues import fcfs_order
+from .queues import UserLanes, cut_after, fcfs_order
 
 #: seconds per day — the decay cadence the paper states.
 DAY = 86_400.0
@@ -136,3 +137,32 @@ class FairshareTracker:
         out = fcfs_order(jobs, now)
         out.sort(key=lambda j: usage(j.user_id, 0.0))
         return out
+
+    def order_through(self, lanes: UserLanes, target: Job, now: float) -> list[Job]:
+        """:meth:`order` of the jobs in ``lanes``, cut just after ``target``.
+
+        Built user by user instead of job by job: only users whose usage
+        is at most the target user's are read, in ascending usage.  A user
+        alone at its usage level contributes its FCFS lane whole; users
+        tied at one level (never-run users all sit at zero) are merged
+        FCFS.  Users ranked after the target are never touched.
+        """
+        self.settle(now)
+        usage = self._usage.get
+        cut = usage(target.user_id, 0.0)
+        by_user = lanes.lanes
+        levels: Dict[float, List[int]] = {}
+        for user in by_user:
+            u = usage(user, 0.0)
+            if u <= cut:
+                levels.setdefault(u, []).append(user)
+        out: List[Job] = []
+        for u in sorted(levels):
+            users = levels[u]
+            if len(users) == 1:
+                out.extend(by_user[users[0]])
+            else:
+                out.extend(fcfs_order(
+                    chain.from_iterable(by_user[user] for user in users), now
+                ))
+        return cut_after(out, target)

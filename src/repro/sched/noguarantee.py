@@ -25,8 +25,9 @@ from typing import List
 from ..core.events import EventKind
 from ..core.job import Job, JobState
 from ..obs import counters as _counters
-from .base import BaseScheduler, _remove_identical
+from .base import BaseScheduler
 from .easy import backfill_one
+from .queues import _remove_identical
 
 
 class NoGuaranteeScheduler(BaseScheduler):

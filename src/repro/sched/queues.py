@@ -5,13 +5,15 @@ and the classic baselines) and fairshare (decayed per-user usage; the main
 CPlant queue).  The size-based orders (shortest/widest/SRPT) drive the
 extension policies of the fairness matrix.  A policy is just a callable
 producing a sorted job list; all are deterministic with (submit_time, id)
-tie-breaks.
+tie-breaks.  :class:`UserLanes` keeps the same waiting jobs as per-user
+FCFS lanes, for readers that go user by user.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, List
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List
 
 from ..core.job import Job
 
@@ -25,6 +27,31 @@ _BY_ID = attrgetter("id")
 _BY_SUBMIT = attrgetter("submit_time")
 
 
+def _remove_identical(jobs: List[Job], job: Job) -> bool:
+    """Remove ``job`` (the very object) from a list; True if found.
+
+    ``list.remove`` falls back to the dataclass ``__eq__`` (a 15-field
+    tuple build) for every non-identical element it scans past; queues
+    hold each job object exactly once, so an identity scan suffices.
+    """
+    for i, candidate in enumerate(jobs):
+        if candidate is job:
+            del jobs[i]
+            return True
+    return False
+
+
+def cut_after(order: List[Job], target: Job) -> List[Job]:
+    """Truncate ``order`` in place just after ``target`` (the very object)
+    and return it; the search runs from the back, where an arriving job
+    usually sits."""
+    for i in range(len(order) - 1, -1, -1):
+        if order[i] is target:
+            del order[i + 1:]
+            return order
+    raise ValueError(f"job {target.id} is not in the order")
+
+
 def fcfs_order(jobs: Iterable[Job], now: float) -> List[Job]:
     """First-come-first-serve: by submit time, then id.
 
@@ -36,6 +63,42 @@ def fcfs_order(jobs: Iterable[Job], now: float) -> List[Job]:
     out = sorted(jobs, key=_BY_ID)
     out.sort(key=_BY_SUBMIT)
     return out
+
+
+class UserLanes:
+    """Waiting jobs as per-user FCFS lanes.
+
+    ``lanes`` maps every user with waiting jobs to those jobs in
+    ``(submit_time, id)`` order, head at ``[0]``; ``users`` lists the same
+    users ascending.  A job joins its lane when it is queued and leaves
+    when it starts, so readers take lane heads or whole lanes without
+    rescanning the queue.
+    """
+
+    __slots__ = ("lanes", "users")
+
+    def __init__(self) -> None:
+        self.lanes: Dict[int, List[Job]] = {}
+        self.users: List[int] = []
+
+    def add(self, job: Job) -> None:
+        lane = self.lanes.get(job.user_id)
+        if lane is None:
+            lane = self.lanes[job.user_id] = []
+            insort(self.users, job.user_id)
+        # arrivals come in near-FCFS order, so this is an append in practice
+        key = (job.submit_time, job.id)
+        i = len(lane)
+        while i > 0 and (lane[i - 1].submit_time, lane[i - 1].id) > key:
+            i -= 1
+        lane.insert(i, job)
+
+    def remove(self, job: Job) -> None:
+        lane = self.lanes[job.user_id]
+        _remove_identical(lane, job)
+        if not lane:
+            del self.lanes[job.user_id]
+            self.users.remove(job.user_id)
 
 
 class FairshareOrder:

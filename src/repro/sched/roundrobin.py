@@ -11,19 +11,21 @@ other.
 The rotation pointer (the last user served) is the only scheduling
 state; every pass either starts a job or returns, so scheduling
 terminates, and all iteration is over sorted user ids, so the outcome is
-deterministic.  The lanes themselves are kept across passes: a job joins
-its user's lane at enqueue and leaves it when it starts, so a rotation
-reads lane heads directly instead of rescanning the whole queue.
+deterministic.  The lanes themselves (a :class:`UserLanes`) are kept
+across passes: a job joins its user's lane at enqueue and leaves it when
+it starts, so a rotation reads lane heads directly instead of rescanning
+the whole queue.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from typing import Optional
 
 from ..core.job import Job
 from ..obs import counters as _counters
-from .base import BaseScheduler, _remove_identical
+from .base import BaseScheduler
+from .queues import UserLanes
 
 
 class RoundRobinScheduler(BaseScheduler):
@@ -33,35 +35,20 @@ class RoundRobinScheduler(BaseScheduler):
         super().__init__(priority="fcfs", **kw)
         self.name = "rr.user"
         self._last_user: Optional[int] = None
-        #: user -> waiting jobs in (submit_time, id) order; heads at [0]
-        self._lanes: Dict[int, List[Job]] = {}
-        #: users with a non-empty lane, ascending
-        self._users: List[int] = []
+        self.lanes = UserLanes()
 
     def enqueue(self, job: Job, now: float) -> None:
         super().enqueue(job, now)
-        lane = self._lanes.get(job.user_id)
-        if lane is None:
-            lane = self._lanes[job.user_id] = []
-            insort(self._users, job.user_id)
-        # arrivals come in near-FCFS order, so this is an append in practice
-        key = (job.submit_time, job.id)
-        i = len(lane)
-        while i > 0 and (lane[i - 1].submit_time, lane[i - 1].id) > key:
-            i -= 1
-        lane.insert(i, job)
+        self.lanes.add(job)
 
     def start(self, job: Job, now: float) -> None:
         super().start(job, now)
-        lane = self._lanes[job.user_id]
-        _remove_identical(lane, job)
-        if not lane:
-            del self._lanes[job.user_id]
-            self._users.remove(job.user_id)
+        self.lanes.remove(job)
 
     def schedule(self, now: float, reason: str) -> None:
+        lanes = self.lanes.lanes
         while self.queue:
-            users = self._users
+            users = self.lanes.users
             # rotate: users strictly after the last served go first, wrap after
             if self._last_user is not None:
                 i = bisect_right(users, self._last_user)
@@ -70,7 +57,7 @@ class RoundRobinScheduler(BaseScheduler):
             if c is not None:
                 c.hit("rr.rotate")
             for user in users:
-                head = self._lanes[user][0]
+                head = lanes[user][0]
                 if self.cluster.fits(head):
                     self._last_user = user
                     self.start(head, now)

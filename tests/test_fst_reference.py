@@ -28,6 +28,7 @@ from repro.core.cluster import Cluster
 from repro.core.engine import Engine, KillPolicy
 from repro.core.job import Job
 from repro.metrics.fairness import REFERENCE_ORDERS, HybridFSTObserver
+from repro.obs import counters
 from repro.sched.conservative import ConservativeScheduler
 from repro.sched.easy import EasyBackfillScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
@@ -130,15 +131,18 @@ def test_every_series_equals_the_from_scratch_rebuild(
 
 
 def test_chunked_overrunning_workload_is_covered():
-    """A fixed case that hits chunk chains, kills and the starvation
-    queue in both modes, so the family above is known to reach them."""
+    """A fixed case that re-submits chunk successors in both modes and
+    kills under ``IF_NEEDED``, so the family above is known to reach
+    them."""
     rows = [(0.0, 8, 900.0, 0.5, 1, True), (0.0, 12, 2500.0, 1.0, 2, False),
             (100.0, 16, 400.0, 2.0, 3, False), (100.0, 4, 0.0, 1.0, 4, True),
             (250.0, 6, 150.0, 3.5, 1, False), (0.1 + 0.2, 2, 50.0, 1.0, 5, False)]
     for mode in ("perfect", "wcl"):
         for kill in KillPolicy:
-            result, reference = run_both(build_jobs(rows), "cplant.all", mode,
-                                         kill, 1000.0, (0.5, 200.0))
-            assert any(j.is_chunk for j in result.jobs)
+            with counters.collect() as c:
+                result, reference = run_both(build_jobs(rows), "cplant.all",
+                                             mode, kill, 1000.0, (0.5, 200.0))
+            assert c.get("engine.chunk_resubmit") > 0
+            assert (c.get("engine.wcl_kill") > 0) == (kill is KillPolicy.IF_NEEDED)
             for key, expected in reference.series.items():
                 assert result.series[key] == expected, (mode, kill, key)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.listsched import FreeTimeline, ListScheduler
+from repro.core.listsched import FreeTimeline, ListScheduler, RunningTimeline
 from repro.core.profile import ProfileError, ReservationProfile
+from repro.obs import counters
+from tests.conftest import make_job
 
 
 class ReferenceProfile:
@@ -236,6 +238,69 @@ class TestFreeTimelineDifferential:
             ls = ListScheduler.from_running(size, now, pairs)
             tl = FreeTimeline.from_pairs(size, now, pairs)
             assert sorted(ls.free_times.tolist()) == tl.free_time_values()
+
+    def test_place_sequence_matches_place(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            size = int(rng.integers(2, 100))
+            now = float(rng.uniform(0, 100))
+            pairs = [(1, now + float(rng.uniform(-20, 300))) for _ in range(2)]
+            jobs = [make_job(id=i, nodes=int(rng.integers(1, size + 1)))
+                    for i in range(int(rng.integers(1, 30)))]
+            durations = {j.id: float(np.round(rng.uniform(0, 200), 2))
+                         for j in jobs}
+            one = FreeTimeline.from_pairs(size, now, pairs)
+            fused = one.copy()
+            starts = [one.place(j.nodes, durations[j.id], earliest=now)
+                      for j in jobs]
+            with counters.collect() as c:
+                last = fused.place_sequence(jobs, durations, now)
+            assert last == starts[-1]
+            assert fused.free_time_values() == one.free_time_values()
+            assert c.as_dict() == {"listsched.place": len(jobs)}
+
+    def test_running_timeline_matches_from_pairs(self):
+        """The persistent multiset, clamped at ``now``, is the rebuilt
+        timeline: ends before or at ``now``, equal ends, a full machine,
+        occupations removed again, and moving ends merged at arrival."""
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            size = int(rng.integers(1, 64))
+            running = RunningTimeline(size)
+            live = {}
+            now = 0.0
+            for k in range(40):
+                now += float(rng.choice([0.0, 5.0, rng.uniform(0, 20)]))
+                free = size - sum(n for n, _ in live.values())
+                if free and rng.random() < 0.6:
+                    nodes = int(rng.integers(1, free + 1))
+                    end = float(rng.choice([now, now + 10.0,
+                                            now + rng.uniform(-5, 50)]))
+                    running.add(end, nodes)
+                    live[k] = (nodes, end)
+                elif live:
+                    key = list(live)[int(rng.integers(0, len(live)))]
+                    nodes, end = live.pop(key)
+                    running.remove(end, nodes)
+                busy = sum(n for n, _ in live.values())
+                moving = []
+                if busy < size and rng.random() < 0.3:
+                    moving = [(size - busy, float(rng.choice(
+                        [now, now + 10.0, now + rng.uniform(-5, 50)])))]
+                pairs = list(live.values()) + moving
+                tl = running.at(now, moving)
+                ref = FreeTimeline.from_pairs(size, now, pairs)
+                assert (tl._times, tl._counts) == (ref._times, ref._counts)
+
+    def test_running_timeline_rejects_oversubscription(self):
+        running = RunningTimeline(4)
+        running.add(10.0, 3)
+        with pytest.raises(ValueError, match="over-subscribe"):
+            running.add(10.0, 2)
+        with pytest.raises(ValueError, match="over-subscribe"):
+            running.at(0.0, [(2, 5.0)])
+        with pytest.raises(ValueError, match="no occupation"):
+            running.remove(11.0, 3)
 
     def test_from_pairs_rejects_oversubscription(self):
         with pytest.raises(ValueError, match="over-subscribe"):
