@@ -4,6 +4,8 @@ The paper's simulator (like most batch-scheduling simulators) is a pure
 *counting* model: a cluster is a pool of identical nodes, a job holds an
 integer number of them for its lifetime, and placement is delegated to a
 separate compute-process allocator that none of the evaluated metrics see.
+The cluster also keeps its running jobs' expected ends (``start + wcl``)
+sorted, so a blocked queue head's shadow time is read, not rebuilt.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator
 
 from .job import Job, JobState
+from .listsched import RunningTimeline
 
 
 class AllocationError(RuntimeError):
@@ -27,6 +30,8 @@ class Cluster:
         self.size = size
         self._free = size
         self._running: Dict[int, Job] = {}
+        #: running jobs' expected ends, ``start + wcl``
+        self.expected_ends = RunningTimeline(size)
 
     # -- queries -------------------------------------------------------------
 
@@ -68,12 +73,14 @@ class Cluster:
         self._running[job.id] = job
         job.state = JobState.RUNNING
         job.start_time = now
+        self.expected_ends.add(now + job.wcl, job.nodes)
 
     def finish(self, job: Job, now: float) -> None:
         if job.id not in self._running:
             raise AllocationError(f"job {job.id} is not running")
         del self._running[job.id]
         self._free += job.nodes
+        self.expected_ends.remove(job.start_time + job.wcl, job.nodes)
         job.state = JobState.COMPLETED
         job.end_time = now
 
@@ -86,3 +93,8 @@ class Cluster:
             )
         if self._free < 0:
             raise AllocationError(f"negative free nodes: {self._free}")
+        if self.expected_ends._busy != used:
+            raise AllocationError(
+                f"expected-end timeline holds {self.expected_ends._busy} "
+                f"busy nodes, running jobs hold {used}"
+            )

@@ -24,7 +24,9 @@ times; ``tests/test_listsched.py`` checks them against each other.
 :class:`RunningTimeline` is the persistent machine state the hybrid-FST
 observer keeps across events: the running occupations as a sorted
 (end, nodes) multiset, updated per start and completion, from which each
-arrival's base :class:`FreeTimeline` is a copy clamped at ``now``.
+arrival's base :class:`FreeTimeline` is a copy clamped at ``now``.  The
+cluster keeps one too, of expected ends (``start + wcl``), from which
+:meth:`RunningTimeline.shadow` reads the EASY head reservation.
 """
 
 from __future__ import annotations
@@ -255,6 +257,33 @@ class RunningTimeline:
         if not counts[j]:
             del times[j]
             del counts[j]
+
+    def shadow(self, need: int, now: float) -> Tuple[float, int]:
+        """When ``need`` nodes are first free, and how many are free then.
+
+        Returns ``(now, idle nodes)`` if ``need`` nodes are idle already.
+        Otherwise ends before ``now`` clamp to ``now``, as in :meth:`at`,
+        and the walk stops at the first end by which ``need`` nodes are
+        free, counting every occupation that ends then.  This is the EASY
+        head reservation: the shadow time, and ``need`` plus the extra
+        nodes.
+        """
+        free = self.size - self._busy
+        if free >= need:
+            return now, free
+        times = self._times
+        counts = self._counts
+        j = bisect_right(times, now)
+        free += sum(counts[:j])
+        if free >= need:
+            return now, free
+        for i in range(j, len(times)):
+            free += counts[i]
+            if free >= need:
+                return times[i], free
+        raise RuntimeError(
+            f"head needs {need} nodes but running+free only frees {free}"
+        )
 
     def at(
         self, now: float, moving: Iterable[Tuple[int, float]] = ()

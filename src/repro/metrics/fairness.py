@@ -76,7 +76,7 @@ REFERENCE_ORDERS: Dict[
 ] = {
     "fairshare": (
         "decayed per-user usage, light users first (the paper's choice)",
-        lambda obs, target, now: obs.tracker.order_through(obs.lanes, target, now),
+        lambda obs, target, now: obs.tracker.order(obs.lanes, now, target),
     ),
     "fcfs": (
         "strict seniority: arrival order decides the hypothetical schedule",
@@ -153,7 +153,9 @@ class HybridFSTObserver(Observer):
         #: ``"wcl"`` mode: job id -> (nodes, start + wcl, chain tail wcl)
         #: for running chunks whose end moves with ``now``
         self._moving: Dict[int, Tuple[int, float, float]] = {}
-        #: the waiting jobs, per user
+        #: the waiting jobs, per user: the observer's own lanes, because
+        #: the fairshare order ranks every waiting job and the scheduler's
+        #: lanes hold only its main queue (not CPlant's starvation queue)
         self.lanes = UserLanes()
         #: per-job hypothetical durations (immutable for a given run —
         #: runtime/wcl and chain tails never change), filled at arrival

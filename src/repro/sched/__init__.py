@@ -4,7 +4,7 @@ variants, and the conservative-backfilling family."""
 from .base import PRIORITY_POLICIES, BaseScheduler
 from .conservative import ConservativeScheduler
 from .depthk import DepthKScheduler
-from .easy import EasyBackfillScheduler, head_reservation
+from .easy import EasyBackfillScheduler
 from .fairshare import DAY, FairshareTracker
 from .nobackfill import NoBackfillScheduler
 from .noguarantee import NoGuaranteeScheduler
@@ -48,7 +48,6 @@ __all__ = [
     "VirtualFairShare",
     "fcfs_order",
     "get_policy",
-    "head_reservation",
     "policy_names",
     "shortest_first_order",
     "validate_overrides",

@@ -3,9 +3,10 @@
 Concrete policies override :meth:`schedule` (and optionally the enqueue /
 completion hooks).  The base class owns:
 
-* the waiting-job list,
+* the waiting-job list, and the same jobs as per-user FCFS lanes
+  (a :class:`UserLanes`, read by the fairshare order and by ``rr.user``),
 * the fairshare usage tracker and its daily decay tick,
-* start bookkeeping (usage charging, queue removal),
+* start bookkeeping (usage charging, queue and lane removal),
 * the priority-order cache: sorting the queue is needed at every
   scheduling event (often several times per pass), but the fairshare order
   only changes when some user's decayed usage changes or the queue gains a
@@ -26,6 +27,7 @@ from .queues import (
     FairshareOrder,
     OrderingPolicy,
     SrptOrder,
+    UserLanes,
     _remove_identical,
     fcfs_order,
     shortest_first_order,
@@ -50,7 +52,7 @@ class BaseScheduler:
     ) -> None:
         self.tracker = FairshareTracker(decay_factor, decay_interval)
         if priority == "fairshare":
-            self.ordering: OrderingPolicy = FairshareOrder(self.tracker)
+            self.ordering: OrderingPolicy = FairshareOrder(self)
         elif priority == "fcfs":
             self.ordering = fcfs_order
         elif priority == "spt":
@@ -68,6 +70,8 @@ class BaseScheduler:
             )
         self.priority = priority
         self.queue: List[Job] = []
+        #: ``queue`` as per-user FCFS lanes
+        self.lanes = UserLanes()
         self.engine: Optional[Engine] = None
         self._order_cache: Optional[List[Job]] = None
         self._order_version = -1
@@ -82,6 +86,7 @@ class BaseScheduler:
 
     def enqueue(self, job: Job, now: float) -> None:
         self.queue.append(job)
+        self.lanes.add(job)
         self._order_cache = None
 
     def on_completion(self, job: Job, now: float) -> None:
@@ -102,9 +107,11 @@ class BaseScheduler:
     # -- helpers for subclasses -----------------------------------------------------
 
     def start(self, job: Job, now: float) -> None:
-        """Start a queued job: allocate, charge usage, drop from the queue."""
+        """Start a queued job: allocate, charge usage, drop from the queue
+        and its lane."""
         if not _remove_identical(self.queue, job):
             raise ValueError(f"job {job.id} is not queued")
+        self.lanes.remove(job)
         c = _counters.ACTIVE
         if c is not None:
             c.hit("sched.start")

@@ -58,8 +58,6 @@ class DepthKScheduler(BaseScheduler):
         )
         #: running-job predicted completion times
         self.predicted_end: Dict[int, float] = {}
-        #: last computed reservations (inspection/testing)
-        self.last_reservations: Dict[int, float] = {}
 
     def on_completion(self, job: Job, now: float) -> None:
         super().on_completion(job, now)
@@ -86,23 +84,20 @@ class DepthKScheduler(BaseScheduler):
         )
         order = self.ordered_queue(now)
         to_start = []
-        self.last_reservations = {}
         for rank, job in enumerate(order):
             if rank < self.depth:
                 # reserved tier: earliest fit, blocks later jobs
                 start = profile.earliest_fit(job.nodes, job.wcl, now)
                 profile.reserve_fitted(start, start + job.wcl, job.nodes)
-                self.last_reservations[job.id] = start
                 if start <= now + EPS:
-                    to_start.append(job)
+                    to_start.append((job, start))
             else:
                 # backfill tier: start now or never (this event)
                 if profile.min_available(now, now + job.wcl) >= job.nodes:
                     profile.reserve_fitted(now, now + job.wcl, job.nodes)
-                    self.last_reservations[job.id] = now
-                    to_start.append(job)
-        for job in to_start:
-            if self.last_reservations[job.id] > now and not self.cluster.fits(job):
+                    to_start.append((job, now))
+        for job, start in to_start:
+            if start > now and not self.cluster.fits(job):
                 # startable only through the EPS slack: the freeing
                 # completion sits a hair in the future; the pass at that
                 # event re-places and starts it

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import chain
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.job import Job
 from ..obs import counters as _counters
@@ -125,37 +125,32 @@ class FairshareTracker:
         """
         return (self.usage_of(job.user_id, now), job.submit_time, job.id)
 
-    def order(self, jobs: Iterable[Job], now: float) -> list[Job]:
-        """Jobs sorted into fairshare priority order.
+    def order(
+        self, lanes: UserLanes, now: float, through: Optional[Job] = None
+    ) -> list[Job]:
+        """The jobs in ``lanes`` in fairshare priority order (the
+        :meth:`priority_key` order); with ``through``, cut just after
+        that job.
 
-        The :meth:`priority_key` order, built as the FCFS order re-sorted
-        stably by each job's user usage: the sort compares plain floats
-        instead of ``(usage, submit, id)`` tuples.
+        Built user by user instead of job by job, so there is no per-job
+        key: users are read in ascending usage.  A user alone at its usage
+        level contributes its FCFS lane whole; users tied at one level
+        (never-run users all sit at zero) are merged FCFS.  With
+        ``through``, users ranked after its user are never touched.
         """
         self.settle(now)
         usage = self._usage.get
-        out = fcfs_order(jobs, now)
-        out.sort(key=lambda j: usage(j.user_id, 0.0))
-        return out
-
-    def order_through(self, lanes: UserLanes, target: Job, now: float) -> list[Job]:
-        """:meth:`order` of the jobs in ``lanes``, cut just after ``target``.
-
-        Built user by user instead of job by job: only users whose usage
-        is at most the target user's are read, in ascending usage.  A user
-        alone at its usage level contributes its FCFS lane whole; users
-        tied at one level (never-run users all sit at zero) are merged
-        FCFS.  Users ranked after the target are never touched.
-        """
-        self.settle(now)
-        usage = self._usage.get
-        cut = usage(target.user_id, 0.0)
         by_user = lanes.lanes
         levels: Dict[float, List[int]] = {}
-        for user in by_user:
-            u = usage(user, 0.0)
-            if u <= cut:
-                levels.setdefault(u, []).append(user)
+        if through is None:
+            for user in by_user:
+                levels.setdefault(usage(user, 0.0), []).append(user)
+        else:
+            cut = usage(through.user_id, 0.0)
+            for user in by_user:
+                u = usage(user, 0.0)
+                if u <= cut:
+                    levels.setdefault(u, []).append(user)
         out: List[Job] = []
         for u in sorted(levels):
             users = levels[u]
@@ -165,4 +160,4 @@ class FairshareTracker:
                 out.extend(fcfs_order(
                     chain.from_iterable(by_user[user] for user in users), now
                 ))
-        return cut_after(out, target)
+        return out if through is None else cut_after(out, through)

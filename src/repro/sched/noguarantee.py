@@ -74,6 +74,7 @@ class NoGuaranteeScheduler(BaseScheduler):
             return  # started (or already promoted) in the meantime
         if self._may_enter_starvation(job, now):
             _remove_identical(self.queue, job)
+            self.lanes.remove(job)
             self._drop_from_order(job)
             self._starve_insert(job)
         else:

@@ -6,19 +6,18 @@ CPlant queue).  The size-based orders (shortest/widest/SRPT) drive the
 extension policies of the fairness matrix.  A policy is just a callable
 producing a sorted job list; all are deterministic with (submit_time, id)
 tie-breaks.  :class:`UserLanes` keeps the same waiting jobs as per-user
-FCFS lanes, for readers that go user by user.
+FCFS lanes, for readers that go user by user: every scheduler keeps its
+queue in one, from which :class:`FairshareOrder` ranks users rather than
+jobs, and ``rr.user`` rotates over its lane heads.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List
+from typing import Callable, Dict, Iterable, List
 
 from ..core.job import Job
-
-if TYPE_CHECKING:
-    from .fairshare import FairshareTracker
 
 #: ordering callable signature: (jobs, now) -> sorted list
 OrderingPolicy = Callable[[Iterable[Job], float], List[Job]]
@@ -102,21 +101,26 @@ class UserLanes:
 
 
 class FairshareOrder:
-    """Fairshare order bound to a live usage tracker.
+    """Fairshare order of a scheduler's queue, from its lanes.
 
-    A callable object rather than a closure so that a deep-copied
-    scheduler (``Engine.fork()``) re-binds to its *own* tracker copy —
-    ``copy.deepcopy`` treats plain functions as atomic, which would leave
-    a closure pointing at the original tracker.
+    The scheduler's :class:`UserLanes` hold exactly its queue, so the
+    order is built user by user from them
+    (:meth:`~repro.sched.fairshare.FairshareTracker.order`) and the
+    ``jobs`` argument is not read.  A callable object rather than a
+    closure so that a deep-copied scheduler (``Engine.fork()``) re-binds
+    to its *own* tracker and lanes — ``copy.deepcopy`` treats plain
+    functions as atomic, which would leave a closure pointing at the
+    original.
     """
 
-    __slots__ = ("tracker",)
+    __slots__ = ("scheduler",)
 
-    def __init__(self, tracker: FairshareTracker) -> None:
-        self.tracker = tracker
+    def __init__(self, scheduler) -> None:
+        self.scheduler = scheduler
 
     def __call__(self, jobs: Iterable[Job], now: float) -> List[Job]:
-        return self.tracker.order(jobs, now)
+        sched = self.scheduler
+        return sched.tracker.order(sched.lanes, now)
 
 
 def widest_first_order(jobs: Iterable[Job], now: float) -> List[Job]:

@@ -11,10 +11,11 @@ other.
 The rotation pointer (the last user served) is the only scheduling
 state; every pass either starts a job or returns, so scheduling
 terminates, and all iteration is over sorted user ids, so the outcome is
-deterministic.  The lanes themselves (a :class:`UserLanes`) are kept
-across passes: a job joins its user's lane at enqueue and leaves it when
-it starts, so a rotation reads lane heads directly instead of rescanning
-the whole queue.
+deterministic.  The lanes are the scheduler's own (every
+:class:`~repro.sched.base.BaseScheduler` keeps its queue as a
+:class:`~repro.sched.queues.UserLanes`): a job joins its user's lane at
+enqueue and leaves it when it starts, so a rotation reads lane heads
+directly instead of rescanning the whole queue.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Optional
 
-from ..core.job import Job
 from ..obs import counters as _counters
 from .base import BaseScheduler
-from .queues import UserLanes
 
 
 class RoundRobinScheduler(BaseScheduler):
@@ -35,15 +34,6 @@ class RoundRobinScheduler(BaseScheduler):
         super().__init__(priority="fcfs", **kw)
         self.name = "rr.user"
         self._last_user: Optional[int] = None
-        self.lanes = UserLanes()
-
-    def enqueue(self, job: Job, now: float) -> None:
-        super().enqueue(job, now)
-        self.lanes.add(job)
-
-    def start(self, job: Job, now: float) -> None:
-        super().start(job, now)
-        self.lanes.remove(job)
 
     def schedule(self, now: float, reason: str) -> None:
         lanes = self.lanes.lanes

@@ -8,12 +8,13 @@ keeps no state between events:
   tail; ``wcl`` mode: ``max(start + wcl, now + tail)``), clamped at
   ``now``;
 * each reference order sorts the scheduler's *whole* ``waiting_jobs()``
-  list — ``tracker.order``, ``fcfs_order``, or a tuple-key sort on the
-  hypothetical duration;
+  list on a tuple key — ``(usage, submit_time, id)`` with the user's
+  decayed usage read from the tracker, ``(submit_time, id)``, or
+  ``(duration, submit_time, id)`` on the hypothetical duration;
 * the order is placed on :class:`ListScheduler`'s per-node vector
   (NumPy partition per job) until the arriving job.
 
-It shares no placement or incremental-state code with
+It shares no order, placement or incremental-state code with
 ``HybridFSTObserver``: only the duration rules (chain tails, the
 ``AT_WCL`` cap, the 1e-9 floor) are restated here, because they define
 what the metric means.  Series land in :attr:`series` under the same
@@ -26,7 +27,6 @@ from typing import Dict, Sequence
 
 from repro.core.engine import KillPolicy, Observer
 from repro.core.listsched import ListScheduler
-from repro.sched.queues import fcfs_order
 
 
 class ReferenceFSTObserver(Observer):
@@ -61,9 +61,11 @@ class ReferenceFSTObserver(Observer):
 
     def order(self, name: str, waiting, now: float):
         if name == "fairshare":
-            return self.engine.scheduler.tracker.order(waiting, now)
+            tracker = self.engine.scheduler.tracker
+            return sorted(waiting, key=lambda j: (
+                tracker.usage_of(j.user_id, now), j.submit_time, j.id))
         if name == "fcfs":
-            return fcfs_order(waiting, now)
+            return sorted(waiting, key=lambda j: (j.submit_time, j.id))
         assert name == "shortest-first", name
         return sorted(waiting,
                       key=lambda j: (self.duration(j), j.submit_time, j.id))

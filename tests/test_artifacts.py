@@ -92,6 +92,18 @@ class TestRegistry:
         spec.loader.exec_module(check_docs)
         assert check_docs.check_pipeline_docs() == []
 
+    def test_performance_doc_hot_path_rows_name_real_modules(self):
+        """Same check CI runs via tools/check_docs.py; a row naming a
+        module that moved or was deleted is reported."""
+        path = REPO_ROOT / "tools" / "check_docs.py"
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        assert check_docs.check_performance_docs() == []
+        text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
+        stale = text.replace("| `sched/base.py` |", "| `sched/gone.py` |", 1)
+        assert check_docs.stale_hot_path_layers(stale) == ["sched/gone.py"]
+
     def test_unknown_ids_fail_fast(self):
         with pytest.raises(KeyError, match="unknown artifact"):
             get_artifact("fig99")

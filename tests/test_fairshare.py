@@ -3,7 +3,15 @@
 import pytest
 
 from repro.sched.fairshare import DAY, FairshareTracker
+from repro.sched.queues import UserLanes
 from tests.conftest import make_job
+
+
+def lanes_of(jobs):
+    lanes = UserLanes()
+    for job in jobs:
+        lanes.add(job)
+    return lanes
 
 
 class TestAccrual:
@@ -87,18 +95,18 @@ class TestOrdering:
         t.job_started(heavy, now=0.0)
         t.job_finished(heavy, now=1000.0)
         jobs = [make_job(id=2, user=1, submit=0.0), make_job(id=3, user=2, submit=5.0)]
-        assert [j.id for j in t.order(jobs, now=1000.0)] == [3, 2]
+        assert [j.id for j in t.order(lanes_of(jobs), now=1000.0)] == [3, 2]
 
     def test_fcfs_tiebreak_within_user(self):
         t = FairshareTracker()
         jobs = [make_job(id=2, user=1, submit=10.0), make_job(id=1, user=1, submit=0.0)]
-        assert [j.id for j in t.order(jobs, now=0.0)] == [1, 2]
+        assert [j.id for j in t.order(lanes_of(jobs), now=0.0)] == [1, 2]
 
     def test_priority_key_matches_order(self):
         t = FairshareTracker()
         j1 = make_job(id=1, user=1, submit=3.0)
         j2 = make_job(id=2, user=2, submit=1.0)
-        order = t.order([j1, j2], now=10.0)
+        order = t.order(lanes_of([j1, j2]), now=10.0)
         keys = sorted([j1, j2], key=lambda j: t.priority_key(j, 10.0))
         assert [j.id for j in order] == [j.id for j in keys]
 

@@ -1,20 +1,19 @@
-"""Differential test: the C-keyed queue orders vs their tuple-key specs.
+"""Differential test: the queue orders vs their tuple-key specs.
 
-``fcfs_order`` sorts by two scalar attribute keys and
-``FairshareTracker.order`` re-sorts that stably by user usage, instead of
-building a ``(usage, submit, id)`` tuple per job.  Both must equal the
-plain tuple-key sort on every input: usage ties (users who never ran all
-sit at 0), equal submit times, ids out of submit order (chunk successors
-get fresh ids but keep their parent's place), and the unsorted
-``queue + starvation_queue`` concatenation the CPlant scheduler hands the
-hybrid-FST observer.
+``fcfs_order`` sorts by two scalar attribute keys instead of building a
+``(submit, id)`` tuple per job; it must equal the plain tuple-key sort
+on every input: equal submit times, ids out of submit order (chunk
+successors get fresh ids but keep their parent's place), and the
+unsorted ``queue + starvation_queue`` concatenation the CPlant
+scheduler hands the hybrid-FST observer.
 
-``FairshareTracker.order_through`` builds the same order user by user
-from :class:`UserLanes` and stops at a target job; it must equal
-``order`` cut just after the target, for every target: ties at equal
-(zero or nonzero) usage, usage decayed below 1e-9 and deleted, chunk
-successors whose submit time is reset at arrival, and targets that are
-not last in their own lane.
+``FairshareTracker.order`` builds the fairshare order user by user from
+:class:`UserLanes`, with no per-job key.  Without a target it must equal
+the ``(usage, submit, id)`` tuple-key sort of every job in the lanes;
+with one it must equal that sort cut just after the target, for every
+target.  Both cover ties at equal (zero or nonzero) usage, usage decayed
+below 1e-9 and deleted, chunk successors whose submit time is reset at
+arrival, and targets that are not last in their own lane.
 """
 
 from __future__ import annotations
@@ -71,20 +70,11 @@ def test_fcfs_order_matches_tuple_sort(jobs):
     assert fcfs_order(list(reversed(jobs)), 0.0) == fcfs_spec(jobs)
 
 
-@settings(max_examples=300, deadline=None)
-@given(QUEUES, HISTORY, st.booleans())
-def test_fairshare_order_matches_tuple_sort(jobs, history, decay):
-    tracker = FairshareTracker()
-    now = 0.0
-    for k, (user, nodes, seconds) in enumerate(history):
-        running = Job(id=10_000 + k, submit_time=now, nodes=nodes,
-                      runtime=seconds, wcl=max(seconds, 1.0), user_id=user)
-        tracker.job_started(running, now)
-        now += seconds
-        tracker.job_finished(running, now)
-    if decay:
-        tracker.decay(now)
-    assert tracker.order(jobs, now) == fairshare_spec(tracker, jobs, now)
+def lanes_of(jobs):
+    lanes = UserLanes()
+    for job in jobs:
+        lanes.add(job)
+    return lanes
 
 
 def charged_tracker(history, twins, decay_factor, n_decays):
@@ -109,12 +99,11 @@ def charged_tracker(history, twins, decay_factor, n_decays):
 
 
 def assert_prefixes_match(tracker, jobs, now):
-    lanes = UserLanes()
-    for job in jobs:
-        lanes.add(job)
-    full = tracker.order(jobs, now)
+    lanes = lanes_of(jobs)
+    full = fairshare_spec(tracker, jobs, now)
+    assert tracker.order(lanes, now) == full
     for target in jobs:
-        assert (tracker.order_through(lanes, target, now)
+        assert (tracker.order(lanes, now, through=target)
                 == cut_after(list(full), target))
 
 
@@ -125,6 +114,19 @@ TWIN_QUEUES = QUEUES.flatmap(lambda jobs: st.lists(
                       runtime=1.0, wcl=1.0,
                       user_id=j.user_id + (10 if f and j.user_id <= 4 else 0))
                   for j, f in zip(jobs, flip)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TWIN_QUEUES, HISTORY, st.booleans(),
+       st.sampled_from([0.5, 1e-3, 0.0]), st.integers(0, 40))
+def test_fairshare_order_matches_tuple_sort(
+    jobs, history, twins, decay_factor, n_decays
+):
+    """The whole lane order, no target: equal and zero usage (twins and
+    never-run users), and accounts decayed below 1e-9 and deleted."""
+    tracker, now = charged_tracker(history, twins, decay_factor, n_decays)
+    assert tracker.order(lanes_of(jobs), now) == fairshare_spec(
+        tracker, jobs, now)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,11 +184,11 @@ class OrderChecker(Observer):
         self.starved += bool(sched.starvation_queue)
         self.successors += job.is_chunk and job.chunk_index > 0
         assert fcfs_order(waiting, now) == fcfs_spec(waiting)
-        full = sched.tracker.order(waiting, now)
-        assert full == fairshare_spec(sched.tracker, waiting, now)
+        full = fairshare_spec(sched.tracker, waiting, now)
+        assert sched.tracker.order(self.lanes, now) == full
         # lanes fed from arrivals and starts: every waiting job a target
         for target in waiting:
-            assert (sched.tracker.order_through(self.lanes, target, now)
+            assert (sched.tracker.order(self.lanes, now, through=target)
                     == cut_after(list(full), target))
         self.checked += 1
 

@@ -17,16 +17,21 @@ Invariants:
 * every submitted job completes (or is killed by an explicit kill
   policy) — the engine refuses to end with queued or running jobs;
 * work conservation: with honest estimates (no overruns, no kills) the
-  executed processor-seconds equal the submitted processor-seconds.
+  executed processor-seconds equal the submitted processor-seconds;
+* after every scheduling pass the scheduler's per-user lanes hold
+  exactly its queue, each lane in ``(submit_time, id)`` order — across
+  CPlant's starvation-queue transfer and chunk successors too.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import KillPolicy
+from repro.core.engine import KillPolicy, Observer
 from repro.core.job import Job
 from repro.experiments.runner import run_policy
 from repro.sched.registry import get_policy, policy_names
@@ -129,6 +134,76 @@ class TestEveryRegisteredPolicy:
         a = run_policy(wl, policy).result.digest()
         b = run_policy(wl, policy).result.digest()
         assert a == b
+
+
+class LaneChecker(Observer):
+    """After every pass, checks the scheduler's lanes against its queue
+    and counts what the run exercised."""
+
+    def __init__(self) -> None:
+        self.passes = 0
+        self.starved = 0
+        self.successors = 0
+
+    def on_attach(self, engine) -> None:
+        self.engine = engine
+
+    def on_arrival(self, job, now) -> None:
+        self.successors += job.is_chunk and job.chunk_index > 0
+
+    def on_schedule_pass(self, now, reason, queue_depth, running, free_nodes,
+                         started) -> None:
+        sched = self.engine.scheduler
+        lanes = sched.lanes
+        assert lanes.users == sorted(lanes.lanes)
+        laned = []
+        for user, lane in lanes.lanes.items():
+            assert lane and all(job.user_id == user for job in lane)
+            keys = [(job.submit_time, job.id) for job in lane]
+            assert keys == sorted(keys)
+            laned.extend(lane)
+        assert len(laned) == len(sched.queue)
+        assert {id(job) for job in laned} == {id(job) for job in sched.queue}
+        self.starved += bool(getattr(sched, "starvation_queue", ()))
+        self.passes += 1
+
+
+def long_jobs(seed: int, n: int = 14):
+    """Jobs long enough that 72 h limits split them into chunk chains and
+    wide ones block the machine past the 24 h starvation threshold."""
+    rng = random.Random(seed)
+    jobs = []
+    for i in range(n):
+        runtime = rng.choice([600.0, 3e4, 1.2e5, 3e5, rng.uniform(1.0, 3e5)])
+        jobs.append(Job(id=i + 1, submit_time=rng.uniform(0.0, 2e5),
+                        nodes=rng.choice([1, 2, 8, SIZE, rng.randint(1, SIZE)]),
+                        runtime=runtime,
+                        wcl=max(runtime * rng.uniform(0.5, 4.0), 1.0),
+                        user_id=rng.randint(1, 4)))
+    return jobs
+
+
+def run_lane_checked(policy: str, seed: int) -> LaneChecker:
+    checker = LaneChecker()
+    run_policy(Workload(long_jobs(seed), SIZE, name="lanes"), policy,
+               observers=[checker])
+    assert checker.passes > 0
+    return checker
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_lanes_hold_exactly_the_queue(policy, seed):
+    run_lane_checked(policy, seed)
+
+
+def test_lane_workloads_reach_starvation_and_chunk_successors():
+    """The workload family above really moves jobs to CPlant's
+    starvation queue and submits chunk successors."""
+    runs = [run_lane_checked("cplant24.72max.all", seed) for seed in range(8)]
+    assert sum(run.starved for run in runs) > 0
+    assert sum(run.successors for run in runs) > 0
 
 
 def test_every_policy_is_enrolled():

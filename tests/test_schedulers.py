@@ -13,7 +13,7 @@ from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.sched.conservative import ConservativeScheduler
 from repro.sched.depthk import DepthKScheduler
-from repro.sched.easy import EasyBackfillScheduler, head_reservation
+from repro.sched.easy import EasyBackfillScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
 from tests.conftest import make_job
@@ -84,11 +84,11 @@ class TestEasy:
         assert by[2].start_time == 100.0  # not delayed
 
     def test_head_reservation_helper(self):
-        running = [make_job(id=1, nodes=4, runtime=100.0, wcl=100.0)]
-        running[0].start_time = 0.0
-        shadow, extra = head_reservation(6, free_now=4, now=10.0, running=running)
+        cluster = Cluster(8)
+        cluster.start(make_job(id=1, nodes=4, runtime=100.0, wcl=100.0), 0.0)
+        shadow, free_then = cluster.expected_ends.shadow(6, now=10.0)
         assert shadow == 100.0
-        assert extra == 2
+        assert free_then - 6 == 2
 
 
 class TestNoGuarantee:

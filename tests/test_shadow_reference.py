@@ -1,12 +1,15 @@
 """Differential test: the EASY head reservation vs its list-based reference.
 
 The simulator answers "when are ``need`` nodes expected free, and how
-many extra then?" for every blocked queue head.  Its answer must equal
+many extra then?" for every blocked queue head from the cluster's
+persistent expected-end timeline (``RunningTimeline.shadow``, kept by
+``Cluster.start``/``finish``).  Its answer must equal
 :func:`tests.shadow_reference.head_reservation`, which sorts the running
 jobs' expected ends from scratch, on every running set: ends before, at
 and after ``now`` (overdue jobs clamp to ``now``), several jobs ending
-exactly at the shadow, a head that needs exactly the free nodes, and a
-head wider than the machine (a named ``RuntimeError``).
+exactly at the shadow, jobs that already finished, a head that needs
+exactly the free nodes, and a head wider than the machine (a named
+``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cluster import Cluster
 from repro.core.job import Job
-from repro.sched.easy import head_reservation as head_reservation_under_test
 from tests.shadow_reference import head_reservation
 
 NOW = 100.0
@@ -32,9 +35,17 @@ def running_jobs(rows):
     return jobs
 
 
-def shadow_under_test(size, running, need, now):
-    free_now = size - sum(j.nodes for j in running)
-    return head_reservation_under_test(need, free_now, now, running)
+def shadow_under_test(size, running, need, now, finished=()):
+    """The cluster's answer after starting ``running`` and ``finished``
+    at their start times and then finishing ``finished``."""
+    cluster = Cluster(size)
+    for job in list(running) + list(finished):
+        cluster.start(job, job.start_time)
+    for job in finished:
+        cluster.finish(job, now)
+    cluster.check_invariants()
+    shadow, free_then = cluster.expected_ends.shadow(need, now)
+    return shadow, free_then - need
 
 
 def outcome(fn, *args):
@@ -44,10 +55,11 @@ def outcome(fn, *args):
         return ("RuntimeError", str(exc))
 
 
-def assert_matches_reference(size, running, need, now=NOW):
+def assert_matches_reference(size, running, need, now=NOW, finished=()):
     free_now = size - sum(j.nodes for j in running)
     expected = outcome(head_reservation, need, free_now, now, running)
-    assert outcome(shadow_under_test, size, running, need, now) == expected
+    got = outcome(shadow_under_test, size, running, need, now, finished)
+    assert got == expected
     return expected
 
 
@@ -64,17 +76,20 @@ ROWS = st.lists(
 
 
 @settings(max_examples=400, deadline=None)
-@given(ROWS, st.integers(0, 16), st.integers(1, 200), st.booleans())
-def test_shadow_matches_reference(rows, idle, need_draw, exact):
-    running = running_jobs(rows)
-    size = sum(j.nodes for j in running) + idle
+@given(ROWS, st.integers(0, 16), st.integers(1, 200), st.booleans(),
+       st.integers(0, 4))
+def test_shadow_matches_reference(rows, idle, need_draw, exact, n_finished):
+    jobs = running_jobs(rows)
+    # the first few jobs ran and finished: their nodes are idle again
+    finished, running = jobs[:n_finished], jobs[n_finished:]
+    size = sum(j.nodes for j in jobs) + idle
     if size == 0:
         size = 1
     free_now = size - sum(j.nodes for j in running)
     # a head that needs exactly the free nodes, or anything up to two
     # nodes past the machine (the over-ask)
     need = free_now if exact and free_now else 1 + need_draw % (size + 2)
-    assert_matches_reference(size, running, need)
+    assert_matches_reference(size, running, need, finished=finished)
 
 
 def test_head_reservation_helper_case():

@@ -13,7 +13,9 @@ Nine checks:
    benchmark entry points it documents by path (``perfbench/run.py``,
    ``BENCHMARK.json``, ``benchmarks/bench_core.py``; they must exist on
    disk), and docs/ARCHITECTURE.md must carry a Performance section, so
-   the benchmark workflow stays discoverable.
+   the benchmark workflow stays discoverable.  Every ``*.py`` path named
+   in a Layer cell of its hot-path map must exist under ``src/repro/``,
+   so a row cannot outlive the code it describes.
 4. **Pipeline docs** — the artifact table in docs/PIPELINE.md must
    list exactly the artifacts registered in ``repro.artifacts``, each
    with its output file, in registry order; the page must also cover
@@ -63,6 +65,10 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 #: one row of the docs/PIPELINE.md artifact table: | `id` | `output` | ...
 _ARTIFACT_ROW = re.compile(r"^\| `(\w+)` \| `([\w.]+)` \|", re.M)
+#: the first (Layer) cell of a markdown table row
+_LAYER_CELL = re.compile(r"^\|([^|]*)\|", re.M)
+#: a source path as a Layer cell names it (`sched/base.py`)
+_PY_PATH = re.compile(r"`([\w/]+\.py)`")
 
 
 def check_scenario_catalog() -> list[str]:
@@ -114,6 +120,19 @@ def check_source_citations() -> list[str]:
     return problems
 
 
+def stale_hot_path_layers(text: str) -> list[str]:
+    """``*.py`` paths named in the Layer column of the hot-path map in
+    ``text`` (docs/PERFORMANCE.md) that do not exist under src/repro/."""
+    _, _, section = text.partition("## Hot-path map")
+    section = section.split("\n## ", 1)[0]
+    return [
+        path
+        for cell in _LAYER_CELL.findall(section)
+        for path in _PY_PATH.findall(cell)
+        if not (ROOT / "src" / "repro" / path).is_file()
+    ]
+
+
 def check_performance_docs() -> list[str]:
     problems: list[str] = []
     perf = ROOT / "docs" / "PERFORMANCE.md"
@@ -133,6 +152,11 @@ def check_performance_docs() -> list[str]:
             problems.append(
                 f"docs/PERFORMANCE.md: documented {entry_point} is missing"
             )
+    problems += [
+        f"docs/PERFORMANCE.md: hot-path map names {path}, which is not "
+        f"under src/repro/"
+        for path in stale_hot_path_layers(text)
+    ]
     arch = ROOT / "docs" / "ARCHITECTURE.md"
     if not arch.is_file() or "## Performance" not in arch.read_text():
         problems.append(
