@@ -14,6 +14,7 @@ owner's priority while it runs, not only afterwards.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
@@ -141,16 +142,12 @@ class FairshareTracker:
         self.settle(now)
         usage = self._usage.get
         by_user = lanes.lanes
+        cut = math.inf if through is None else usage(through.user_id, 0.0)
         levels: Dict[float, List[int]] = {}
-        if through is None:
-            for user in by_user:
-                levels.setdefault(usage(user, 0.0), []).append(user)
-        else:
-            cut = usage(through.user_id, 0.0)
-            for user in by_user:
-                u = usage(user, 0.0)
-                if u <= cut:
-                    levels.setdefault(u, []).append(user)
+        for user in by_user:
+            u = usage(user, 0.0)
+            if u <= cut:
+                levels.setdefault(u, []).append(user)
         out: List[Job] = []
         for u in sorted(levels):
             users = levels[u]
