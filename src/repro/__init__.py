@@ -23,7 +23,6 @@ from .core import (
     JobState,
     KillPolicy,
     FreeTimeline,
-    ListScheduler,
     Observer,
     ReservationProfile,
     SimulationResult,
@@ -113,7 +112,6 @@ __all__ = [
     "JobState",
     "KillPolicy",
     "FreeTimeline",
-    "ListScheduler",
     "LossOfCapacityObserver",
     "MINOR_POLICIES",
     "NoBackfillScheduler",

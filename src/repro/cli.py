@@ -238,6 +238,28 @@ def _retry_policy(args) -> "RetryPolicy":
     return RetryPolicy(max_attempts=args.retries + 1, timeout=args.timeout)
 
 
+def _add_cell_run_args(
+    p: argparse.ArgumentParser,
+    quiet_help: str = "suppress per-cell progress lines",
+) -> None:
+    """The flags of every command that runs cells through the campaign
+    cache (``sweep``, ``paper build``, ``matrix``)."""
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (1 = run inline, no pool)")
+    p.add_argument("--cache-dir", default=None,
+                   help="cache root (default ~/.cache/repro-campaign)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="neither read nor write the on-disk cache")
+    p.add_argument("--force", action="store_true",
+                   help="ignore cached cells but still refresh them")
+    p.add_argument("--quiet", action="store_true", help=quiet_help)
+
+
+def _cache(args) -> Optional[CampaignCache]:
+    """The cell cache ``--cache-dir``/``--no-cache`` ask for."""
+    return None if args.no_cache else CampaignCache(args.cache_dir)
+
+
 def _add_robustness_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retries", type=int, default=2,
                    help="extra attempts per failed cell (0 = fail fast)")
@@ -251,7 +273,7 @@ def _add_robustness_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_sweep(args) -> int:
     spec = CampaignSpec.from_json(args.spec)
-    cache = None if args.no_cache else CampaignCache(args.cache_dir)
+    cache = _cache(args)
     result = api.sweep(
         spec,
         jobs=args.jobs,
@@ -355,7 +377,7 @@ def cmd_matrix(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    cache = None if args.no_cache else CampaignCache(args.cache_dir)
+    cache = _cache(args)
     results, tables = run_matrix(
         cfg, jobs=args.jobs, cache=cache, force=args.force,
         progress=_progress("matrix", 3, args.quiet),
@@ -462,7 +484,7 @@ def cmd_paper_list(_args) -> int:
 
 def cmd_paper_build(args) -> int:
     only = args.only.split(",") if args.only else None
-    cache = None if args.no_cache else CampaignCache(args.cache_dir)
+    cache = _cache(args)
     config = A.PaperConfig(scale=args.scale, seed=args.seed)
     try:
         result = api.build_artifacts(
@@ -561,8 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-v", "--verbose", action="count", default=0,
                    help="more logging (-v info, -vv debug)")
-    # top-level quiet gets its own dest: `sweep`/`paper build` define a
-    # --quiet of their own whose default would clobber a shared dest
+    # top-level quiet gets its own dest: `sweep`, `paper build` and
+    # `matrix` define a --quiet of their own whose default would clobber
+    # a shared dest
     p.add_argument("-q", dest="log_quiet", action="count", default=0,
                    help="less logging (errors only)")
     sub = p.add_subparsers(dest="command", required=True)
@@ -636,18 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a campaign spec: parallel sweep with on-disk caching",
     )
     sw.add_argument("spec", help="campaign spec JSON path (see README)")
-    sw.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = run inline, no pool)")
-    sw.add_argument("--cache-dir", default=None,
-                    help="cache root (default ~/.cache/repro-campaign)")
-    sw.add_argument("--no-cache", action="store_true",
-                    help="neither read nor write the on-disk cache")
-    sw.add_argument("--force", action="store_true",
-                    help="ignore cached cells but still refresh them")
+    _add_cell_run_args(sw)
     sw.add_argument("--json", default=None, help="aggregate JSON output path")
     sw.add_argument("--csv", default=None, help="aggregate CSV output path")
-    sw.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell progress lines")
     sw.add_argument("--stats", action="store_true",
                     help="print the run-stats block (cache hits, cell-time "
                          "percentiles, worker utilization, recovery counts)")
@@ -699,20 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="synthetic trace scale (1.0 = the full trace)")
     pb.add_argument("--seed", type=int, default=A.DEFAULT_SEED,
                     help="generator seed")
-    pb.add_argument("--jobs", type=int, default=1,
-                    help="simulation worker processes (1 = inline)")
+    _add_cell_run_args(pb, "suppress per-cell and per-artifact lines")
     pb.add_argument("--out-dir", default="paper-artifacts",
                     help="output directory for renderings + manifest.json")
-    pb.add_argument("--cache-dir", default=None,
-                    help="cell cache root (default ~/.cache/repro-campaign)")
-    pb.add_argument("--no-cache", action="store_true",
-                    help="neither read nor write the on-disk cell cache")
-    pb.add_argument("--force", action="store_true",
-                    help="ignore cached cells but still refresh them")
     pb.add_argument("--check", action="store_true",
                     help="run each artifact's qualitative shape checks")
-    pb.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell and per-artifact lines")
     pb.add_argument("--stats", action="store_true",
                     help="print the run-stats block (cache hits, cell-time "
                          "percentiles, worker utilization, recovery counts)")
@@ -748,20 +753,11 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--scale", type=float, default=0.05,
                     help="scenario trace scale")
     mx.add_argument("--seed", type=int, default=7, help="generator seed")
-    mx.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (1 = run inline, no pool)")
-    mx.add_argument("--cache-dir", default=None,
-                    help="cache root (default ~/.cache/repro-campaign)")
-    mx.add_argument("--no-cache", action="store_true",
-                    help="neither read nor write the on-disk cache")
-    mx.add_argument("--force", action="store_true",
-                    help="ignore cached cells but still refresh them")
+    _add_cell_run_args(mx)
     mx.add_argument("--out", default=None,
                     help="write the rendered matrix to a text file")
     mx.add_argument("--json", default=None,
                     help="write the matrix document as sorted JSON")
-    mx.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell progress lines")
     mx.set_defaults(fn=cmd_matrix)
 
     sv = sub.add_parser(

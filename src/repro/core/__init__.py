@@ -4,7 +4,7 @@ from .cluster import AllocationError, Cluster
 from .engine import Engine, KillPolicy, Observer
 from .events import Event, EventKind, EventQueue
 from .job import Job, JobState
-from .listsched import FreeTimeline, ListScheduler
+from .listsched import FreeTimeline
 from .profile import ProfileError, ReservationProfile
 from .results import SimulationResult
 
@@ -19,7 +19,6 @@ __all__ = [
     "Job",
     "JobState",
     "KillPolicy",
-    "ListScheduler",
     "Observer",
     "ProfileError",
     "ReservationProfile",

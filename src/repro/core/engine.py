@@ -338,9 +338,6 @@ class Engine:
     def add_timer(self, time: float, payload=None, kind: EventKind = EventKind.GENERIC_TIMER) -> Event:
         return self.events.push(time, kind, payload)
 
-    def cancel_timer(self, event: Event) -> None:
-        self.events.cancel(event)
-
     # -- main loop -----------------------------------------------------------------
 
     def run(self) -> SimulationResult:

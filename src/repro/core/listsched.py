@@ -12,29 +12,28 @@ paper's "fewer restraints than a no backfill scheduler".  Holes can never
 be exploited (node availability is monotone per node), making it more
 restrictive than conservative backfilling.
 
-:class:`ListScheduler` keeps the full per-node vector (NumPy
-``partition``/``argpartition``, O(size) per placement) and is the readable
-reference implementation.  :class:`FreeTimeline` is the equivalent compact
-form used on the simulator hot path: per-node free times are heavily
-duplicated (at most one distinct value per running/placed job), so it
-stores a sorted (time, count) multiset and places in O(distinct values)
-— independent of machine size.  The two produce byte-identical start
-times; ``tests/test_listsched.py`` checks them against each other.
+There is one production path.  :class:`RunningTimeline` is the
+persistent machine state the hybrid-FST observer keeps across events:
+the running occupations as a sorted (end, nodes) multiset, updated per
+start and completion.  Each arrival's base :class:`FreeTimeline` is
+:meth:`RunningTimeline.at` — a copy clamped at ``now`` — and
+:meth:`FreeTimeline.place_sequence` places the order's prefix on it.
+Per-node free times are heavily duplicated (at most one distinct value
+per running/placed job), so a timeline stores a sorted (time, count)
+multiset and places in O(distinct values), independent of machine size.
+The cluster keeps a :class:`RunningTimeline` too, of expected ends
+(``start + wcl``), from which :meth:`RunningTimeline.shadow` reads the
+EASY head reservation.
 
-:class:`RunningTimeline` is the persistent machine state the hybrid-FST
-observer keeps across events: the running occupations as a sorted
-(end, nodes) multiset, updated per start and completion, from which each
-arrival's base :class:`FreeTimeline` is a copy clamped at ``now``.  The
-cluster keeps one too, of expected ends (``start + wcl``), from which
-:meth:`RunningTimeline.shadow` reads the EASY head reservation.
+The independent reference, one free time per node, lives in
+``tests/listsched_reference.py``; ``tests/test_profile_reference.py``
+checks both timelines against it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from ..obs import counters as _counters
 from .job import Job
@@ -45,10 +44,9 @@ _INF = float("inf")
 class FreeTimeline:
     """Sorted (free-time, node-count) multiset for a ``size``-node machine.
 
-    Semantically identical to :class:`ListScheduler`: a job needing *N*
-    nodes starts at the *N*-th smallest free time (ties between equal free
-    times are interchangeable, so only the multiset matters), and those
-    nodes become free again at start + duration.
+    A job needing *N* nodes starts at the *N*-th smallest free time (ties
+    between equal free times are interchangeable, so only the multiset
+    matters), and those nodes become free again at start + duration.
     """
 
     __slots__ = ("size", "_times", "_counts")
@@ -60,93 +58,15 @@ class FreeTimeline:
         self._times: List[float] = [float(now)]
         self._counts: List[int] = [size]
 
-    @classmethod
-    def from_pairs(
-        cls,
-        size: int,
-        now: float,
-        running: Iterable[Tuple[int, float]],
-    ) -> "FreeTimeline":
-        """Build the machine state from (nodes, free-at) pairs; remaining
-        nodes are free at ``now``.  Raises if over-subscribed."""
-        by_time = {}
-        busy = 0
-        now = float(now)
-        for nodes, end in running:
-            end = float(end)
-            if end < now:
-                end = now
-            busy += nodes
-            if end in by_time:
-                by_time[end] += nodes
-            else:
-                by_time[end] = nodes
-        if busy > size:
-            raise ValueError(
-                f"running jobs over-subscribe the machine: {busy} > {size}"
-            )
-        free = size - busy
-        if free:
-            if now in by_time:
-                by_time[now] += free
-            else:
-                by_time[now] = free
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("listsched.rebuild")
-        tl = cls.__new__(cls)
-        tl.size = size
-        tl._times = sorted(by_time)
-        tl._counts = [by_time[t] for t in tl._times]
-        return tl
-
-    def place(self, nodes: int, duration: float, earliest: float = 0.0) -> float:
-        """Place one job; returns its start time and occupies the nodes."""
-        if nodes <= 0 or nodes > self.size:
-            raise ValueError(f"cannot place {nodes} nodes on {self.size}-node machine")
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("listsched.place")
-        times = self._times
-        counts = self._counts
-        # the nodes-th smallest free time = max over the nodes earliest-free
-        acc = 0
-        i = 0
-        while acc < nodes:
-            acc += counts[i]
-            i += 1
-        start = times[i - 1]
-        if earliest > start:
-            start = earliest
-        # consume the nodes earliest-free entries...
-        if acc == nodes:
-            del times[:i]
-            del counts[:i]
-        else:
-            del times[: i - 1]
-            del counts[: i - 1]
-            counts[0] = acc - nodes
-        # ...and return them at start + duration
-        t = start + duration
-        j = bisect_left(times, t)
-        if j < len(times) and times[j] == t:
-            counts[j] += nodes
-        else:
-            times.insert(j, t)
-            counts.insert(j, nodes)
-        return start
-
     def place_sequence(
         self, jobs: Sequence[Job], durations: Mapping[int, float], earliest: float
     ) -> float:
         """Place ``jobs`` in order, each for ``durations[job.id]`` and no
         earlier than ``earliest``; returns the last job's start.
 
-        The fused form of one :meth:`place` per job, for trusted callers:
-        no per-job validation, call or counter update (``listsched.place``
-        is hit once, by the number placed).  ``jobs`` must be non-empty.
+        One fused loop for trusted callers: no per-job validation, call
+        or counter update (``listsched.place`` is hit once, by the number
+        placed).  ``jobs`` must be non-empty.
         """
         times = self._times
         counts = self._counts
@@ -191,16 +111,6 @@ class FreeTimeline:
             c.hit("listsched.place", len(jobs))
         return start
 
-    def makespan(self) -> float:
-        return self._times[-1]
-
-    def free_time_values(self) -> List[float]:
-        """The full per-node free-time multiset, sorted (for tests)."""
-        out: List[float] = []
-        for t, c in zip(self._times, self._counts):
-            out.extend([t] * c)
-        return out
-
     def copy(self) -> "FreeTimeline":
         clone = FreeTimeline.__new__(FreeTimeline)
         clone.size = self.size
@@ -214,9 +124,8 @@ class RunningTimeline:
 
     A sorted (end, nodes) multiset: :meth:`add` when a job starts,
     :meth:`remove` (with the same end) when it completes.  :meth:`at`
-    yields the free-time state at an instant with exactly the semantics
-    of :meth:`FreeTimeline.from_pairs` — ends before ``now`` clamp to
-    ``now``, idle nodes are free at ``now`` — without rebuilding it.
+    yields the free-time state at an instant — ends before ``now`` clamp
+    to ``now``, idle nodes are free at ``now`` — without rebuilding it.
     """
 
     __slots__ = ("size", "_busy", "_times", "_counts")
@@ -322,100 +231,3 @@ class RunningTimeline:
         tl._times = times
         tl._counts = counts
         return tl
-
-
-class ListScheduler:
-    """Per-node free-time list scheduler for a ``size``-node machine."""
-
-    __slots__ = ("size", "free_times")
-
-    def __init__(self, size: int, now: float = 0.0) -> None:
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        self.size = size
-        self.free_times = np.full(size, float(now), dtype=np.float64)
-
-    @classmethod
-    def from_running(
-        cls,
-        size: int,
-        now: float,
-        running: Iterable[Tuple[int, float]],
-    ) -> "ListScheduler":
-        """Build the machine state from running jobs.
-
-        ``running`` yields (nodes, expected_end) pairs; remaining nodes are
-        free at ``now``.  Raises if the running set over-subscribes the
-        machine.
-        """
-        sched = cls(size, now)
-        pos = 0
-        for nodes, end in running:
-            if pos + nodes > size:
-                raise ValueError(
-                    f"running jobs over-subscribe the machine: {pos + nodes} > {size}"
-                )
-            sched.free_times[pos : pos + nodes] = max(end, now)
-            pos += nodes
-        return sched
-
-    def place(self, nodes: int, duration: float, earliest: float = 0.0) -> float:
-        """Place one job; returns its start time and occupies the nodes."""
-        if nodes <= 0 or nodes > self.size:
-            raise ValueError(f"cannot place {nodes} nodes on {self.size}-node machine")
-        if duration < 0:
-            raise ValueError("duration must be >= 0")
-        ft = self.free_times
-        if nodes == self.size:
-            start = max(float(ft.max()), earliest)
-            ft[:] = start + duration
-            return start
-        # earliest instant `nodes` nodes are simultaneously free = the
-        # nodes-th smallest free time
-        idx = np.argpartition(ft, nodes - 1)[:nodes]
-        start = max(float(ft[idx].max()), earliest)
-        ft[idx] = start + duration
-        return start
-
-    def start_time_of(
-        self,
-        jobs: Sequence[Job],
-        target_id: int,
-        now: float,
-        use_wcl: bool = False,
-    ) -> float:
-        """Place ``jobs`` in order and return the start time of the job whose
-        id is ``target_id``.
-
-        Placement stops at the target: in list scheduling, jobs later in the
-        order cannot change an earlier job's start.  Raises KeyError if the
-        target is not present.
-        """
-        for job in jobs:
-            dur = job.wcl if use_wcl else job.runtime
-            start = self.place(job.nodes, dur, earliest=now)
-            if job.id == target_id:
-                return start
-        raise KeyError(f"job {target_id} not in placement order")
-
-    def schedule_all(
-        self,
-        jobs: Sequence[Job],
-        now: float,
-        use_wcl: bool = False,
-    ) -> dict[int, float]:
-        """Place every job in order; map of job id -> start time."""
-        out: dict[int, float] = {}
-        for job in jobs:
-            dur = job.wcl if use_wcl else job.runtime
-            out[job.id] = self.place(job.nodes, dur, earliest=now)
-        return out
-
-    def makespan(self) -> float:
-        return float(self.free_times.max())
-
-    def copy(self) -> "ListScheduler":
-        clone = ListScheduler.__new__(ListScheduler)
-        clone.size = self.size
-        clone.free_times = self.free_times.copy()
-        return clone

@@ -167,18 +167,6 @@ class ReservationProfile:
 
     # -- mutation ----------------------------------------------------------------
 
-    def _ensure_breakpoint(self, t: float) -> int:
-        """Make ``t`` a segment boundary; return its index."""
-        times = self.times
-        i = bisect_right(times, t) - 1
-        if i < 0:
-            raise ValueError(f"time {t} precedes profile origin {times[0]}")
-        if times[i] == t:
-            return i
-        times.insert(i + 1, t)
-        self.avail.insert(i + 1, self.avail[i])
-        return i + 1
-
     def _apply_span(self, start: float, end: float, delta: int) -> None:
         """Add ``delta`` over [start, end) and re-merge the two boundaries.
 

@@ -119,7 +119,8 @@ def render(counters: Counters, indent: str = "  ") -> str:
 
 
 #: the canonical counter catalog: ``(name, what one increment means)``.
-#: docs/OBSERVABILITY.md must document every name here (enforced by
+#: docs/OBSERVABILITY.md must document every name here, and some other
+#: module under src/repro/ must hit it (both enforced by
 #: ``tools/check_docs.py``), so the catalog cannot silently drift.
 CATALOG: Tuple[Tuple[str, str], ...] = (
     ("engine.events", "one simulation event dispatched by the engine"),
@@ -133,7 +134,6 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("profile.release_reserved", "one trusted fast-path release"),
     ("profile.from_occupations", "one batch profile rebuild"),
     ("listsched.place", "one job placed on a FreeTimeline"),
-    ("listsched.rebuild", "one base timeline built from scratch (from_pairs)"),
     ("cons.rebuild", "one conservative full-profile rebuild"),
     ("cons.compress", "one compression (improvement) pass executed"),
     ("cons.compress_skipped", "one compression pass skipped as provably clean"),

@@ -11,8 +11,9 @@ keeps no state between events:
   list on a tuple key — ``(usage, submit_time, id)`` with the user's
   decayed usage read from the tracker, ``(submit_time, id)``, or
   ``(duration, submit_time, id)`` on the hypothetical duration;
-* the order is placed on :class:`ListScheduler`'s per-node vector
-  (NumPy partition per job) until the arriving job.
+* the order is placed on the per-node vector of
+  ``tests/listsched_reference.py``'s :class:`ListScheduler` (NumPy
+  partition per job) until the arriving job.
 
 It shares no order, placement or incremental-state code with
 ``HybridFSTObserver``: only the duration rules (chain tails, the
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Sequence
 
 from repro.core.engine import KillPolicy, Observer
-from repro.core.listsched import ListScheduler
+from tests.listsched_reference import ListScheduler
 
 
 class ReferenceFSTObserver(Observer):

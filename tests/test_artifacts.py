@@ -32,6 +32,7 @@ from repro.campaign import CampaignCache, cell_key
 from repro.cli import main
 from repro.experiments.export import policy_run_record
 from repro.experiments.runner import run_policy
+from repro.obs.counters import CATALOG_NAMES
 from repro.sched.registry import MATRIX_POLICIES, PAPER_POLICIES, REGISTRY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -103,6 +104,17 @@ class TestRegistry:
         text = (REPO_ROOT / "docs" / "PERFORMANCE.md").read_text()
         stale = text.replace("| `sched/base.py` |", "| `sched/gone.py` |", 1)
         assert check_docs.stale_hot_path_layers(stale) == ["sched/gone.py"]
+
+    def test_every_catalog_counter_has_an_emitter(self):
+        """Same check CI runs via tools/check_docs.py; a counter whose
+        last emitter was deleted is reported."""
+        path = REPO_ROOT / "tools" / "check_docs.py"
+        spec = importlib.util.spec_from_file_location("check_docs", path)
+        check_docs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_docs)
+        assert check_docs.check_counter_emitters() == []
+        names = CATALOG_NAMES + ("listsched.rebuild",)
+        assert check_docs.unemitted_counters(names) == ["listsched.rebuild"]
 
     def test_unknown_ids_fail_fast(self):
         with pytest.raises(KeyError, match="unknown artifact"):

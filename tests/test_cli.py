@@ -21,6 +21,28 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--policy", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "spec.json"], ["paper", "build"], ["matrix"],
+    ])
+    def test_cell_run_flags_shared(self, argv):
+        """``sweep``, ``paper build`` and ``matrix`` take the same cell-run
+        flags, with the same dests and defaults."""
+        parser = build_parser()
+        shared = ("jobs", "cache_dir", "no_cache", "force", "quiet")
+        ns = parser.parse_args(argv)
+        assert {k: getattr(ns, k) for k in shared} == {
+            "jobs": 1, "cache_dir": None, "no_cache": False,
+            "force": False, "quiet": False,
+        }
+        ns = parser.parse_args(argv + [
+            "--jobs", "3", "--cache-dir", "/tmp/c", "--no-cache",
+            "--force", "--quiet",
+        ])
+        assert {k: getattr(ns, k) for k in shared} == {
+            "jobs": 3, "cache_dir": "/tmp/c", "no_cache": True,
+            "force": True, "quiet": True,
+        }
+
 
 class TestCommands:
     def test_policies_lists_all_nine(self, capsys):

@@ -1,9 +1,10 @@
-"""Unit tests for the list scheduler behind the hybrid FST metric."""
+"""Unit tests for the per-node list-scheduler reference behind the hybrid
+FST metric's differential tests (tests/listsched_reference.py)."""
 
 import pytest
 
-from repro.core.listsched import ListScheduler
 from tests.conftest import make_job
+from tests.listsched_reference import ListScheduler
 
 
 class TestPlace:

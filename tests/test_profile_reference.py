@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.listsched import FreeTimeline, ListScheduler, RunningTimeline
+from repro.core.listsched import FreeTimeline, RunningTimeline
 from repro.core.profile import ProfileError, ReservationProfile
 from repro.obs import counters
 from tests.conftest import make_job
+from tests.listsched_reference import ListScheduler
 
 
 class ReferenceProfile:
@@ -203,27 +204,47 @@ def test_advance_merges_redundant_head():
     p.check_invariants()
 
 
+def free_times(tl: FreeTimeline) -> list:
+    """A timeline's full per-node free-time multiset, sorted, after
+    checking that its (time, count) form is canonical."""
+    assert all(a < b for a, b in zip(tl._times, tl._times[1:])), tl._times
+    assert all(c > 0 for c in tl._counts), tl._counts
+    assert sum(tl._counts) == tl.size
+    return [t for t, c in zip(tl._times, tl._counts) for _ in range(c)]
+
+
+def running_timeline(size: int, pairs) -> RunningTimeline:
+    running = RunningTimeline(size)
+    for nodes, end in pairs:
+        running.add(end, nodes)
+    return running
+
+
 class TestFreeTimelineDifferential:
-    """FreeTimeline (compact multiset) vs ListScheduler (per-node vector)."""
+    """FreeTimeline and RunningTimeline (compact multisets) vs the
+    per-node ListScheduler reference in tests/listsched_reference.py."""
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_random_places_match(self, seed):
+        """One long stream, extended a job at a time with a rising
+        ``earliest``: every prefix leaves the same starts and free times."""
         rng = np.random.default_rng(seed)
         size = int(rng.integers(2, 300))
         ls = ListScheduler(size)
         tl = FreeTimeline(size)
         now = 0.0
         for i in range(2_000):
-            nodes = int(rng.integers(1, size + 1))
+            job = make_job(id=i, nodes=int(rng.integers(1, size + 1)))
             duration = float(np.round(rng.uniform(0, 300), 3))
             now += float(np.round(rng.uniform(0, 30), 3))
-            s1 = ls.place(nodes, duration, earliest=now)
-            s2 = tl.place(nodes, duration, earliest=now)
+            s1 = ls.place(job.nodes, duration, earliest=now)
+            s2 = tl.place_sequence([job], {job.id: duration}, now)
             assert s1 == s2, f"op {i}: start {s2} != {s1}"
-            assert sorted(ls.free_times.tolist()) == tl.free_time_values(), f"op {i}"
-        assert ls.makespan() == tl.makespan()
+            assert sorted(ls.free_times.tolist()) == free_times(tl), f"op {i}"
 
     def test_from_pairs_matches_from_running(self):
+        """A timeline built from (nodes, end) pairs, read at ``now``, is
+        the per-node vector the reference builds from the same pairs."""
         rng = np.random.default_rng(11)
         for _ in range(100):
             size = int(rng.integers(2, 200))
@@ -236,10 +257,13 @@ class TestFreeTimelineDifferential:
                 pairs.append((w, now + float(rng.uniform(-50, 400))))
                 remaining -= w
             ls = ListScheduler.from_running(size, now, pairs)
-            tl = FreeTimeline.from_pairs(size, now, pairs)
-            assert sorted(ls.free_times.tolist()) == tl.free_time_values()
+            tl = running_timeline(size, pairs).at(now)
+            assert sorted(ls.free_times.tolist()) == free_times(tl)
 
     def test_place_sequence_matches_place(self):
+        """Every prefix of an order, placed in one call on a base read
+        from a running timeline, starts its last job where the reference
+        does and leaves the same free times."""
         rng = np.random.default_rng(3)
         for _ in range(50):
             size = int(rng.integers(2, 100))
@@ -249,20 +273,22 @@ class TestFreeTimelineDifferential:
                     for i in range(int(rng.integers(1, 30)))]
             durations = {j.id: float(np.round(rng.uniform(0, 200), 2))
                          for j in jobs}
-            one = FreeTimeline.from_pairs(size, now, pairs)
-            fused = one.copy()
-            starts = [one.place(j.nodes, durations[j.id], earliest=now)
-                      for j in jobs]
-            with counters.collect() as c:
-                last = fused.place_sequence(jobs, durations, now)
-            assert last == starts[-1]
-            assert fused.free_time_values() == one.free_time_values()
-            assert c.as_dict() == {"listsched.place": len(jobs)}
+            base = running_timeline(size, pairs).at(now)
+            ref = ListScheduler.from_running(size, now, pairs)
+            for k, job in enumerate(jobs, 1):
+                start = ref.place(job.nodes, durations[job.id], earliest=now)
+                fused = base.copy()
+                with counters.collect() as c:
+                    last = fused.place_sequence(jobs[:k], durations, now)
+                assert last == start, f"prefix {k}"
+                assert free_times(fused) == sorted(ref.free_times.tolist())
+                assert c.as_dict() == {"listsched.place": k}
 
     def test_running_timeline_matches_from_pairs(self):
-        """The persistent multiset, clamped at ``now``, is the rebuilt
-        timeline: ends before or at ``now``, equal ends, a full machine,
-        occupations removed again, and moving ends merged at arrival."""
+        """The persistent multiset, clamped at ``now``, is the per-node
+        vector rebuilt from its (nodes, end) pairs: ends before or at
+        ``now``, equal ends, a full machine, occupations removed again,
+        and moving ends merged at arrival."""
         rng = np.random.default_rng(17)
         for _ in range(200):
             size = int(rng.integers(1, 64))
@@ -289,8 +315,8 @@ class TestFreeTimelineDifferential:
                         [now, now + 10.0, now + rng.uniform(-5, 50)])))]
                 pairs = list(live.values()) + moving
                 tl = running.at(now, moving)
-                ref = FreeTimeline.from_pairs(size, now, pairs)
-                assert (tl._times, tl._counts) == (ref._times, ref._counts)
+                ref = ListScheduler.from_running(size, now, pairs)
+                assert free_times(tl) == sorted(ref.free_times.tolist())
 
     def test_running_timeline_rejects_oversubscription(self):
         running = RunningTimeline(4)
@@ -302,22 +328,9 @@ class TestFreeTimelineDifferential:
         with pytest.raises(ValueError, match="no occupation"):
             running.remove(11.0, 3)
 
-    def test_from_pairs_rejects_oversubscription(self):
-        with pytest.raises(ValueError, match="over-subscribe"):
-            FreeTimeline.from_pairs(4, 0.0, [(3, 10.0), (2, 10.0)])
-
     def test_copy_is_independent(self):
         tl = FreeTimeline(4)
         clone = tl.copy()
-        clone.place(4, 100.0)
-        assert tl.free_time_values() == [0.0] * 4
-        assert clone.free_time_values() == [100.0] * 4
-
-    def test_invalid_requests(self):
-        tl = FreeTimeline(4)
-        with pytest.raises(ValueError):
-            tl.place(0, 10.0)
-        with pytest.raises(ValueError):
-            tl.place(5, 10.0)
-        with pytest.raises(ValueError):
-            tl.place(2, -1.0)
+        clone.place_sequence([make_job(id=1, nodes=4)], {1: 100.0}, 0.0)
+        assert free_times(tl) == [0.0] * 4
+        assert free_times(clone) == [100.0] * 4

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine, KillPolicy
 from repro.core.job import Job
-from repro.core.listsched import ListScheduler
 from repro.core.profile import ReservationProfile
 from repro.sched.conservative import ConservativeScheduler
 from repro.sched.depthk import DepthKScheduler
@@ -20,6 +19,7 @@ from repro.sched.noguarantee import NoGuaranteeScheduler
 from repro.workload.categories import length_category, width_category
 from repro.workload.transforms import split_by_runtime_limit
 from repro.workload.model import Workload
+from tests.listsched_reference import ListScheduler
 
 # -- strategies -------------------------------------------------------------
 

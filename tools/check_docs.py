@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency checks (run by the CI `docs` job and usable locally).
 
-Nine checks:
+Ten checks:
 
 1. **Scenario catalog** — every scenario registered in
    ``repro.scenarios`` must appear (as `` `name` ``) in
@@ -42,6 +42,10 @@ Nine checks:
    under ``src/`` must exist: a path with a directory (``docs/X.md``)
    relative to the repository root, a bare name at the root or in
    ``docs/``, so a docstring cannot point readers at a missing file.
+10. **Counter emitters** — every name in ``repro.obs.counters.CATALOG``
+    must appear as a string literal (``"name"``) in some ``*.py`` file
+    under ``src/repro/`` other than ``obs/counters.py``, so a counter
+    cannot outlive the code that hits it.
 
 Exit status 0 = consistent; 1 = problems (all listed on stderr).
 
@@ -212,6 +216,34 @@ def check_observability_docs() -> list[str]:
     return problems
 
 
+def unemitted_counters(names) -> list[str]:
+    """The counter ``names`` that no ``*.py`` file under src/repro/,
+    other than the catalog in obs/counters.py, spells as a string
+    literal."""
+    catalog = ROOT / "src" / "repro" / "obs" / "counters.py"
+    sources = [
+        path.read_text()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if path != catalog
+    ]
+    return [
+        name
+        for name in names
+        if not any(f'"{name}"' in text or f"'{name}'" in text
+                   for text in sources)
+    ]
+
+
+def check_counter_emitters() -> list[str]:
+    from repro.obs.counters import CATALOG_NAMES
+
+    return [
+        f"src/repro/obs/counters.py: counter `{name}` is in CATALOG but no "
+        f"module under src/repro/ emits it"
+        for name in unemitted_counters(CATALOG_NAMES)
+    ]
+
+
 def check_scheduler_docs() -> list[str]:
     from repro.metrics import REFERENCE_ORDERS
     from repro.sched.registry import policy_names
@@ -290,7 +322,8 @@ def check_service_docs() -> list[str]:
 def main() -> int:
     problems = (check_scenario_catalog() + check_links()
                 + check_performance_docs() + check_pipeline_docs()
-                + check_observability_docs() + check_scheduler_docs()
+                + check_observability_docs() + check_counter_emitters()
+                + check_scheduler_docs()
                 + check_robustness_docs() + check_service_docs()
                 + check_source_citations())
     for p in problems:
