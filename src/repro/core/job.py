@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 if sys.version_info >= (3, 10):
@@ -122,12 +122,17 @@ class Job:
 
     def fresh_copy(self) -> "Job":
         """A copy with simulation state reset (for running the same workload
-        through several schedulers)."""
-        return replace(
-            self,
-            state=JobState.PENDING,
-            start_time=None,
-            end_time=None,
+        through several schedulers).
+
+        Positional construction of every non-state field, in declaration
+        order: several times cheaper than ``dataclasses.replace``, and the
+        engine copies every job of every run.  ``tests/test_job.py`` pins
+        the argument list against ``dataclasses.fields(Job)``.
+        """
+        return type(self)(
+            self.id, self.submit_time, self.nodes, self.runtime, self.wcl,
+            self.user_id, self.group_id, self.parent_id, self.chunk_index,
+            self.chunk_count, self.seniority_time,
         )
 
     def expected_end(self, now: float) -> float:

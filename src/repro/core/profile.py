@@ -24,8 +24,9 @@ against a brute-force model under randomized op sequences.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..obs import counters as _counters
 
@@ -122,12 +123,23 @@ class ReservationProfile:
             i += 1
         return lo
 
-    def earliest_fit(self, nodes: int, duration: float, earliest: float) -> float:
+    def earliest_fit(
+        self,
+        nodes: int,
+        duration: float,
+        earliest: float,
+        before: float = math.inf,
+    ) -> Optional[float]:
         """Earliest start >= ``earliest`` where ``nodes`` are free for
         ``duration`` seconds.
 
         Always succeeds for nodes <= size because the final segment is
-        unbounded.
+        unbounded.  With a finite ``before`` only starts ``< before`` are
+        searched and each window is clipped at ``before``; the result is
+        ``None`` when no such start fits.  Conservative compression asks
+        this of a job whose own reservation begins at ``before``: the part
+        of a window past ``before`` lies inside that reservation, so the
+        clipped answer is the job's earliest start once it is released.
         """
         if nodes > self.size:
             raise ProfileError(f"request for {nodes} nodes exceeds size {self.size}")
@@ -147,23 +159,25 @@ class ReservationProfile:
             j = 0
         n = len(times)
         anchor = earliest
-        end_needed = anchor + duration
         while True:
-            if avail[j] < nodes:
-                # blocked: restart the window after this segment
+            if anchor >= before:
+                return None
+            end_needed = anchor + duration
+            if end_needed > before:
+                end_needed = before
+            while avail[j] >= nodes:
+                # segment j satisfies the request; does the window reach?
                 j += 1
-                if j >= n:  # cannot happen: last segment has full size... unless
-                    raise ProfileError(
-                        "unbounded tail segment has insufficient nodes; "
-                        "profile is over-committed"
-                    )
-                anchor = times[j]
-                end_needed = anchor + duration
-                continue
-            # segment j satisfies the request; does the window reach duration?
+                if j >= n or times[j] >= end_needed:
+                    return anchor
+            # blocked: restart the window after this segment
             j += 1
-            if j >= n or times[j] >= end_needed:
-                return anchor
+            if j >= n:  # the unbounded tail always has the full size
+                raise ProfileError(
+                    "unbounded tail segment has insufficient nodes; "
+                    "profile is over-committed"
+                )
+            anchor = times[j]
 
     # -- mutation ----------------------------------------------------------------
 

@@ -137,8 +137,10 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("cons.rebuild", "one conservative full-profile rebuild"),
     ("cons.compress", "one compression (improvement) pass executed"),
     ("cons.compress_skipped", "one compression pass skipped as provably clean"),
+    ("cons.compress_kept", "one job kept by compression without touching the profile"),
     ("cons.heap_push", "one overrun/overdue heap push"),
     ("cons.heap_compact", "one lazy-heap compaction"),
+    ("depthk.pass_cut", "one queued job a depth-k pass left unplaced"),
     ("sched.start", "one job started by any scheduler"),
     ("sched.backfill_start", "one start that leapt past the priority head"),
     ("sched.order_cache_hit", "one priority-order request served from cache"),

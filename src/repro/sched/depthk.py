@@ -25,10 +25,12 @@ cannot starve.  The sticky-reservation end of the spectrum is
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Dict
 
 from ..core.job import Job
 from ..core.profile import ReservationProfile
+from ..obs import counters as _counters
 from .base import BaseScheduler
 from .conservative import EPS
 
@@ -83,19 +85,47 @@ class DepthKScheduler(BaseScheduler):
             self.cluster.size, now, self._occupations(now)
         )
         order = self.ordered_queue(now)
+        threshold = now + EPS
+        # (rank, nodes, now + wcl) of every job that may still start now;
+        # the running-only profile never decreases, so its level at the
+        # threshold is each window's minimum
+        free = profile.available_at(threshold)
+        cands = [
+            (rank, job.nodes, now + job.wcl)
+            for rank, job in enumerate(order) if job.nodes <= free
+        ]
+        horizon = max([end for _, _, end in cands], default=now)
+        last = cands[-1][0] if cands else -1
+        ci = 0
         to_start = []
         for rank, job in enumerate(order):
+            if rank > last:
+                # no later job can start now: placing them changes nothing
+                c = _counters.ACTIVE
+                if c is not None:
+                    c.hit("depthk.pass_cut", len(order) - rank)
+                break
+            is_cand = cands[ci][0] == rank
+            if is_cand:
+                ci += 1
             if rank < self.depth:
                 # reserved tier: earliest fit, blocks later jobs
                 start = profile.earliest_fit(job.nodes, job.wcl, now)
                 profile.reserve_fitted(start, start + job.wcl, job.nodes)
-                if start <= now + EPS:
+                if start <= threshold:
                     to_start.append((job, start))
-            else:
+            elif is_cand and profile.min_available(now, now + job.wcl) >= job.nodes:
                 # backfill tier: start now or never (this event)
-                if profile.min_available(now, now + job.wcl) >= job.nodes:
-                    profile.reserve_fitted(now, now + job.wcl, job.nodes)
-                    to_start.append((job, now))
+                start = now
+                profile.reserve_fitted(now, now + job.wcl, job.nodes)
+                to_start.append((job, now))
+            else:
+                continue
+            if start < horizon and ci < len(cands):
+                cands = _still_startable(profile, threshold, cands, ci, horizon)
+                ci = 0
+                horizon = max([end for _, _, end in cands], default=now)
+                last = cands[-1][0] if cands else -1
         for job, start in to_start:
             if start > now and not self.cluster.fits(job):
                 # startable only through the EPS slack: the freeing
@@ -103,3 +133,31 @@ class DepthKScheduler(BaseScheduler):
                 # event re-places and starts it
                 continue
             self.start(job, now)
+
+
+def _still_startable(profile, threshold, cands, ci, horizon):
+    """The candidates from ``cands[ci]`` on whose window ``[threshold,
+    end)`` still has ``nodes`` free everywhere.
+
+    Reservations only lower the profile, so a candidate dropped here can
+    never start in this pass.  One running minimum over the breakpoints
+    before ``horizon`` (the latest candidate end) and one bisect per
+    candidate give every window's minimum.
+    """
+    times = profile.times
+    avail = profile.avail
+    i0 = bisect_right(times, threshold) - 1
+    stop = bisect_left(times, horizon, i0 + 1)
+    lo = avail[i0]
+    running_min = [lo]
+    for k in range(i0 + 1, stop):
+        a = avail[k]
+        if a < lo:
+            lo = a
+        running_min.append(lo)
+    first = i0 + 1
+    return [
+        cand for cand in cands[ci:]
+        if cand[2] <= threshold  # empty window: nothing can block it
+        or running_min[bisect_left(times, cand[2], first, stop) - first] >= cand[1]
+    ]

@@ -26,7 +26,9 @@ from hypothesis import strategies as st
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.core.job import Job
-from repro.sched.conservative import ConservativeScheduler
+from repro.core.profile import ReservationProfile
+from repro.obs import counters
+from repro.sched.conservative import EPS, ConservativeScheduler
 from repro.sched.depthk import DepthKScheduler
 from repro.workload.model import Workload
 from repro.workload.transforms import split_by_runtime_limit
@@ -135,6 +137,67 @@ class TestDepthKFullPass:
         got = simulate(DepthK(depth=depth, priority=priority), wl)
         want = simulate(DepthKReference(depth=depth, priority=priority), wl)
         assert got == want
+
+
+def expected_cut(size, now, occupations, order, depth):
+    """How many jobs a depth-k pass may leave unplaced, by brute force.
+
+    Replays the full pass and, before each job, asks of every job from
+    there on whether it may still start now: it fitted the running jobs
+    alone at ``now + EPS`` and its window ``[now + EPS, now + wcl)``
+    still has its nodes free on the profile so far.  The pass may stop
+    at the first rank where no job may.
+    """
+    profile = ReservationProfile.from_occupations(size, now, occupations)
+    threshold = now + EPS
+    free = profile.available_at(threshold)
+
+    def may_start(job):
+        end = now + job.wcl
+        return job.nodes <= free and (
+            end <= threshold
+            or profile.min_available(threshold, end) >= job.nodes
+        )
+
+    for rank, job in enumerate(order):
+        if not any(may_start(j) for j in order[rank:]):
+            return len(order) - rank
+        if rank < depth:
+            start = profile.earliest_fit(job.nodes, job.wcl, now)
+            profile.reserve_fitted(start, start + job.wcl, job.nodes)
+        elif profile.min_available(now, now + job.wcl) >= job.nodes:
+            profile.reserve_fitted(now, now + job.wcl, job.nodes)
+    return 0
+
+
+class DepthKCut(DepthK):
+    """Records, per pass, the ``depthk.pass_cut`` count next to
+    :func:`expected_cut` on the same queue and running set."""
+
+    def schedule(self, now, reason):
+        occupations = list(self._occupations(now))
+        order = list(self.ordered_queue(now))
+        want = expected_cut(self.cluster.size, now, occupations, order,
+                            self.depth)
+        c = counters.ACTIVE
+        before = c.get("depthk.pass_cut")
+        super().schedule(now, reason)
+        self.log.append(("cut", now, c.get("depthk.pass_cut") - before, want))
+
+
+class TestDepthKPassCut:
+    @settings(max_examples=200, deadline=None)
+    @given(wl=workloads(), depth=st.sampled_from([0, 1, 2, 4, math.inf]),
+           priority=PRIORITIES)
+    def test_pass_stops_after_last_job_that_may_start(self, wl, depth,
+                                                      priority):
+        """The pass places jobs exactly up to the last one that can
+        still start now: no later (a job that could start was skipped)
+        and no earlier (a reservation went unnoticed)."""
+        with counters.collect():
+            _, log = simulate(DepthKCut(depth=depth, priority=priority), wl)
+        cuts = [entry[2:] for entry in log if entry[0] == "cut"]
+        assert all(got == want for got, want in cuts), cuts
 
 
 class TestConservativeFullCompression:

@@ -1,5 +1,7 @@
 """Unit tests for the job model."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.job import Job, JobState
@@ -110,3 +112,32 @@ class TestFreshCopy:
         assert clone.chunk_index == 1
         assert clone.chunk_count == 4
         assert clone.is_chunk
+
+    def test_equals_replace_on_every_field(self):
+        """The positional copy is ``replace`` with the state reset, on a
+        job whose every field differs from its default; the names it
+        copies are exactly the dataclass fields, so a field added later
+        fails here until ``fresh_copy`` passes it on."""
+        job = Job(id=9, submit_time=5.0, nodes=2, runtime=10.0, wcl=20.0,
+                  user_id=7, group_id=3, parent_id=4, chunk_index=1,
+                  chunk_count=3, seniority_time=1.0)
+        job.state = JobState.RUNNING
+        job.start_time = 6.0
+        job.end_time = 16.0
+        names = [f.name for f in dataclasses.fields(Job)]
+        assert names == [
+            "id", "submit_time", "nodes", "runtime", "wcl", "user_id",
+            "group_id", "parent_id", "chunk_index", "chunk_count",
+            "seniority_time", "state", "start_time", "end_time",
+        ]
+        for f in dataclasses.fields(Job):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(job, f.name) != f.default, f.name
+        clone = job.fresh_copy()
+        want = dataclasses.replace(
+            job, state=JobState.PENDING, start_time=None, end_time=None
+        )
+        assert type(clone) is Job
+        assert [getattr(clone, n) for n in names] == [
+            getattr(want, n) for n in names
+        ]

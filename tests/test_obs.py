@@ -146,6 +146,16 @@ class TestCounterCorrectness:
         assert resubmitted > 0
         assert c.get("engine.chunk_resubmit") == resubmitted
 
+    def test_reservation_shortcuts_fire(self, tiny_workload):
+        """Depth-k passes stop early and compression keeps jobs in place
+        without touching the profile, both on the tiny workload."""
+        with collect() as c:
+            run_policy(tiny_workload, "consdyn.nomax")
+        assert c.get("depthk.pass_cut") > 0
+        with collect() as c:
+            run_policy(tiny_workload, "cons.nomax")
+        assert c.get("cons.compress_kept") > 0
+
     def test_cached_order_dominates_resorts(self, tiny_workload):
         with collect() as c:
             run_policy(tiny_workload, "easy.fcfs")
@@ -155,8 +165,8 @@ class TestCounterCorrectness:
 # -- the invariant: telemetry never changes results ---------------------------
 
 class TestDigestInvariance:
-    @pytest.mark.parametrize("policy", ["cons.nomax", "cplant24.nomax.all",
-                                        "easy.fairshare"])
+    @pytest.mark.parametrize("policy", ["cons.nomax", "consdyn.nomax",
+                                        "cplant24.nomax.all", "easy.fairshare"])
     def test_digest_identical_with_telemetry_on(self, tiny_workload, policy):
         bare = run_policy(tiny_workload, policy).result.digest()
         with collect():

@@ -9,6 +9,8 @@ representation fails loudly with the op index.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,16 @@ class ReferenceProfile:
         points = [start] + [t for t in self.deltas if start < t < end]
         return min(self.available_at(p) for p in points)
 
-    def earliest_fit(self, nodes: int, duration: float, earliest: float) -> float:
+    def earliest_fit(self, nodes: int, duration: float, earliest: float,
+                     before: float = math.inf):
+        """First anchor (``earliest`` or a later breakpoint) below
+        ``before`` whose window, clipped at ``before``, fits; else None."""
         earliest = max(earliest, self.origin)
         candidates = [earliest] + sorted(t for t in self.deltas if t > earliest)
         for c in candidates:
-            if self.min_available(c, c + duration) >= nodes:
+            if c >= before:
+                return None
+            if self.min_available(c, min(c + duration, before)) >= nodes:
                 return c
         raise AssertionError("unbounded tail should always fit")
 
@@ -136,6 +143,62 @@ def test_randomized_differential_profile(seed, n_ops):
 
     opt.check_invariants()
     assert list(zip(opt.times, opt.avail)) == ref.segments(opt.times[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_earliest_fit_before_matches_reference(seed):
+    """``earliest_fit(..., before=b)`` against the brute-force model on
+    random profiles: the same anchor, or None exactly when no anchor
+    below ``b`` has a clipped window that fits.  ``before=inf`` is the
+    unbounded search, and an unfitting bounded query leaves the profile
+    untouched."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(4, 40))
+    opt = ReservationProfile(size)
+    ref = ReferenceProfile(size)
+    now = 0.0
+    nones = hits = 0
+    for op_i in range(400):
+        if rng.random() < 0.3:
+            now += float(rng.choice([0.0, 5.0, np.round(rng.uniform(0, 50), 2)]))
+            opt.advance(now)
+            ref.advance(now)
+        nodes = int(rng.integers(1, size + 1))
+        duration = float(rng.choice([10.0, 50.0, np.round(rng.uniform(1, 200), 2)]))
+        earliest = now + float(rng.choice([0.0, np.round(rng.uniform(0, 100), 2)]))
+        full = opt.earliest_fit(nodes, duration, earliest)
+        assert full == opt.earliest_fit(nodes, duration, earliest, math.inf)
+        assert full == ref.earliest_fit(nodes, duration, earliest), f"op {op_i}"
+        # bounds at, between and beyond breakpoints, and at the anchors
+        points = opt.times + [full, full + duration, earliest]
+        before = float(rng.choice(points)) + float(rng.choice([0.0, -0.5, 0.5]))
+        times, avail = list(opt.times), list(opt.avail)
+        got = opt.earliest_fit(nodes, duration, earliest, before)
+        want = ref.earliest_fit(nodes, duration, earliest, before)
+        assert got == want, f"op {op_i}: before={before}: {got} != {want}"
+        assert (opt.times, opt.avail) == (times, avail)
+        if got is None:
+            nones += 1
+        else:
+            hits += 1
+            assert got < before and got <= full
+        opt.reserve(full, full + duration, nodes)
+        ref.reserve(full, full + duration, nodes)
+        if rng.random() < 0.3:
+            opt.release(full, full + duration, nodes)
+            ref.release(full, full + duration, nodes)
+    assert nones > 40 and hits > 40
+
+
+def test_earliest_fit_before_clips_the_window():
+    """A window may run into a later dip past ``before``: only the part
+    below ``before`` is checked."""
+    p = ReservationProfile(4)
+    p.reserve(30.0, 100.0, 4)
+    assert p.earliest_fit(4, 50.0, 0.0) == 100.0
+    assert p.earliest_fit(4, 50.0, 0.0, before=30.0) == 0.0
+    assert p.earliest_fit(4, 50.0, 70.0, before=100.0) is None
+    assert p.earliest_fit(4, 50.0, 0.0, before=0.0) is None
 
 
 def test_trusted_fast_paths_match_validated_api():
