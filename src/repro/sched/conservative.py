@@ -28,6 +28,10 @@ implementation; the digest regression tests enforce this):
   prior in-pass movement) — re-placing every job would reproduce the same
   reservations, because a pass that moves nobody proves each job is at its
   earliest fit given all the others;
+* a job reserved in the future asks ``earliest_fit(..., before=old_start)``
+  with its reservation still in place; ``None`` keeps the reservation
+  without touching the profile (``tests/backfill_reference.py`` keeps the
+  release/fit/reserve loop as the reference);
 * profile mutations use the trusted ``reserve_fitted``/``release_reserved``
   fast paths (every reserve follows an ``earliest_fit``).
 """

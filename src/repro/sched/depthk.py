@@ -20,6 +20,14 @@ re-placed in priority order at every event, so a job's place in the
 schedule tracks its user's current fairshare standing and "fair" jobs
 cannot starve.  The sticky-reservation end of the spectrum is
 :class:`repro.sched.ConservativeScheduler`.
+
+A pass's only output is which jobs start now, and every reservation only
+lowers the profile.  A job can start now only while its nodes stay free
+over ``[now + EPS, now + wcl)`` (both the reserved tier's ``start <= now
++ EPS`` and the backfill tier's ``min_available`` test imply it), so the
+pass keeps the jobs that still pass that test and ends once none ranks
+after the current job: the jobs after it cannot change the outcome.
+``tests/backfill_reference.py`` keeps the full pass as the reference.
 """
 
 from __future__ import annotations
@@ -95,12 +103,12 @@ class DepthKScheduler(BaseScheduler):
             for rank, job in enumerate(order) if job.nodes <= free
         ]
         horizon = max([end for _, _, end in cands], default=now)
-        last = cands[-1][0] if cands else -1
-        ci = 0
+        ci = 0  # cands[ci:] are the candidates from the current rank on
         to_start = []
         for rank, job in enumerate(order):
-            if rank > last:
-                # no later job can start now: placing them changes nothing
+            if ci == len(cands):
+                # no job from here on can start now: placing them
+                # changes nothing
                 c = _counters.ACTIVE
                 if c is not None:
                     c.hit("depthk.pass_cut", len(order) - rank)
@@ -122,10 +130,9 @@ class DepthKScheduler(BaseScheduler):
             else:
                 continue
             if start < horizon and ci < len(cands):
-                cands = _still_startable(profile, threshold, cands, ci, horizon)
+                cands = _still_startable(profile, threshold, cands[ci:], horizon)
                 ci = 0
                 horizon = max([end for _, _, end in cands], default=now)
-                last = cands[-1][0] if cands else -1
         for job, start in to_start:
             if start > now and not self.cluster.fits(job):
                 # startable only through the EPS slack: the freeing
@@ -135,8 +142,8 @@ class DepthKScheduler(BaseScheduler):
             self.start(job, now)
 
 
-def _still_startable(profile, threshold, cands, ci, horizon):
-    """The candidates from ``cands[ci]`` on whose window ``[threshold,
+def _still_startable(profile, threshold, cands, horizon):
+    """The ``(rank, nodes, end)`` candidates whose window ``[threshold,
     end)`` still has ``nodes`` free everywhere.
 
     Reservations only lower the profile, so a candidate dropped here can
@@ -157,7 +164,7 @@ def _still_startable(profile, threshold, cands, ci, horizon):
         running_min.append(lo)
     first = i0 + 1
     return [
-        cand for cand in cands[ci:]
+        cand for cand in cands
         if cand[2] <= threshold  # empty window: nothing can block it
         or running_min[bisect_left(times, cand[2], first, stop) - first] >= cand[1]
     ]

@@ -121,7 +121,7 @@ def simulate(sched, wl):
     engine = Engine(Cluster(wl.system_size), sched, jobs, validate=True)
     try:
         outcome = engine.run().digest()
-    except Exception as exc:
+    except (RuntimeError, IndexError) as exc:
         outcome = (type(exc).__name__, str(exc))
     return outcome, sched.log
 
@@ -192,8 +192,9 @@ class TestDepthKPassCut:
     def test_pass_stops_after_last_job_that_may_start(self, wl, depth,
                                                       priority):
         """The pass places jobs exactly up to the last one that can
-        still start now: no later (a job that could start was skipped)
-        and no earlier (a reservation went unnoticed)."""
+        still start now: no earlier (a job that could start would be
+        skipped) and no later (a reservation that ruled out the rest
+        went unnoticed)."""
         with counters.collect():
             _, log = simulate(DepthKCut(depth=depth, priority=priority), wl)
         cuts = [entry[2:] for entry in log if entry[0] == "cut"]
