@@ -42,7 +42,6 @@ from .campaign import (
 from .experiments import (
     PolicyRun,
     RunOptions,
-    bench_workload,
 )
 from .scenarios import (
     Scenario,
@@ -128,7 +127,6 @@ __all__ = [
     "WorkloadSpec",
     "aggregate_cells",
     "all_scenarios",
-    "bench_workload",
     "build_scenario",
     "cell_key",
     "consp_fst",

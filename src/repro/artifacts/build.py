@@ -54,10 +54,10 @@ MANIFEST_NAME = "manifest.json"
 #: of the manifest, which must stay byte-identical across rebuilds
 STATS_NAME = "build-stats.json"
 
-#: default trace scale for ``repro paper build`` (the benchmark default)
+#: default trace scale for ``repro paper build``
 DEFAULT_SCALE = 0.2
 
-#: default generator seed (the benchmark default)
+#: default generator seed for ``repro paper build``
 DEFAULT_SEED = 7
 
 

@@ -34,6 +34,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
 
@@ -58,16 +59,14 @@ from .obs import collect_counters, render_counters, setup_logging
 from .obs.stats import ProgressMeter
 from .workload.analysis import render_analysis
 from .sched.registry import PAPER_POLICIES, REGISTRY, get_policy
-from .workload.generator import GeneratorConfig, generate_cplant_workload
 from .workload.model import Workload
-from .workload.swf import read_swf, write_swf
+from .workload.swf import write_swf
 
 
 def _load_workload(args) -> Workload:
-    if getattr(args, "swf", None):
-        return read_swf(args.swf)
-    cfg = GeneratorConfig(scale=args.scale)
-    return generate_cplant_workload(cfg, seed=args.seed)
+    return api.SimulationRequest(
+        swf=args.swf or None, scale=args.scale, seed=args.seed
+    ).resolve_workload()
 
 
 def _policy_keys(arg: Optional[str], default) -> List[str]:
@@ -102,15 +101,12 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     wl = _load_workload(args)
     print(wl.describe())
+    with collect_counters() if args.stats else nullcontext() as counters:
+        handle = api.run(policy=args.policy, workload=wl)
+    print(handle.report())
     if args.stats:
-        with collect_counters() as counters:
-            handle = api.run(policy=args.policy, workload=wl)
-        print(handle.report())
         print("hot-path counters:")
         print(render_counters(counters))
-    else:
-        handle = api.run(policy=args.policy, workload=wl)
-        print(handle.report())
     return 0
 
 
@@ -193,6 +189,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_export(args) -> int:
     keys = _policy_keys(args.policies, PAPER_POLICIES)
+    if not (args.json or args.csv or args.per_job):
+        print("nothing to write: pass --json, --csv, and/or --per-job")
+        return 1
     wl = _load_workload(args)
     print(wl.describe())
     suite = api.compare(keys, workload=wl, progress=True)
@@ -208,9 +207,6 @@ def cmd_export(args) -> int:
             path = f"{args.per_job}.{key}.csv"
             export_per_job_csv(run, path)
             wrote.append(path)
-    if not wrote:
-        print("nothing to write: pass --json, --csv, and/or --per-job")
-        return 1
     for path in wrote:
         print(f"wrote {path}")
     return 0

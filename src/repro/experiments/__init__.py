@@ -1,6 +1,5 @@
 """Experiment harness: policy runs, figure/table data generators, reports."""
 
-from .config import BenchConfig, bench_workload
 from .runner import PolicyRun, RunOptions, run_policy
 from .tables import (
     TableComparison,
@@ -11,11 +10,9 @@ from .tables import (
 )
 
 __all__ = [
-    "BenchConfig",
     "PolicyRun",
     "RunOptions",
     "TableComparison",
-    "bench_workload",
     "render_table1",
     "render_table2",
     "run_policy",

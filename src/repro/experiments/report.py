@@ -1,8 +1,8 @@
 """Plain-text rendering of the paper's bar charts and scatter plots.
 
-Figures become labeled value tables with ASCII bars (benchmarks print
-these), and scatter figures become log-binned 2D density tables — enough
-to eyeball the shapes against the paper without a plotting stack.
+Figures become labeled value tables with ASCII bars, and scatter figures
+become log-binned 2D density tables — enough to eyeball the shapes
+against the paper without a plotting stack.
 """
 
 from __future__ import annotations

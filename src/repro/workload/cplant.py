@@ -2,8 +2,8 @@
 
 These are the paper's numbers for the December 1, 2002 – July 14, 2003
 trace (231 days).  They are both the ground truth the synthetic generator
-is calibrated against and the reference the Table 1/2 reproduction
-benchmarks compare to.
+is calibrated against and the reference the Table 1/2 artifacts
+compare to.
 
 The paper never states the machine size; substitution 2 in
 docs/ARCHITECTURE.md derives 1024 nodes from the Table 2 totals

@@ -143,6 +143,23 @@ class TestCommands:
         assert "unknown policy 'nope'" in capsys.readouterr().err
         assert simulated == []
 
+    def test_export_without_outputs_exits_1_before_simulating(
+        self, monkeypatch, capsys
+    ):
+        from repro import api
+
+        def boom(*a, **k):
+            raise AssertionError("export simulated with nothing to write")
+
+        monkeypatch.setattr(api, "compare", boom)
+        monkeypatch.setattr(api.SimulationRequest, "resolve_workload", boom)
+        assert main(["export", "--scale", "0.02", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "nothing to write: pass --json, --csv, and/or --per-job\n"
+        )
+        assert "simulating" not in captured.err
+
     def test_tables(self, capsys):
         rc = main(["tables", "--scale", "0.02", "--seed", "1"])
         assert rc == 0

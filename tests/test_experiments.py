@@ -5,7 +5,6 @@ import pytest
 
 from repro.artifacts import BASELINE, ArtifactInputs, get_artifact
 from repro.experiments import figures as F
-from repro.experiments.config import BenchConfig, bench_workload
 from repro.experiments.report import bar_chart, binned_medians, log_density, series_table
 from repro import api
 from repro.experiments.runner import run_policy
@@ -152,24 +151,3 @@ class TestReportHelpers:
         out = binned_medians(x, y, bins=5)
         med = out["median"]
         assert med[0] > med[-1]
-
-
-class TestBenchConfig:
-    def test_from_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        cfg = BenchConfig.from_env()
-        assert cfg.scale == 0.2
-
-    def test_full_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        assert BenchConfig.from_env().scale == 1.0
-
-    def test_scale_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.05")
-        assert BenchConfig.from_env().scale == 0.05
-
-    def test_bench_workload_builds(self):
-        wl = bench_workload(BenchConfig(scale=0.02, seed=1))
-        assert len(wl) > 100

@@ -11,9 +11,9 @@ Ten checks:
    PAPER.md, and docs/*.md must point at a file that exists.
 3. **Performance docs** — docs/PERFORMANCE.md must exist, name the
    benchmark entry points it documents by path (``perfbench/run.py``,
-   ``BENCHMARK.json``, ``benchmarks/bench_core.py``; they must exist on
-   disk), and docs/ARCHITECTURE.md must carry a Performance section, so
-   the benchmark workflow stays discoverable.  Every ``*.py`` path named
+   ``BENCHMARK.json``; they must exist on disk), and docs/ARCHITECTURE.md
+   must carry a Performance section, so the benchmark workflow stays
+   discoverable.  Every ``*.py`` path named
    in a Layer cell of its hot-path map must exist under ``src/repro/``,
    so a row cannot outlive the code it describes.
 4. **Pipeline docs** — the artifact table in docs/PIPELINE.md must
@@ -143,11 +143,7 @@ def check_performance_docs() -> list[str]:
     if not perf.is_file():
         return ["missing docs/PERFORMANCE.md"]
     text = perf.read_text()
-    for entry_point in (
-        "perfbench/run.py",
-        "BENCHMARK.json",
-        "benchmarks/bench_core.py",
-    ):
+    for entry_point in ("perfbench/run.py", "BENCHMARK.json"):
         if entry_point not in text:
             problems.append(
                 f"docs/PERFORMANCE.md: does not mention `{entry_point}`"
