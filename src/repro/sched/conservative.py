@@ -220,15 +220,15 @@ class ConservativeScheduler(BaseScheduler):
 
     def _improve(self, now: float) -> None:
         """Compression: each job re-places into the earliest fit, in priority
-        order.  Removing a reservation before re-placing guarantees the new
-        start is never later than the old one.
+        order, and never later than its current reservation.
 
-        A job reserved in the future first asks for a fit that starts
-        before its reservation, with that reservation still in place: the
-        part of any such window past the old start lies inside the job's
-        own rectangle, so the answer equals the fit after a release.  No
-        answer means the job stays put and the profile is not touched (a
-        release and re-reserve would rebuild the same lists).
+        A reservation due already (start ``<= now``) stays: no start can be
+        earlier than ``now``.  A job reserved in the future asks for a fit
+        that starts before its reservation, with that reservation still in
+        place: the part of any such window past the old start lies inside
+        the job's own rectangle, so the answer equals the fit after a
+        release.  No answer means the job stays put and the profile is not
+        touched (a release and re-reserve would rebuild the same lists).
         """
         c = _counters.ACTIVE
         if c is not None:
@@ -238,22 +238,16 @@ class ConservativeScheduler(BaseScheduler):
         moved = False
         for job in self.ordered_queue(now):
             old_start, old_end = reservations[job.id]
+            if old_start <= now:
+                # due already: no start can be earlier than now
+                continue
             nodes = job.nodes
-            if old_start > now:
-                start = profile.earliest_fit(nodes, job.wcl, now, old_start)
-                if start is None:
-                    if c is not None:
-                        c.hit("cons.compress_kept")
-                    continue
-                profile.release_reserved(old_start, old_end, nodes)
-            else:
-                profile.release_reserved(now, old_end, nodes)
-                start = profile.earliest_fit(nodes, job.wcl, now)
-                if start > old_start + EPS:
-                    raise RuntimeError(
-                        f"compression worsened job {job.id}: "
-                        f"{old_start} -> {start}"
-                    )
+            start = profile.earliest_fit(nodes, job.wcl, now, old_start)
+            if start is None:
+                if c is not None:
+                    c.hit("cons.compress_kept")
+                continue
+            profile.release_reserved(old_start, old_end, nodes)
             end = start + job.wcl
             profile.reserve_fitted(start, end, nodes)
             if start != old_start:

@@ -62,7 +62,8 @@ class FullCompressionConservative(ConservativeScheduler):
     def _improve(self, now: float) -> None:
         """Compression: each job re-places into the earliest fit, in priority
         order.  Removing a reservation before re-placing guarantees the new
-        start is never later than the old one."""
+        start is never later than the old one; a reservation due already
+        (start ``<= now``) cannot start earlier and stays."""
         c = _counters.ACTIVE
         if c is not None:
             c.hit("cons.compress")
@@ -71,8 +72,10 @@ class FullCompressionConservative(ConservativeScheduler):
         moved = False
         for job in self.ordered_queue(now):
             old_start, old_end = reservations[job.id]
+            if old_start <= now:
+                continue
             nodes = job.nodes
-            profile.release_reserved(max(old_start, now), old_end, nodes)
+            profile.release_reserved(old_start, old_end, nodes)
             start = profile.earliest_fit(nodes, job.wcl, now)
             if start > old_start + EPS:
                 raise RuntimeError(

@@ -224,12 +224,10 @@ class TestKnownConservativeDefects:
     same with and without the compression shortcut.  Each comes from a
     reservation whose start is due only through the ``EPS`` slack."""
 
-    @pytest.mark.xfail(raises=RuntimeError, strict=True,
-                       reason="re-fit from now collides at the old end")
     def test_overrun_within_eps_then_compression(self):
         # job 13 overruns its estimate by 4e-7; at its completion job 16's
-        # reservation (due at 200.0) is re-fitted from 200.0000004 and its
-        # window now reaches into job 15's reservation at 260.0
+        # reservation (due at 200.0) used to be re-fitted from 200.0000004,
+        # and its window reached into job 15's reservation at 260.0
         rows = [(i, 0.0, 1, 0.0, 50.0, None, 0) for i in range(1, 11)] + [
             (14, 0.0, 1, 150.0, 60.0, 11, 0),
             (15, 0.0, 1, 1.0, 60.0, 11, 1),
@@ -254,11 +252,9 @@ class TestKnownConservativeDefects:
         Engine(Cluster(4), ConservativeScheduler(), _jobs(rows),
                validate=True).run()
 
-    @pytest.mark.xfail(raises=IndexError, strict=True,
-                       reason="zero-length release empties the profile")
     def test_reservation_ending_at_now(self):
         # job 7's 4e-7 reservation [100.0, 100.0000004) is due when job 6
-        # completes at 100.0000004; compression releases [now, now)
+        # completes at 100.0000004; compression used to release [now, now)
         rows = [(i, 0.0, 1, 0.0, TICK, None, 0) for i in range(1, 5)] + [
             (5, 0.0, 1, 50.0, TICK, None, 0),
             (6, 0.0, 1, 100.0 + TICK, 100.0, None, 0),
