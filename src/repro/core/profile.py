@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..obs import counters as _counters
 
@@ -46,51 +46,6 @@ class ReservationProfile:
         self.size = size
         self.times: List[float] = [start_time]
         self.avail: List[int] = [size]
-
-    @classmethod
-    def from_occupations(
-        cls,
-        size: int,
-        origin: float,
-        occupations: "Iterable[Tuple[int, float]]",
-    ) -> "ReservationProfile":
-        """Profile with ``(nodes, end)`` occupations all starting at
-        ``origin`` — the "running jobs" baseline that rebuild-style
-        schedulers construct at every event.  One O(n log n) pass instead
-        of n incremental reserves; the result is byte-identical (the
-        coalesced representation of a piecewise function is unique).
-        """
-        by_end = {}
-        busy = 0
-        for nodes, end in occupations:
-            busy += nodes
-            if end in by_end:
-                by_end[end] += nodes
-            else:
-                by_end[end] = nodes
-        if busy > size:
-            raise ProfileError(
-                f"occupations over-subscribe the profile: {busy} > {size}"
-            )
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("profile.from_occupations")
-        p = cls.__new__(cls)
-        p.size = size
-        times = [origin]
-        avail = [size - busy]
-        level = size - busy
-        for end in sorted(by_end):
-            if end <= origin:
-                raise ProfileError(
-                    f"occupation end {end} not after origin {origin}"
-                )
-            level += by_end[end]
-            times.append(end)
-            avail.append(level)
-        p.times = times
-        p.avail = avail
-        return p
 
     # -- queries ---------------------------------------------------------------
 

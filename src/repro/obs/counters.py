@@ -132,14 +132,13 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("profile.release", "one validated (slow-path) release"),
     ("profile.reserve_fitted", "one trusted fast-path reserve"),
     ("profile.release_reserved", "one trusted fast-path release"),
-    ("profile.from_occupations", "one batch profile rebuild"),
     ("listsched.place", "one job placed on a FreeTimeline"),
     ("cons.rebuild", "one conservative full-profile rebuild"),
     ("cons.compress", "one compression (improvement) pass executed"),
     ("cons.compress_skipped", "one compression pass skipped as provably clean"),
     ("cons.compress_kept", "one job kept by compression without touching the profile"),
-    ("cons.heap_push", "one overrun/overdue heap push"),
-    ("cons.heap_compact", "one lazy-heap compaction"),
+    ("cons.heap_push", "one reservation-start heap push"),
+    ("cons.heap_compact", "one reservation-start heap compaction"),
     ("depthk.pass_cut", "one queued job a depth-k pass left unplaced"),
     ("sched.start", "one job started by any scheduler"),
     ("sched.backfill_start", "one start that leapt past the priority head"),

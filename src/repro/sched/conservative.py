@@ -14,15 +14,17 @@ Inaccurate user estimates make this interesting in two directions:
   gets first pick — this is where the queue priority still matters;
 * jobs running *past* their estimate (CPlant allowed this) invalidate the
   profile; we then rebuild it, bumping the overrunning job's predicted end
-  by ``overrun_extension`` at each event until it actually finishes, the
-  standard trick in backfilling simulators.
+  by ``OVERRUN_EXTENSION`` at each event until it actually finishes, the
+  standard trick in backfilling simulators.  :class:`RunningProfile` keeps
+  those predictions for this scheduler and for depth-k backfilling.
 
 Hot-path engineering (results are byte-identical to the straightforward
 implementation; the digest regression tests enforce this):
 
-* overrun/overdue detection reads the top of two lazily-invalidated
-  min-heaps (predicted ends, reservation starts) instead of scanning the
-  full dicts at every event;
+* an overrun shows as the running profile's availability at ``now``
+  differing from the cluster's free nodes, and an overdue reservation is
+  read from the top of a lazily-invalidated min-heap of reservation
+  starts, so neither scans the running jobs or the queue at every event;
 * the compression pass is skipped outright when the profile cannot have
   gained availability since the last pass (no early-finish release and no
   prior in-pass movement) — re-placing every job would reproduce the same
@@ -41,6 +43,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
 
+from ..core.cluster import Cluster
 from ..core.job import Job
 from ..core.profile import ReservationProfile
 from ..obs import counters as _counters
@@ -49,29 +52,88 @@ from .base import BaseScheduler
 #: float-comparison slack for "reservation time has arrived"
 EPS = 1e-6
 
+#: how far past ``now`` an overrunning job's predicted end moves each time
+#: a pass finds it still running after its prediction
+OVERRUN_EXTENSION = 900.0
+
+
+class RunningProfile:
+    """The running jobs' occupations, each up to its predicted end.
+
+    One persistent running-only :class:`ReservationProfile`, updated on
+    start, completion and overrun; the reservation schedulers read it
+    instead of rebuilding it from the running set at every event.  A job
+    holds ``[start, end)`` for the ``end`` its scheduler predicted.  A job
+    still running at its predicted end drops out of the profile while the
+    cluster still counts it busy; :meth:`refresh` spots that mismatch and
+    moves every such prediction to ``now + OVERRUN_EXTENSION``.
+
+    Callers update it only after :meth:`Cluster.start` has accepted the
+    job, so the trusted reserve here can never over-subscribe.
+    """
+
+    __slots__ = ("cluster", "profile", "ends")
+
+    def __init__(self, cluster: Cluster) -> None:
+        self.cluster = cluster
+        self.profile = ReservationProfile(cluster.size)
+        #: running job id -> predicted end
+        self.ends: Dict[int, float] = {}
+
+    def start(self, job: Job, now: float, end: float) -> None:
+        self.ends[job.id] = end
+        if end > now:
+            self.profile.reserve_fitted(now, end, job.nodes)
+
+    def finish(self, job: Job, now: float) -> float:
+        """Drop a completed job and return its predicted end; the part of
+        its occupation after ``now`` is released."""
+        end = self.ends.pop(job.id)
+        if end > now:
+            self.profile.release_reserved(now, end, job.nodes)
+        return end
+
+    def refresh(self, now: float) -> bool:
+        """Advance to ``now`` and move every prediction that has passed to
+        ``now + OVERRUN_EXTENSION``; True iff one moved."""
+        profile = self.profile
+        profile.advance(now)
+        # after advance the head segment is the one holding ``now``
+        if profile.avail[0] == self.cluster.free_nodes:
+            return False
+        ends = self.ends
+        bumped = now + OVERRUN_EXTENSION
+        nodes = 0
+        for job in self.cluster.running_jobs():
+            if ends[job.id] <= now:
+                ends[job.id] = bumped
+                nodes += job.nodes
+        profile.reserve_fitted(now, bumped, nodes)
+        return True
+
+    def at(self, now: float) -> ReservationProfile:
+        """A copy of the profile whose first segment starts at ``now``."""
+        self.profile.advance(now)
+        p = ReservationProfile(self.cluster.size, now)
+        p.times = self.profile.times[:]
+        p.avail = self.profile.avail[:]
+        p.times[0] = now
+        return p
+
 
 class ConservativeScheduler(BaseScheduler):
     """Conservative backfilling; ``priority`` picks the improvement order."""
 
-    def __init__(
-        self,
-        priority: str = "fairshare",
-        overrun_extension: float = 900.0,
-        **kw,
-    ) -> None:
+    def __init__(self, priority: str = "fairshare", **kw) -> None:
         super().__init__(priority=priority, **kw)
-        if overrun_extension <= 0:
-            raise ValueError("overrun_extension must be positive")
-        self.overrun_extension = overrun_extension
         self.name = f"cons.{priority}"
         self.profile: ReservationProfile | None = None
         #: queued-job reservations: job id -> (start, end)
         self.reservations: Dict[int, Tuple[float, float]] = {}
-        #: running-job predicted completion times (profile occupation ends)
-        self.predicted_end: Dict[int, float] = {}
-        #: min-heaps over (value, job id); entries are invalidated lazily by
-        #: comparing against the dicts above, so a dict update just pushes
-        self._end_heap: List[Tuple[float, int]] = []
+        #: running jobs' occupations up to their predicted ends
+        self.running: RunningProfile | None = None
+        #: min-heap over (reservation start, job id); entries are
+        #: invalidated lazily against ``reservations``, so an update pushes
         self._res_heap: List[Tuple[float, int]] = []
         #: True iff the profile may have gained availability since the last
         #: compression pass (early-finish release, or that pass moved a job)
@@ -80,6 +142,7 @@ class ConservativeScheduler(BaseScheduler):
     def attach(self, engine) -> None:
         super().attach(engine)
         self.profile = ReservationProfile(self.cluster.size)
+        self.running = RunningProfile(self.cluster)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -101,26 +164,22 @@ class ConservativeScheduler(BaseScheduler):
             raise RuntimeError(
                 f"job {job.id} started before its reservation ({res_start} > {now})"
             )
-        self.predicted_end[job.id] = res_end
-        heappush(self._end_heap, (res_end, job.id))
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("cons.heap_push")
         super().start(job, now)
+        self.running.start(job, now, res_end)
 
     def on_completion(self, job: Job, now: float) -> None:
         super().on_completion(job, now)
-        pe = self.predicted_end.pop(job.id)
-        if pe > now:
+        end = self.running.finish(job, now)
+        if end > now:
             # finished early: give the hole back
-            self.profile.release_reserved(now, pe, job.nodes)
+            self.profile.release_reserved(now, end, job.nodes)
             self._holes_dirty = True
 
     # -- scheduling pass -----------------------------------------------------------
 
     def schedule(self, now: float, reason: str) -> None:
         self.profile.advance(now)
-        if self._has_overrun(now) or self._has_overdue(now):
+        if self.running.refresh(now) or self._has_overdue(now):
             self._rebuild(now)
         elif reason == "completion":
             if self._holes_dirty:
@@ -130,17 +189,6 @@ class ConservativeScheduler(BaseScheduler):
                 if c is not None:
                     c.hit("cons.compress_skipped")
         self._start_due(now)
-
-    def _has_overrun(self, now: float) -> bool:
-        heap = self._end_heap
-        ends = self.predicted_end
-        while heap:
-            pe, jid = heap[0]
-            if ends.get(jid) != pe:
-                heappop(heap)  # completed or re-predicted since pushed
-                continue
-            return pe <= now
-        return False
 
     def _has_overdue(self, now: float) -> bool:
         """A reservation whose start slid into the past without the job
@@ -160,47 +208,25 @@ class ConservativeScheduler(BaseScheduler):
             return s < threshold
         return False
 
-    def _occupations(self, now: float):
-        """(nodes, predicted end) per running job, refreshing overrun
-        predictions (and their heap entries) in place."""
-        predicted = self.predicted_end
-        for rj in self.cluster.running_jobs():
-            pe = predicted[rj.id]
-            if pe <= now:
-                pe = now + self.overrun_extension
-                predicted[rj.id] = pe
-                heappush(self._end_heap, (pe, rj.id))
-            yield rj.nodes, pe
-
-    def _compact_heaps(self) -> None:
+    def _compact_res_heap(self) -> None:
         """Drop accumulated stale entries so rebuild-heavy runs stay lean."""
-        c = _counters.ACTIVE
-        if len(self._end_heap) > 2 * len(self.predicted_end) + 64:
-            self._end_heap = [
-                (pe, jid) for pe, jid in self._end_heap
-                if self.predicted_end.get(jid) == pe
-            ]
-            self._end_heap.sort()
-            if c is not None:
-                c.hit("cons.heap_compact")
         if len(self._res_heap) > 2 * len(self.reservations) + 64:
             self._res_heap = [
                 (s, jid) for s, jid in self._res_heap
                 if (r := self.reservations.get(jid)) is not None and r[0] == s
             ]
             self._res_heap.sort()
+            c = _counters.ACTIVE
             if c is not None:
                 c.hit("cons.heap_compact")
 
     def _rebuild(self, now: float) -> None:
-        """Recompute the whole profile: running occupations with refreshed
-        predictions, then queued reservations re-placed in priority order.
-        Every job lands at its earliest fit given all its predecessors, so
-        the resulting schedule is stable — no compression pass can improve
-        it until some release frees new room."""
-        profile = ReservationProfile.from_occupations(
-            self.cluster.size, now, self._occupations(now)
-        )
+        """Recompute the whole profile: the running profile, then queued
+        reservations re-placed in priority order.  Every job lands at its
+        earliest fit given all its predecessors, so the resulting schedule
+        is stable — no compression pass can improve it until some release
+        frees new room."""
+        profile = self.running.at(now)
         self.profile = profile
         reservations: Dict[int, Tuple[float, float]] = {}
         res_heap = self._res_heap
@@ -216,7 +242,7 @@ class ConservativeScheduler(BaseScheduler):
         if c is not None:
             c.hit("cons.rebuild")
             c.hit("cons.heap_push", len(reservations))
-        self._compact_heaps()
+        self._compact_res_heap()
 
     def _improve(self, now: float) -> None:
         """Compression: each job re-places into the earliest fit, in priority
@@ -239,7 +265,6 @@ class ConservativeScheduler(BaseScheduler):
         for job in self.ordered_queue(now):
             old_start, old_end = reservations[job.id]
             if old_start <= now:
-                # due already: no start can be earlier than now
                 continue
             nodes = job.nodes
             start = profile.earliest_fit(nodes, job.wcl, now, old_start)
@@ -250,16 +275,15 @@ class ConservativeScheduler(BaseScheduler):
             profile.release_reserved(old_start, old_end, nodes)
             end = start + job.wcl
             profile.reserve_fitted(start, end, nodes)
-            if start != old_start:
-                reservations[job.id] = (start, end)
-                heappush(self._res_heap, (start, job.id))
-                if c is not None:
-                    c.hit("cons.heap_push")
-                moved = True
+            reservations[job.id] = (start, end)
+            heappush(self._res_heap, (start, job.id))
+            if c is not None:
+                c.hit("cons.heap_push")
+            moved = True
         # if nobody moved, every job is provably at its earliest fit given
         # the others; future passes are no-ops until the next release
         self._holes_dirty = moved
-        self._compact_heaps()
+        self._compact_res_heap()
 
     def _start_due(self, now: float) -> None:
         reservations = self.reservations

@@ -10,12 +10,13 @@ queue a reservation."  This scheduler is that whole family:
 * depth ∞  — conservative backfilling with dynamic reservations: the
   paper's ``consdyn`` policies (Section 5.4), named ``consdyn.<priority>``.
 
-The implementation builds, at every scheduling event, a fresh reservation
-profile containing the running jobs plus earliest-fit reservations for the
-first ``depth`` queued jobs in priority order; any other job may start
-immediately if it fits the profile (i.e. delays none of those
-reservations).  Reservations are not sticky across events, which keeps
-the family uniform in one mechanism: at depth ∞ every queued job is
+At every scheduling event the pass copies the persistent running-job
+profile (:class:`repro.sched.conservative.RunningProfile`, the occupations
+with their overrun-extended predicted ends) and adds earliest-fit
+reservations for the first ``depth`` queued jobs in priority order; any
+other job may start immediately if it fits the profile (i.e. delays none
+of those reservations).  Reservations are not sticky across events, which
+keeps the family uniform in one mechanism: at depth ∞ every queued job is
 re-placed in priority order at every event, so a job's place in the
 schedule tracks its user's current fairshare standing and "fair" jobs
 cannot starve.  The sticky-reservation end of the spectrum is
@@ -34,13 +35,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict
 
 from ..core.job import Job
-from ..core.profile import ReservationProfile
 from ..obs import counters as _counters
 from .base import BaseScheduler
-from .conservative import EPS
+from .conservative import EPS, RunningProfile
 
 
 class DepthKScheduler(BaseScheduler):
@@ -50,7 +49,6 @@ class DepthKScheduler(BaseScheduler):
         self,
         depth: int | float = 1,
         priority: str = "fairshare",
-        overrun_extension: float = 900.0,
         **kw,
     ) -> None:
         super().__init__(priority=priority, **kw)
@@ -58,40 +56,28 @@ class DepthKScheduler(BaseScheduler):
             raise ValueError("depth must be an int or math.inf")
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
-        if overrun_extension <= 0:
-            raise ValueError("overrun_extension must be positive")
         self.depth = depth
-        self.overrun_extension = overrun_extension
         self.name = (
             f"consdyn.{priority}" if math.isinf(depth)
             else f"depth{depth}.{priority}"
         )
-        #: running-job predicted completion times
-        self.predicted_end: Dict[int, float] = {}
+        self.running: RunningProfile | None = None
+
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self.running = RunningProfile(self.cluster)
 
     def on_completion(self, job: Job, now: float) -> None:
         super().on_completion(job, now)
-        self.predicted_end.pop(job.id, None)
+        self.running.finish(job, now)
 
     def start(self, job: Job, now: float) -> None:
-        self.predicted_end[job.id] = now + job.wcl
         super().start(job, now)
-
-    def _occupations(self, now: float):
-        """(nodes, predicted end) per running job, refreshing overrun
-        predictions in place."""
-        predicted = self.predicted_end
-        for rj in self.cluster.running_jobs():
-            pe = predicted[rj.id]
-            if pe <= now:
-                pe = now + self.overrun_extension
-                predicted[rj.id] = pe
-            yield rj.nodes, pe
+        self.running.start(job, now, now + job.wcl)
 
     def schedule(self, now: float, reason: str) -> None:
-        profile = ReservationProfile.from_occupations(
-            self.cluster.size, now, self._occupations(now)
-        )
+        self.running.refresh(now)
+        profile = self.running.at(now)
         order = self.ordered_queue(now)
         threshold = now + EPS
         # (rank, nodes, now + wcl) of every job that may still start now;

@@ -7,7 +7,9 @@ reservation in place without touching the profile when no earlier start
 exists.  The subclasses here keep the plain loops those shortcuts replace:
 
 * :class:`FullPassDepthK` places every queued job in priority order at
-  every pass;
+  every pass, on a profile it builds from its own per-job predicted ends
+  (:class:`PredictedEnds`), not from the shared
+  :class:`~repro.sched.conservative.RunningProfile`;
 * :class:`FullCompressionConservative` releases, re-fits and re-reserves
   every queued job at every compression pass.
 
@@ -20,17 +22,74 @@ from __future__ import annotations
 
 from heapq import heappush
 
-from repro.core.profile import ReservationProfile
+from repro.core.profile import ProfileError, ReservationProfile
 from repro.obs import counters as _counters
-from repro.sched.conservative import EPS, ConservativeScheduler
+from repro.sched.conservative import (
+    EPS,
+    OVERRUN_EXTENSION,
+    ConservativeScheduler,
+)
 from repro.sched.depthk import DepthKScheduler
 
 
-class FullPassDepthK(DepthKScheduler):
+def from_occupations(size, origin, occupations):
+    """A profile with ``(nodes, end)`` occupations all starting at
+    ``origin``, built in one sorted pass."""
+    by_end = {}
+    busy = 0
+    for nodes, end in occupations:
+        busy += nodes
+        by_end[end] = by_end.get(end, 0) + nodes
+    if busy > size:
+        raise ProfileError(f"occupations over-subscribe the profile: "
+                           f"{busy} > {size}")
+    times = [origin]
+    avail = [size - busy]
+    for end in sorted(by_end):
+        if end <= origin:
+            raise ProfileError(f"occupation end {end} not after {origin}")
+        times.append(end)
+        avail.append(avail[-1] + by_end[end])
+    profile = ReservationProfile(size, origin)
+    profile.times = times
+    profile.avail = avail
+    return profile
+
+
+class PredictedEnds:
+    """Depth-k's running-job bookkeeping as a plain per-job dict: each
+    start predicts ``now + wcl``, and a job still running at its
+    prediction is predicted to end ``OVERRUN_EXTENSION`` after ``now``."""
+
+    def __init__(self, *args, **kw) -> None:
+        super().__init__(*args, **kw)
+        self.predicted_end = {}
+
+    def start(self, job, now):
+        super().start(job, now)
+        self.predicted_end[job.id] = now + job.wcl
+
+    def on_completion(self, job, now):
+        super().on_completion(job, now)
+        del self.predicted_end[job.id]
+
+    def _occupations(self, now):
+        """(nodes, predicted end) per running job, refreshing overrun
+        predictions in place."""
+        predicted = self.predicted_end
+        for rj in self.cluster.running_jobs():
+            pe = predicted[rj.id]
+            if pe <= now:
+                pe = now + OVERRUN_EXTENSION
+                predicted[rj.id] = pe
+            yield rj.nodes, pe
+
+
+class FullPassDepthK(PredictedEnds, DepthKScheduler):
     """Depth-k backfilling that places the whole queue at every pass."""
 
     def schedule(self, now: float, reason: str) -> None:
-        profile = ReservationProfile.from_occupations(
+        profile = from_occupations(
             self.cluster.size, now, self._occupations(now)
         )
         order = self.ordered_queue(now)
@@ -92,4 +151,4 @@ class FullCompressionConservative(ConservativeScheduler):
         # if nobody moved, every job is provably at its earliest fit given
         # the others; future passes are no-ops until the next release
         self._holes_dirty = moved
-        self._compact_heaps()
+        self._compact_res_heap()

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.core.job import Job
-from repro.core.profile import ReservationProfile
 from repro.obs import counters
 from repro.sched.conservative import EPS, ConservativeScheduler
 from repro.sched.depthk import DepthKScheduler
@@ -35,6 +34,8 @@ from repro.workload.transforms import split_by_runtime_limit
 from tests.backfill_reference import (
     FullCompressionConservative,
     FullPassDepthK,
+    PredictedEnds,
+    from_occupations,
 )
 
 #: a hair under EPS: completions this close count as simultaneous
@@ -148,7 +149,7 @@ def expected_cut(size, now, occupations, order, depth):
     still has its nodes free on the profile so far.  The pass may stop
     at the first rank where no job may.
     """
-    profile = ReservationProfile.from_occupations(size, now, occupations)
+    profile = from_occupations(size, now, occupations)
     threshold = now + EPS
     free = profile.available_at(threshold)
 
@@ -170,9 +171,10 @@ def expected_cut(size, now, occupations, order, depth):
     return 0
 
 
-class DepthKCut(DepthK):
+class DepthKCut(PredictedEnds, DepthK):
     """Records, per pass, the ``depthk.pass_cut`` count next to
-    :func:`expected_cut` on the same queue and running set."""
+    :func:`expected_cut` on the same queue and running set, with the
+    running occupations from the reference's own predicted ends."""
 
     def schedule(self, now, reason):
         occupations = list(self._occupations(now))
@@ -220,14 +222,16 @@ def _jobs(rows):
 
 
 class TestKnownConservativeDefects:
-    """Crashes the generator above finds in conservative backfilling, the
-    same with and without the compression shortcut.  Each comes from a
-    reservation whose start is due only through the ``EPS`` slack."""
+    """EPS-scale cases the generator above finds in conservative
+    backfilling, the same with and without the compression shortcut.
+    Each comes from a reservation whose start is due only through the
+    ``EPS`` slack; the one still marked xfail still crashes."""
 
     def test_overrun_within_eps_then_compression(self):
         # job 13 overruns its estimate by 4e-7; at its completion job 16's
-        # reservation (due at 200.0) used to be re-fitted from 200.0000004,
-        # and its window reached into job 15's reservation at 260.0
+        # reservation is due (200.0), so compression must keep it: re-fitted
+        # from 200.0000004 its window would reach job 15's reservation at
+        # 260.0
         rows = [(i, 0.0, 1, 0.0, 50.0, None, 0) for i in range(1, 11)] + [
             (14, 0.0, 1, 150.0, 60.0, 11, 0),
             (15, 0.0, 1, 1.0, 60.0, 11, 1),
@@ -254,7 +258,7 @@ class TestKnownConservativeDefects:
 
     def test_reservation_ending_at_now(self):
         # job 7's 4e-7 reservation [100.0, 100.0000004) is due when job 6
-        # completes at 100.0000004; compression used to release [now, now)
+        # completes at 100.0000004; compression must not release [now, now)
         rows = [(i, 0.0, 1, 0.0, TICK, None, 0) for i in range(1, 5)] + [
             (5, 0.0, 1, 50.0, TICK, None, 0),
             (6, 0.0, 1, 100.0 + TICK, 100.0, None, 0),

@@ -9,7 +9,7 @@ from repro.core.engine import Engine, KillPolicy
 from repro.core.job import JobState
 from repro.core.results import SimulationResult
 from repro.sched.base import BaseScheduler
-from repro.sched.conservative import ConservativeScheduler
+from repro.sched.conservative import OVERRUN_EXTENSION, ConservativeScheduler
 from repro.sched.depthk import DepthKScheduler
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
@@ -144,11 +144,20 @@ class TestConservativeEdges:
                      validate=True).run()
         assert res.job_by_id()[9].start_time >= 1000.0
 
-    def test_overrun_extension_configurable(self):
-        sched = ConservativeScheduler(overrun_extension=10.0)
+    def test_overrun_extension_default(self):
+        # job 1 overruns its 100 s estimate; the pass at job 3's arrival
+        # moves its predicted end to 200 + OVERRUN_EXTENSION, and its real
+        # completion at 500 gives that hole back to jobs 2 and 3
+        sched = ConservativeScheduler()
         jobs = [
             make_job(id=1, submit=0.0, nodes=8, runtime=500.0, wcl=100.0),
             make_job(id=2, submit=10.0, nodes=8, runtime=10.0, wcl=10.0),
+            make_job(id=3, submit=200.0, nodes=8, runtime=10.0, wcl=10.0),
         ]
-        res = Engine(Cluster(8), sched, jobs, validate=True).run()
+        engine = Engine(Cluster(8), sched, jobs, validate=True)
+        engine.step_until(200.0)
+        assert sched.running.ends == {1: 200.0 + OVERRUN_EXTENSION}
+        assert sched.reservations[2][0] == 200.0 + OVERRUN_EXTENSION
+        res = engine.finish()
         assert res.job_by_id()[2].start_time == 500.0
+        assert res.job_by_id()[3].start_time == 510.0

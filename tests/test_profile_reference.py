@@ -14,9 +14,17 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.cluster import AllocationError, Cluster
+from repro.core.engine import Engine
 from repro.core.listsched import FreeTimeline, RunningTimeline
 from repro.core.profile import ProfileError, ReservationProfile
 from repro.obs import counters
+from repro.sched.conservative import (
+    OVERRUN_EXTENSION,
+    ConservativeScheduler,
+    RunningProfile,
+)
+from repro.sched.depthk import DepthKScheduler
 from tests.conftest import make_job
 from tests.listsched_reference import ListScheduler
 
@@ -225,33 +233,85 @@ def test_trusted_fast_paths_match_validated_api():
         assert a.times == b.times and a.avail == b.avail
 
 
-def test_from_occupations_matches_incremental_reserves():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        size = int(rng.integers(4, 128))
-        now = float(rng.uniform(0, 1000))
-        k = int(rng.integers(0, 12))
-        widths = []
-        remaining = size
-        for _ in range(k):
-            if remaining == 0:
-                break
-            w = int(rng.integers(1, remaining + 1))
-            widths.append(w)
-            remaining -= w
-        occs = [(w, now + float(rng.uniform(1, 500))) for w in widths]
-        batch = ReservationProfile.from_occupations(size, now, occs)
-        incr = ReservationProfile(size, now)
-        for w, end in occs:
-            incr.reserve(now, end, w)
-        assert batch.times == incr.times
-        assert batch.avail == incr.avail
-        batch.check_invariants()
+def _start(cluster, running, job, now, end):
+    """Start ``job`` the way the reservation schedulers do: on the cluster
+    first, so a start it refuses never reaches the running profile."""
+    cluster.start(job, now)
+    running.start(job, now, end)
 
 
-def test_from_occupations_rejects_oversubscription():
-    with pytest.raises(ProfileError, match="over-subscribe"):
-        ReservationProfile.from_occupations(4, 0.0, [(3, 10.0), (2, 10.0)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_running_profile_matches_brute_force(seed):
+    """Random start, finish and refresh sequences on small machines, with
+    equal timestamps, predicted ends landing on ``now`` and overruns.
+    After every operation ``at(now)`` must equal a profile built with
+    validated reserves from a plain dict that applies the overrun rule."""
+    rng = np.random.default_rng(seed)
+    steps = [0.0, 25.0, 50.0, 100.0, OVERRUN_EXTENSION]
+    for trial in range(40):
+        size = int(rng.integers(1, 9))
+        cluster = Cluster(size)
+        running = RunningProfile(cluster)
+        ends = {}  # running job id -> [nodes, predicted end]
+        jobs = {}
+        now = 0.0
+        for op in range(60):
+            r = rng.random()
+            if r < 0.25:
+                now += float(rng.choice(steps))
+            elif r < 0.55:
+                job = make_job(id=len(jobs) + 1,
+                               nodes=int(rng.integers(1, size + 1)))
+                end = now + float(rng.choice(steps))
+                if job.nodes > cluster.free_nodes:
+                    with pytest.raises(AllocationError, match="only"):
+                        _start(cluster, running, job, now, end)
+                    continue
+                _start(cluster, running, job, now, end)
+                jobs[job.id] = job
+                ends[job.id] = [job.nodes, end]
+            elif r < 0.8:
+                if not ends:
+                    continue
+                jid = sorted(ends)[int(rng.integers(len(ends)))]
+                cluster.finish(jobs[jid], now)
+                assert running.finish(jobs[jid], now) == ends.pop(jid)[1]
+            else:
+                overdue = [occ for occ in ends.values() if occ[1] <= now]
+                for occ in overdue:
+                    occ[1] = now + OVERRUN_EXTENSION
+                assert running.refresh(now) == bool(overdue)
+            want = ReservationProfile(size, now)
+            for nodes, end in ends.values():
+                if end > now:
+                    want.reserve(now, end, nodes)
+            got = running.at(now)
+            assert (got.times, got.avail) == (want.times, want.avail), (
+                f"trial {trial} op {op}")
+            got.check_invariants()
+
+
+@pytest.mark.parametrize("factory", [
+    ConservativeScheduler,
+    lambda: DepthKScheduler(depth=math.inf),
+], ids=["cons", "consdyn"])
+def test_refused_start_leaves_running_profile_alone(factory):
+    """Over-subscription fails with the cluster's named error, before the
+    scheduler's running profile records the job."""
+    sched = factory()
+    jobs = [make_job(id=1, nodes=3, runtime=100.0),
+            make_job(id=2, nodes=2, runtime=100.0)]
+    engine = Engine(Cluster(4), sched, jobs)
+    engine.step_until(0.0)
+    before = sched.running.at(0.0)
+    (queued,) = sched.queue
+    if isinstance(sched, ConservativeScheduler):
+        sched.reservations[queued.id] = (0.0, 100.0)  # as if it were due
+    with pytest.raises(AllocationError, match="needs 2 nodes, only 1 free"):
+        sched.start(queued, 0.0)
+    assert sched.running.ends == {1: 100.0}
+    after = sched.running.at(0.0)
+    assert (after.times, after.avail) == (before.times, before.avail)
 
 
 def test_advance_merges_redundant_head():

@@ -153,3 +153,9 @@ class TestValidateOverrides:
     def test_policy_key_in_message(self):
         with pytest.raises(ValueError, match="fsp.easy"):
             validate_overrides("fsp.easy", {"nope": 1})
+
+    @pytest.mark.parametrize("key", ["cons.nomax", "consdyn.nomax"])
+    def test_overrun_extension_is_not_an_option(self, key):
+        # the overrun extension is one module constant, not a knob
+        with pytest.raises(ValueError, match=r"override 'overrun_extension'"):
+            validate_overrides(key, {"overrun_extension": 10.0})
