@@ -204,13 +204,9 @@ def run(
         req = replace(request, **kwargs)  # type: ignore[arg-type]
     else:
         req = request
-    wl = req.resolve_workload()
-    opts = req.resolve_options()
     prun = _runner.run_policy(
-        wl,
-        req.policy,
-        observers=list(req.observers) or None,
-        **opts.as_run_kwargs(),
+        req.resolve_workload(), req.policy, req.resolve_options(),
+        observers=req.observers,
     )
     return SimulationHandle(req, prun)
 

@@ -8,9 +8,9 @@ cells themselves (pure worker + seeded generators), not in scheduling, so
 
 The worker, :func:`run_cell`, is a pure top-level function: it builds the
 cell's workload (memoized per worker process — one trace typically feeds
-many policy cells) and delegates to the same
-:func:`repro.experiments.runner.run_policy` the serial path uses, then
-flattens the result into the JSON-safe metric record the cache stores.
+many policy cells) and runs it through :func:`repro.api.run`, the facade
+every other path uses, then flattens the result into the JSON-safe metric
+record the cache stores.
 
 Because a 10k-cell sweep will meet real failures, the executor is a
 *runtime*, not a loop (semantics in ``docs/ROBUSTNESS.md``):
@@ -363,7 +363,17 @@ def run_cells(
     instead of raised, and the returned list simply omits the failed
     cells.  ``report`` (if given) is filled in place, so recovery counts
     survive even a run that dies mid-flight.
+
+    ``resume`` without a ``journal`` raises ``ValueError``: there is
+    nothing to replay, and re-running every cell silently would pass for
+    a resume.
     """
+    if resume and journal is None:
+        raise ValueError(
+            "resume needs a run journal, and run journals live under the "
+            "cache root: resuming without a cache (--no-cache) cannot "
+            "replay anything"
+        )
     cells = list(cells)
     keys = [cell_key(c) for c in cells]
     policy = retry if retry is not None else RetryPolicy()

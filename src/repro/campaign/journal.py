@@ -1,12 +1,14 @@
 """Crash-safe run journal: append-only JSONL making campaigns resumable.
 
 The content-addressed cache already makes re-runs cheap, but it is a
-*cache*: entries can be evicted, corrupted, or disabled (``--no-cache``),
-and it records nothing about which run produced what.  The journal is the
-executor's write-ahead completion log — one flushed JSON line per
-finished cell, metrics embedded — so ``repro sweep --resume`` continues
-an interrupted run *exactly*: completed cells replay from the journal
-(source ``"journal"``), everything else executes as usual.
+*cache*: entries can be evicted or corrupted, and it records nothing
+about which run produced what.  The journal is the executor's
+write-ahead completion log — one flushed JSON line per finished cell,
+metrics embedded — so ``repro sweep --resume`` continues an interrupted
+run *exactly*: completed cells replay from the journal (source
+``"journal"``), everything else executes as usual.  Journals live under
+the cache root, so a run without a cache (``--no-cache``) keeps none,
+and asking it to resume is an error rather than a silent full re-run.
 
 Records (schema 1):
 

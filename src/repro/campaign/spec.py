@@ -19,7 +19,7 @@ import hashlib
 import inspect
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -282,10 +282,9 @@ class CampaignSpec:
     overrides: Tuple[Tuple[Tuple[str, object], ...], ...] = ((),)
     sweep: Tuple[Tuple[str, Tuple[object, ...]], ...] = ()
     replications: int = 1
-    estimate_mode: str = "perfect"
-    epsilon: float = 1.0
-    kill_policy: str = "IF_NEEDED"
-    validate_engine: bool = False
+    #: engine options shared by every cell (scheduler overrides come
+    #: from ``overrides``/``sweep`` variants, one per cell)
+    options: RunOptions = field(default_factory=RunOptions)
 
     def __post_init__(self) -> None:
         if not self.policies:
@@ -294,9 +293,11 @@ class CampaignSpec:
             raise ValueError("campaign needs at least one workload")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        # the shared option parser rejects bad values with structured
-        # errors naming the key (same messages on every surface)
-        self._options(variant={})
+        if self.options.scheduler_overrides:
+            raise ValueError(
+                "campaign scheduler overrides are per variant: give them "
+                "as 'overrides' or 'sweep', not in the shared options"
+            )
         self.policies = tuple(self.policies)
         self.workloads = tuple(self.workloads)
         self.overrides = tuple(
@@ -308,11 +309,13 @@ class CampaignSpec:
 
     # -- construction ----------------------------------------------------------
 
+    #: the engine-option keys a spec carries at top level
+    _OPTION_KEYS = ("estimate_mode", "epsilon", "kill_policy")
+
     #: keys :meth:`from_dict` understands — anything else is a typo
     _SPEC_KEYS = frozenset({
         "name", "policies", "workloads", "scenarios", "overrides", "sweep",
-        "replications", "estimate_mode", "epsilon", "kill_policy",
-        "validate_engine",
+        "replications", "validate_engine", *_OPTION_KEYS,
     })
 
     @classmethod
@@ -348,10 +351,10 @@ class CampaignSpec:
             overrides=overrides,
             sweep=sweep,
             replications=int(d.get("replications", 1)),
-            estimate_mode=str(d.get("estimate_mode", "perfect")),
-            epsilon=float(d.get("epsilon", 1.0)),
-            kill_policy=str(d.get("kill_policy", "IF_NEEDED")),
-            validate_engine=bool(d.get("validate_engine", False)),
+            options=RunOptions.from_mapping(
+                {k: d[k] for k in cls._OPTION_KEYS if k in d},
+                validate=bool(d.get("validate_engine", False)),
+            ),
         )
 
     @classmethod
@@ -364,15 +367,15 @@ class CampaignSpec:
             "policies": list(self.policies),
             "workloads": [w.to_dict() for w in self.workloads],
             "replications": self.replications,
-            "estimate_mode": self.estimate_mode,
-            "epsilon": self.epsilon,
-            "kill_policy": self.kill_policy,
+            "estimate_mode": self.options.estimate_mode,
+            "epsilon": self.options.epsilon,
+            "kill_policy": self.options.kill_policy.name,
         }
         if self.overrides != ((),):
             out["overrides"] = [dict(v) for v in self.overrides]
         if self.sweep:
             out["sweep"] = {k: list(vs) for k, vs in self.sweep}
-        if self.validate_engine:
+        if self.options.validate:
             out["validate_engine"] = True
         return out
 
@@ -408,16 +411,6 @@ class CampaignSpec:
                 if variant:
                     validate_overrides(key, variant)
 
-    def _options(self, variant: Mapping[str, object]) -> RunOptions:
-        """The engine options of one grid cell, via the shared parser."""
-        return RunOptions.from_mapping({
-            "estimate_mode": self.estimate_mode,
-            "epsilon": self.epsilon,
-            "kill_policy": self.kill_policy,
-            "scheduler_overrides": dict(variant),
-            "validate": self.validate_engine,
-        })
-
     def expand(self) -> List[CampaignCell]:
         """The full grid as independent cells, in deterministic order."""
         variants = self.variants()
@@ -426,7 +419,9 @@ class CampaignSpec:
         for wspec in self.workloads:
             for seed in wspec.effective_seeds(self.replications):
                 for variant in variants:
-                    options = self._options(variant)
+                    options = replace(
+                        self.options, scheduler_overrides=tuple(variant.items())
+                    )
                     for policy in self.policies:
                         cells.append(
                             CampaignCell(

@@ -7,6 +7,8 @@ Subcommands::
     repro compare   --policies cplant24.nomax.all,cons.72max --scale 0.1
     repro figures   --scale 0.1          # print every paper figure
     repro tables    --scale 1.0          # print Tables 1-2
+    repro analyze   --scale 0.1          # workload characterization
+    repro export    --scale 0.1 --json suite.json --csv suite.csv
     repro sweep     campaign.json --jobs 4   # parallel cached sweep
     repro sweep     campaign.json --resume   # continue an interrupted run
     repro cache     verify|prune             # audit/repair the cell cache
@@ -22,6 +24,7 @@ Subcommands::
     repro scenarios describe heavy-tail-runtimes
     repro scenarios run heavy-tail-runtimes --set alpha=1.3
     repro scenarios export bursty-arrivals --out bursty.swf
+    repro serve     --port 0 --policy easy.fairshare   # multi-tenant server
 
 ``python -m repro ...`` works too; ``pip install -e .`` provides the
 ``repro`` entry point (and its alias ``repro-sched``).
@@ -270,17 +273,21 @@ def _add_robustness_args(p: argparse.ArgumentParser) -> None:
 def cmd_sweep(args) -> int:
     spec = CampaignSpec.from_json(args.spec)
     cache = _cache(args)
-    result = api.sweep(
-        spec,
-        jobs=args.jobs,
-        cache=cache,
-        force=args.force,
-        progress=_progress("sweep", 4, args.quiet),
-        retry=_retry_policy(args),
-        keep_going=args.keep_going,
-        resume=args.resume,
-        journal_dir=default_journal_dir(cache),
-    )
+    try:
+        result = api.sweep(
+            spec,
+            jobs=args.jobs,
+            cache=cache,
+            force=args.force,
+            progress=_progress("sweep", 4, args.quiet),
+            retry=_retry_policy(args),
+            keep_going=args.keep_going,
+            resume=args.resume,
+            journal_dir=default_journal_dir(cache),
+        )
+    except ValueError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     doc = result.aggregate()
 
     print(
@@ -495,7 +502,7 @@ def cmd_paper_build(args) -> int:
             retry=_retry_policy(args),
             resume=args.resume,
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     plan = result.plan

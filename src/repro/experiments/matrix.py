@@ -68,11 +68,7 @@ class MatrixConfig:
                 )
 
     def options(self) -> RunOptions:
-        # the shared parser pins "fairshare" (always evaluated — it is the
-        # primary fairness block) first for a canonical cell identity
-        return RunOptions.from_mapping(
-            {"reference_orders": self.reference_orders}
-        )
+        return RunOptions(reference_orders=self.reference_orders)
 
     def cells(self) -> List[CampaignCell]:
         """The sweep grid, in deterministic (scenario, policy) order."""

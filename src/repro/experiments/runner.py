@@ -16,6 +16,7 @@ import numpy as np
 
 from ..core.cluster import Cluster
 from ..core.engine import Engine, KillPolicy
+from ..core.job import Job
 from ..core.results import SimulationResult
 from ..metrics.categories import average_miss_by_width, average_turnaround_by_width
 from ..metrics.fairness import (
@@ -34,7 +35,7 @@ from ..metrics.standard import (
     utilization,
 )
 from ..metrics.weekly import WeeklySeries, weekly_series
-from ..sched.registry import get_policy
+from ..sched.registry import PolicySpec, get_policy
 from ..workload.model import Workload
 from ..workload.transforms import parent_view, split_by_runtime_limit
 
@@ -87,12 +88,14 @@ class RunOptions:
     """Engine options for one policy run, in canonical (hashable, picklable)
     form.
 
-    Both execution paths share it: the serial :func:`run_policy` signature
-    maps onto it 1:1, and the campaign subsystem embeds it in grid cells so
-    a cell fully determines its simulation (the cache key hashes
-    :meth:`identity`).  ``scheduler_overrides`` is a sorted tuple of pairs
-    and ``kill_policy`` a :class:`KillPolicy` so equal options always
-    compare (and hash) equal.
+    Every surface carries one of these to the engine: :func:`run_policy`,
+    :class:`~repro.service.session.LiveSimulation`, campaign cells (whose
+    cache key hashes :meth:`identity`), artifact definitions, the fairness
+    matrix and the service protocol.  Construction is the one
+    canonicalise-and-validate step, so loosely-typed values (a kill-policy
+    name, an overrides mapping, a list of reference orders) normalise to
+    one form, equal options compare and hash equal, and a bad value fails
+    with a ``ValueError`` that names its key.
     """
 
     estimate_mode: str = "perfect"
@@ -100,26 +103,84 @@ class RunOptions:
     kill_policy: KillPolicy = KillPolicy.IF_NEEDED
     scheduler_overrides: Tuple[Tuple[str, object], ...] = ()
     validate: bool = False
-    #: hybrid-FST reference orders to evaluate; the first-position
-    #: fairshare default is the paper's configuration and is deliberately
-    #: *omitted* from :meth:`identity` so pre-existing cache keys (and the
-    #: digest oracle) are untouched by the matrix extension
+    #: hybrid-FST reference orders to evaluate; fairshare (the paper's
+    #: basis, always evaluated) pins first and the rest keep caller order,
+    #: deduplicated.  The fairshare-only default is deliberately *omitted*
+    #: from :meth:`identity` so pre-existing cache keys (and the digest
+    #: oracle) are untouched by the matrix extension
     reference_orders: Tuple[str, ...] = ("fairshare",)
 
     def __post_init__(self) -> None:
-        if isinstance(self.kill_policy, str):
-            object.__setattr__(
-                self, "kill_policy", KillPolicy[self.kill_policy.upper()]
+        if self.estimate_mode not in ("perfect", "wcl"):
+            raise ValueError(
+                f"unknown estimate_mode {self.estimate_mode!r}; "
+                f"known: 'perfect', 'wcl'"
             )
-        object.__setattr__(
-            self,
-            "scheduler_overrides",
-            tuple(sorted(dict(self.scheduler_overrides).items())),
+
+        try:
+            epsilon = float(self.epsilon)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"epsilon must be a number, got {self.epsilon!r}"
+            ) from None
+
+        kp = self.kill_policy
+        if isinstance(kp, str):
+            try:
+                kp = KillPolicy[kp.upper()]
+            except KeyError:
+                raise ValueError(
+                    f"unknown kill_policy {kp!r}; "
+                    f"known: {', '.join(k.name for k in KillPolicy)}"
+                ) from None
+        elif not isinstance(kp, KillPolicy):
+            raise ValueError(
+                f"kill_policy must be a KillPolicy name, got {kp!r}"
+            )
+
+        raw_ov = self.scheduler_overrides
+        try:
+            overrides = dict(raw_ov)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"scheduler_overrides must be a mapping, got {raw_ov!r}"
+            ) from None
+        bad_keys = sorted(
+            repr(k) for k in overrides if not isinstance(k, str)
         )
-        orders = self.reference_orders
-        if isinstance(orders, str):
-            orders = (orders,)
-        object.__setattr__(self, "reference_orders", tuple(orders))
+        if bad_keys:
+            raise ValueError(
+                f"scheduler_overrides keys must be strings, got {bad_keys}"
+            )
+
+        if not isinstance(self.validate, bool):
+            raise ValueError(f"validate must be a bool, got {self.validate!r}")
+
+        raw_orders = self.reference_orders
+        if isinstance(raw_orders, str):
+            raw_orders = (raw_orders,)
+        try:
+            orders = [str(o) for o in raw_orders]
+        except TypeError:
+            raise ValueError(
+                f"reference_orders must be a list of names, got {raw_orders!r}"
+            ) from None
+        bad_orders = sorted(set(orders) - set(REFERENCE_ORDERS))
+        if bad_orders:
+            raise ValueError(
+                f"unknown reference_orders {bad_orders}; "
+                f"known: {sorted(REFERENCE_ORDERS)}"
+            )
+
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "kill_policy", kp)
+        object.__setattr__(
+            self, "scheduler_overrides", tuple(sorted(overrides.items()))
+        )
+        object.__setattr__(
+            self, "reference_orders",
+            ("fairshare", *dict.fromkeys(o for o in orders if o != "fairshare")),
+        )
 
     #: mapping keys :meth:`from_mapping` understands ("overrides" is the
     #: accepted shorthand for "scheduler_overrides")
@@ -134,15 +195,11 @@ class RunOptions:
         mapping: Optional[Mapping[str, object]] = None,
         **extra: object,
     ) -> "RunOptions":
-        """Parse loosely-typed option data (JSON specs, CLI flags, request
-        payloads) into canonical options, failing with a ``ValueError``
-        that names the offending key.
+        """Options from loosely-typed data (JSON specs, CLI flags, request
+        payloads): rejects unknown keys, resolves the ``overrides``
+        shorthand, and leaves every value to the constructor.
 
-        This is the single option-parsing path: the campaign spec, the
-        fairness matrix, the artifact pipeline, and the service protocol
-        all feed their mappings through here, so every surface rejects the
-        same inputs with the same messages.  ``extra`` keyword pairs merge
-        over ``mapping`` (caller overrides).
+        ``extra`` keyword pairs merge over ``mapping`` (caller overrides).
         """
         data: Dict[str, object] = {**dict(mapping or {}), **extra}
         unknown = sorted(set(data) - cls.MAPPING_KEYS)
@@ -151,87 +208,14 @@ class RunOptions:
                 f"unknown run-option keys {unknown}; "
                 f"known: {sorted(cls.MAPPING_KEYS)}"
             )
-
-        estimate_mode = data.get("estimate_mode", "perfect")
-        if estimate_mode not in ("perfect", "wcl"):
-            raise ValueError(
-                f"unknown estimate_mode {estimate_mode!r}; "
-                f"known: 'perfect', 'wcl'"
-            )
-
-        raw_eps = data.get("epsilon", 1.0)
-        try:
-            epsilon = float(raw_eps)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"epsilon must be a number, got {raw_eps!r}"
-            ) from None
-
-        kp = data.get("kill_policy", KillPolicy.IF_NEEDED)
-        if isinstance(kp, str):
-            try:
-                kp = KillPolicy[kp.upper()]
-            except KeyError:
+        if "overrides" in data:
+            if "scheduler_overrides" in data:
                 raise ValueError(
-                    f"unknown kill_policy {kp!r}; "
-                    f"known: {', '.join(k.name for k in KillPolicy)}"
-                ) from None
-        elif not isinstance(kp, KillPolicy):
-            raise ValueError(
-                f"kill_policy must be a KillPolicy name, got {kp!r}"
-            )
-
-        if "overrides" in data and "scheduler_overrides" in data:
-            raise ValueError(
-                "give either 'scheduler_overrides' or its shorthand "
-                "'overrides', not both"
-            )
-        raw_ov = data.get("scheduler_overrides", data.get("overrides", ()))
-        try:
-            overrides = dict(raw_ov)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"scheduler_overrides must be a mapping, got {raw_ov!r}"
-            ) from None
-        bad_keys = sorted(k for k in overrides if not isinstance(k, str))
-        if bad_keys:
-            raise ValueError(
-                f"scheduler_overrides keys must be strings, got {bad_keys}"
-            )
-
-        validate = data.get("validate", False)
-        if not isinstance(validate, bool):
-            raise ValueError(f"validate must be a bool, got {validate!r}")
-
-        raw_orders = data.get("reference_orders", ("fairshare",))
-        if isinstance(raw_orders, str):
-            raw_orders = (raw_orders,)
-        try:
-            orders = [str(o) for o in raw_orders]  # type: ignore[union-attr]
-        except TypeError:
-            raise ValueError(
-                f"reference_orders must be a list of names, got {raw_orders!r}"
-            ) from None
-        bad_orders = sorted(set(orders) - set(REFERENCE_ORDERS))
-        if bad_orders:
-            raise ValueError(
-                f"unknown reference_orders {bad_orders}; "
-                f"known: {sorted(REFERENCE_ORDERS)}"
-            )
-        # fairshare (the paper's basis, always evaluated) pins first for a
-        # canonical identity; the rest keep caller order, deduplicated
-        canon = ("fairshare",) + tuple(
-            dict.fromkeys(o for o in orders if o != "fairshare")
-        )
-
-        return cls(
-            estimate_mode=str(estimate_mode),
-            epsilon=epsilon,
-            kill_policy=kp,
-            scheduler_overrides=tuple(overrides.items()),
-            validate=validate,
-            reference_orders=canon,
-        )
+                    "give either 'scheduler_overrides' or its shorthand "
+                    "'overrides', not both"
+                )
+            data["scheduler_overrides"] = data.pop("overrides")
+        return cls(**data)  # type: ignore[arg-type]
 
     def identity(self) -> Dict[str, object]:
         """JSON-safe canonical form (stable across processes and runs)."""
@@ -245,19 +229,6 @@ class RunOptions:
         if self.reference_orders != ("fairshare",):
             out["reference_orders"] = list(self.reference_orders)
         return out
-
-    def as_run_kwargs(self) -> Dict[str, object]:
-        """This option set as :func:`run_policy` keyword arguments
-        (overrides as the canonical tuple of pairs, which ``run_policy``
-        accepts)."""
-        return {
-            "estimate_mode": self.estimate_mode,
-            "epsilon": self.epsilon,
-            "kill_policy": self.kill_policy,
-            "scheduler_overrides": self.scheduler_overrides or None,
-            "validate": self.validate,
-            "reference_orders": self.reference_orders,
-        }
 
 
 def _collapse_chunk_fst(
@@ -275,30 +246,45 @@ def _collapse_chunk_fst(
     return out
 
 
-def metric_observers(
-    estimate_mode: str, reference_orders: Sequence[str] = ("fairshare",)
-) -> List:
+def metric_observers(options: RunOptions) -> List:
     """The metric observer stack every simulation carries, in order: one
     hybrid FST observer for every reference order (the paper's fairshare
-    order pinned first), then loss of capacity.
+    order first), then loss of capacity."""
+    return [
+        HybridFSTObserver(options.estimate_mode, options.reference_orders),
+        LossOfCapacityObserver(),
+    ]
 
-    Batch runs and live service sessions both attach exactly this stack,
-    so the same trace digests identically on either path.
+
+def policy_engine(
+    spec: PolicySpec,
+    system_size: int,
+    options: RunOptions,
+    jobs: Sequence[Job] = (),
+    observers: Sequence = (),
+) -> Engine:
+    """The engine one policy simulation runs on: the policy's scheduler
+    under ``options``, with :func:`metric_observers` attached first and
+    ``observers`` after them.
+
+    Batch runs and live service sessions both build their engine here, so
+    the same trace digests identically on either path.
     """
-    orders = ("fairshare", *(o for o in reference_orders if o != "fairshare"))
-    return [HybridFSTObserver(estimate_mode, orders), LossOfCapacityObserver()]
+    return Engine(
+        Cluster(system_size),
+        spec.make_scheduler(**dict(options.scheduler_overrides)),
+        jobs,
+        observers=[*metric_observers(options), *observers],
+        kill_policy=options.kill_policy,
+        validate=options.validate,
+    )
 
 
 def run_policy(
     workload: Workload,
     policy_key: str,
-    estimate_mode: str = "perfect",
-    epsilon: float = 1.0,
-    kill_policy: KillPolicy = KillPolicy.IF_NEEDED,
-    scheduler_overrides: Optional[Mapping[str, object]] = None,
-    validate: bool = False,
-    observers: Optional[Sequence] = None,
-    reference_orders: Optional[Sequence[str]] = None,
+    options: RunOptions = RunOptions(),
+    observers: Sequence = (),
 ) -> PolicyRun:
     """Simulate one named policy on a workload and derive all metrics.
 
@@ -307,42 +293,24 @@ def run_policy(
     observation must never change the result (the digest tests hold
     tracing to that).
 
-    ``reference_orders`` evaluates the hybrid FST against additional
-    "socially just" orders in the *same* simulation (one observer places
-    every order; observers never influence scheduling); the primary
-    ``fairness`` block always uses the paper's fairshare basis, and
-    per-order stats land in :attr:`PolicyRun.fairness_by_order`.
+    Every reference order in ``options`` is evaluated in the *same*
+    simulation (one observer places every order; observers never
+    influence scheduling); the primary ``fairness`` block always uses the
+    paper's fairshare basis, and per-order stats land in
+    :attr:`PolicyRun.fairness_by_order`.
     """
     spec = get_policy(policy_key)
-    orders = tuple(reference_orders) if reference_orders else ("fairshare",)
-    wl = workload
-    if spec.max_runtime is not None:
-        wl = split_by_runtime_limit(workload, spec.max_runtime)
-    scheduler = spec.make_scheduler(**dict(scheduler_overrides or {}))
-    engine = Engine(
-        Cluster(wl.system_size),
-        scheduler,
-        wl.jobs,
-        observers=[*metric_observers(estimate_mode, orders), *(observers or ())],
-        kill_policy=kill_policy,
-        validate=validate,
-    )
-    result = engine.run()
-    return derive_policy_run(
-        policy_key,
-        result,
-        epsilon=epsilon,
-        reference_orders=orders,
-        split=spec.max_runtime is not None,
-    )
+    split = spec.max_runtime is not None
+    wl = split_by_runtime_limit(workload, spec.max_runtime) if split else workload
+    engine = policy_engine(spec, wl.system_size, options, wl.jobs, observers)
+    return derive_policy_run(policy_key, engine.run(), options, split=split)
 
 
 def derive_policy_run(
     policy_key: str,
     result: SimulationResult,
+    options: RunOptions = RunOptions(),
     *,
-    epsilon: float = 1.0,
-    reference_orders: Sequence[str] = ("fairshare",),
     split: bool = False,
 ) -> PolicyRun:
     """Derive the full :class:`PolicyRun` metric bundle from a finished
@@ -352,7 +320,7 @@ def derive_policy_run(
     an incrementally-driven engine and derives from here, so both paths
     report through the identical metric pipeline.
     """
-    orders = tuple(reference_orders) if reference_orders else ("fairshare",)
+    orders, epsilon = options.reference_orders, options.epsilon
     fst = result.fst("hybrid")
 
     # Metrics are reported per *trace* job so every policy averages over the

@@ -1,10 +1,10 @@
 """One live, incrementally-driven simulation (the in-process service core).
 
 A :class:`LiveSimulation` wraps an :class:`~repro.core.engine.Engine` in its
-incremental form — ``ingest / step_until / finish`` — and keeps the
-batch path's :func:`~repro.experiments.runner.metric_observers` attached from
-the first event, so a session that is fed the same jobs a batch run would
-read from a workload finishes with a byte-identical
+incremental form — ``ingest / step_until / finish`` — built by the batch
+path's :func:`~repro.experiments.runner.policy_engine`, metric observers
+attached from the first event, so a session that is fed the same jobs a
+batch run would read from a workload finishes with a byte-identical
 :meth:`~repro.core.results.SimulationResult.digest`.
 
 On top of the engine it adds the three service verbs:
@@ -25,14 +25,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from ..core.cluster import Cluster
 from ..core.engine import Engine
 from ..core.job import Job, JobState
 from ..experiments.runner import (
     PolicyRun,
     RunOptions,
     derive_policy_run,
-    metric_observers,
+    policy_engine,
 )
 from ..metrics.users import per_user_fairness
 from ..sched.registry import get_policy, validate_overrides
@@ -49,7 +48,7 @@ class LiveSimulation:
         policy: str,
         *,
         system_size: int,
-        options: Optional[RunOptions] = None,
+        options: RunOptions = RunOptions(),
         jobs: Sequence[Job] = (),
         observers: Sequence = (),
     ) -> None:
@@ -61,19 +60,11 @@ class LiveSimulation:
                 "numbered over the whole trace, which an incremental "
                 "session cannot replicate — run it through the batch path"
             )
-        opts = options or RunOptions()
         self.policy = policy
-        self.options = opts
-        stack = metric_observers(opts.estimate_mode, opts.reference_orders)
-        self._fst_obs = stack[0]
-        self.engine = Engine(
-            Cluster(system_size),
-            spec.make_scheduler(**dict(opts.scheduler_overrides)),
-            jobs,
-            observers=[*stack, *observers],
-            kill_policy=opts.kill_policy,
-            validate=opts.validate,
-        )
+        self.options = options
+        self.engine = policy_engine(spec, system_size, options, jobs, observers)
+        #: the hybrid-FST observer (first of the metric stack)
+        self._fst_obs = self.engine.observers[0]
         self._run: Optional[PolicyRun] = None
 
     @classmethod
@@ -133,12 +124,8 @@ class LiveSimulation:
         """Drain remaining work and derive the full metric bundle
         (idempotent)."""
         if self._run is None:
-            result = self.engine.finish()
             self._run = derive_policy_run(
-                self.policy,
-                result,
-                epsilon=self.options.epsilon,
-                reference_orders=self.options.reference_orders,
+                self.policy, self.engine.finish(), self.options
             )
         return self._run
 
@@ -233,11 +220,9 @@ class LiveSimulation:
         variant = self.engine.fork()
         self._apply_overrides(variant, overrides)
         base_run = derive_policy_run(
-            self.policy, baseline.finish(), epsilon=self.options.epsilon
+            self.policy, baseline.finish(), self.options
         )
-        var_run = derive_policy_run(
-            self.policy, variant.finish(), epsilon=self.options.epsilon
-        )
+        var_run = derive_policy_run(self.policy, variant.finish(), self.options)
         return {
             "overrides": dict(overrides),
             "forked_at": self.engine.now,

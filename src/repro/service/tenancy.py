@@ -66,11 +66,11 @@ def build_job(job_id: int, payload: Mapping[str, object], user_id: int) -> Job:
         at = float(payload["at"])
         nodes = int(payload["nodes"])
         runtime = float(payload["runtime"])
+        wcl = float(payload.get("wcl", runtime))
     except KeyError as exc:
         raise TenantError(f"job payload missing required field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise TenantError(f"malformed job payload: {exc}") from None
-    wcl = float(payload.get("wcl", runtime))
     try:
         return Job(
             id=job_id,
@@ -96,8 +96,10 @@ class TenantBuffer:
         #: highest ``at`` promised so far; future submissions must be >= it
         self.watermark = watermark
         self.drained = False
-        #: buffered (at, seq, payload) not yet admitted to the engine
-        self.pending: List[Tuple[float, int, Mapping[str, object]]] = []
+        #: built jobs not yet admitted to the engine; a job's id is its
+        #: per-tenant submission sequence until admission numbers it
+        #: globally
+        self.pending: List[Job] = []
         self._seq = 0
         self.submitted = 0
 
@@ -158,10 +160,12 @@ class TenantMux:
     def submit(self, name: str, jobs: Sequence[Mapping[str, object]]) -> int:
         """Buffer a batch of job payloads for one tenant.
 
-        Arrival times must be non-decreasing per tenant (that ordering IS
-        the watermark promise).  Capacity is the caller's job: the async
-        layer awaits room *before* calling, so a full buffer here is a
-        protocol violation, not backpressure.
+        Every payload is built into its job here, so a malformed one
+        rejects the whole batch before anything is buffered and admission
+        can never fail half-way.  Arrival times must be non-decreasing per
+        tenant (that ordering IS the watermark promise).  Capacity is the
+        caller's job: the async layer awaits room *before* calling, so a
+        full buffer here is a protocol violation, not backpressure.
         """
         buf = self._buffer(name)
         if buf.drained:
@@ -174,20 +178,21 @@ class TenantMux:
             )
         staged = []
         mark = buf.watermark
+        size = self.live.engine.cluster.size
         for payload in jobs:
-            try:
-                at = float(payload["at"])
-            except (KeyError, TypeError, ValueError):
-                raise TenantError(
-                    "every job payload needs a numeric 'at' arrival time"
-                ) from None
-            if at < mark:
+            job = build_job(buf.next_seq(), payload, buf.user_id)
+            if job.submit_time < mark:
                 raise TenantError(
                     f"tenant {name!r} arrival times must be non-decreasing: "
-                    f"got at={at} after watermark {mark}"
+                    f"got at={job.submit_time} after watermark {mark}"
                 )
-            mark = at
-            staged.append((at, buf.next_seq(), payload))
+            if job.nodes > size:
+                raise TenantError(
+                    f"job {job.id}: {job.nodes} nodes exceed the "
+                    f"{size}-node cluster"
+                )
+            mark = job.submit_time
+            staged.append(job)
         buf.pending.extend(staged)
         buf.watermark = mark
         buf.submitted += len(staged)
@@ -215,19 +220,20 @@ class TenantMux:
         frontier.  Idempotent between submissions; safe to call after any
         protocol event."""
         w = self.frontier
-        ready: List[Tuple[float, str, int, Mapping[str, object], int]] = []
+        ready: List[Tuple[float, str, int, Job]] = []
         for buf in self.tenants.values():
             keep = []
-            for at, seq, payload in buf.pending:
-                if at < w:
-                    ready.append((at, buf.name, seq, payload, buf.user_id))
+            for job in buf.pending:
+                if job.submit_time < w:
+                    ready.append((job.submit_time, buf.name, job.id, job))
                 else:
-                    keep.append((at, seq, payload))
+                    keep.append(job)
             buf.pending = keep
-        ready.sort(key=lambda item: (item[0], item[1], item[2]))
+        ready.sort(key=lambda item: item[:3])
         jobs = []
-        for at, _name, _seq, payload, uid in ready:
-            jobs.append(build_job(self._next_job_id, payload, uid))
+        for _at, _name, _seq, job in ready:
+            job.id = self._next_job_id
+            jobs.append(job)
             self._next_job_id += 1
         if jobs:
             self.live.submit(jobs)

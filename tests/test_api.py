@@ -2,11 +2,14 @@
 
 The contract under test: a :class:`SimulationRequest` fully determines a
 simulation; :func:`api.run` produces a handle whose metrics are identical
-to the engine-level runner path; and options parse through the single
-:meth:`RunOptions.from_mapping` pipeline with structured errors.
+to the engine-level runner path; and options validate in one place (the
+:class:`RunOptions` constructor, which :meth:`RunOptions.from_mapping`
+calls) with structured errors.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -163,6 +166,60 @@ def test_from_mapping_pins_fairshare_first():
     opts = RunOptions.from_mapping({"reference_orders": ["fcfs"]})
     assert opts.reference_orders[0] == "fairshare"
     assert "fcfs" in opts.reference_orders
+
+
+# -- RunOptions(...) and RunOptions.from_mapping agree ------------------------
+
+#: field -> (a good loosely-typed value, a bad value)
+OPTION_CASES = {
+    "estimate_mode": ("wcl", "psychic"),
+    "epsilon": (2, "lots"),
+    "kill_policy": ("never", "sometimes"),
+    "scheduler_overrides": ({"starvation_threshold": 60.0}, {1: 2}),
+    "validate": (True, "yes"),
+    "reference_orders": (["fcfs"], ["vibes"]),
+}
+
+
+def test_option_cases_cover_every_field():
+    import dataclasses
+
+    assert set(OPTION_CASES) == {f.name for f in dataclasses.fields(RunOptions)}
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_CASES))
+def test_construction_paths_agree(key):
+    good = OPTION_CASES[key][0]
+    direct = RunOptions(**{key: good})
+    parsed = RunOptions.from_mapping({key: good})
+    assert direct == parsed
+    assert hash(direct) == hash(parsed)
+    # the cache key hashes the identity's JSON, where 2 and 2.0 differ
+    assert json.dumps(direct.identity(), sort_keys=True) == json.dumps(
+        parsed.identity(), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_CASES))
+def test_construction_paths_reject_alike(key):
+    bad = OPTION_CASES[key][1]
+    with pytest.raises(ValueError, match=key) as direct:
+        RunOptions(**{key: bad})
+    with pytest.raises(ValueError, match=key) as parsed:
+        RunOptions.from_mapping({key: bad})
+    assert str(direct.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize("key", ["estimate_mode", "reference_orders"])
+def test_construction_paths_run_alike(key, small_workload):
+    good = OPTION_CASES[key][0]
+    runs = [
+        api.run(policy="fcfs.nobackfill", workload=small_workload, options=o)
+        for o in (RunOptions(**{key: good}), {key: good})
+    ]
+    keys = [sorted(r.fairness_by_order or ()) for r in runs]
+    assert keys[0] == keys[1]
+    assert runs[0].digest() == runs[1].digest()
 
 
 # -- Observer protocol ---------------------------------------------------------

@@ -140,10 +140,22 @@ class TestSpec:
         os.utime(path, ns=(_time.time_ns(), _time.time_ns()))
         assert w.family_identity()["sha256"] != before
 
+    def test_shared_options_carry_no_scheduler_overrides(self):
+        base = small_spec()
+        with pytest.raises(ValueError, match="per variant"):
+            CampaignSpec(
+                name="x", policies=base.policies, workloads=base.workloads,
+                options=RunOptions(scheduler_overrides={"decay": 0.5}),
+            )
+
     def test_dict_round_trip(self):
-        spec = small_spec(replications=2, epsilon=2.0)
+        spec = small_spec(replications=2, epsilon=2.0, kill_policy="never",
+                          estimate_mode="wcl", validate_engine=True)
         again = CampaignSpec.from_dict(spec.to_dict())
         assert again == spec
+        assert again.options == RunOptions(
+            estimate_mode="wcl", epsilon=2.0, kill_policy="NEVER", validate=True
+        )
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,6 +1,7 @@
 """CLI tests (argument wiring and output plumbing, small scales only)."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -159,6 +160,30 @@ class TestCommands:
             "nothing to write: pass --json, --csv, and/or --per-job\n"
         )
         assert "simulating" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "SPEC", "--no-cache", "--resume", "--quiet"],
+        ["paper", "build", "--scale", "0.01", "--no-cache", "--resume",
+         "--quiet", "--out-dir", "OUT"],
+    ], ids=["sweep", "paper-build"])
+    def test_resume_without_cache_exits_2_before_simulating(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        from repro import api
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "x", "policies": ["easy.fcfs"],
+            "workloads": [{"kind": "random", "n_jobs": 10,
+                           "system_size": 8, "seeds": [1]}],
+        }))
+        argv = [{"SPEC": str(spec), "OUT": str(tmp_path / "out")}.get(a, a)
+                for a in argv]
+        simulated = []
+        monkeypatch.setattr(api, "run", lambda *a, **k: simulated.append(a))
+        assert main(argv) == 2
+        assert "resume needs a run journal" in capsys.readouterr().err
+        assert simulated == []
 
     def test_tables(self, capsys):
         rc = main(["tables", "--scale", "0.02", "--seed", "1"])

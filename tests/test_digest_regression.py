@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.engine import KillPolicy
 from repro.core.job import Job
-from repro.experiments.runner import run_policy
+from repro.experiments.runner import RunOptions, run_policy
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload, random_workload
 from repro.workload.model import Workload
 
@@ -201,13 +200,8 @@ def test_digest_matches_recorded_baseline(case, digest_workloads):
     kwargs = {}
     for extra in parts[2:]:
         key, value = extra.split("=")
-        if key == "kill_policy":
-            kwargs[key] = KillPolicy[value]
-        elif key == "reference_orders":
-            kwargs[key] = tuple(value.split(","))
-        else:
-            kwargs[key] = value
-    run = run_policy(digest_workloads[workload], policy, **kwargs)
+        kwargs[key] = value.split(",") if key == "reference_orders" else value
+    run = run_policy(digest_workloads[workload], policy, RunOptions(**kwargs))
     assert run.result.digest() == ALL_DIGESTS[case], (
         f"{case}: simulation outcome changed — optimizations must be "
         "byte-identical (see docs/PERFORMANCE.md)"

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.engine import KillPolicy
 from repro import api
-from repro.experiments.runner import run_policy
+from repro.experiments.runner import RunOptions, run_policy
 from repro.metrics.weekly import weekly_series
 from repro.sched.registry import PAPER_POLICIES
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload
@@ -44,13 +44,13 @@ class TestCrossPolicy:
         """Under KillPolicy.NEVER every policy executes the same work."""
         totals = set()
         for key in ("cplant24.nomax.all", "cons.nomax", "consdyn.nomax"):
-            run = run_policy(trace, key, kill_policy=KillPolicy.NEVER)
+            run = run_policy(trace, key, RunOptions(kill_policy=KillPolicy.NEVER))
             totals.add(round(run.result.total_work, 1))
         assert len(totals) == 1
 
     def test_if_needed_kills_only_overrunners(self, trace):
         run = run_policy(trace, "cplant24.nomax.all",
-                         kill_policy=KillPolicy.IF_NEEDED)
+                         RunOptions(kill_policy=KillPolicy.IF_NEEDED))
         for job in run.result.jobs:
             executed = job.end_time - job.start_time
             # a job is only ever truncated, never extended, and only when
@@ -102,6 +102,6 @@ class TestRuntimeLimitAccounting:
 
     def test_chunked_utilization_counts_executed_chunks(self, trace):
         run = run_policy(trace, "cplant24.72max.all",
-                         kill_policy=KillPolicy.NEVER)
+                         RunOptions(kill_policy=KillPolicy.NEVER))
         executed = run.result.total_work
         assert executed == pytest.approx(trace.total_work, rel=1e-9)

@@ -147,11 +147,11 @@ class TestMatrixFromSuite:
             matrix_from_suite(suite, ("fairshare",))
 
     def test_renders_from_policy_runs(self, small_workload):
-        from repro.experiments.runner import run_policy
+        from repro.experiments.runner import RunOptions, run_policy
 
         orders = ("fairshare", "fcfs")
         suite = {
-            p: run_policy(small_workload, p, reference_orders=orders)
+            p: run_policy(small_workload, p, RunOptions(reference_orders=orders))
             for p in ("fcfs.nobackfill", "easy.fcfs")
         }
         rows = matrix_from_suite(suite, orders)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
 from repro.core.job import Job
-from repro.experiments.runner import run_policy
+from repro.experiments.runner import RunOptions, run_policy
 from repro.obs import counters
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.roundrobin import RoundRobinScheduler
@@ -162,7 +162,7 @@ class TestAgainstNaiveSimulator:
     @settings(max_examples=40, deadline=None)
     def test_fcfs_nobackfill_matches_reference(self, jobs):
         wl = Workload(jobs, SIZE, name="diff")
-        run = run_policy(wl, "fcfs.nobackfill", validate=True)
+        run = run_policy(wl, "fcfs.nobackfill", RunOptions(validate=True))
         _assert_same_starts(
             _starts(run.result), naive_nobackfill(jobs, SIZE, _fcfs_key)
         )
@@ -171,7 +171,7 @@ class TestAgainstNaiveSimulator:
     @settings(max_examples=40, deadline=None)
     def test_spt_nobackfill_matches_reference(self, jobs):
         wl = Workload(jobs, SIZE, name="diff")
-        run = run_policy(wl, "spt.nobackfill", validate=True)
+        run = run_policy(wl, "spt.nobackfill", RunOptions(validate=True))
         _assert_same_starts(
             _starts(run.result), naive_nobackfill(jobs, SIZE, _spt_key)
         )
@@ -271,7 +271,7 @@ class TestExactFairnessDifferential:
     def test_fcfs_nobackfill_is_exactly_fair_under_fcfs_order(self, jobs):
         wl = Workload(jobs, SIZE, name="fair-diff")
         run = run_policy(
-            wl, "fcfs.nobackfill", reference_orders=("fairshare", "fcfs")
+            wl, "fcfs.nobackfill", RunOptions(reference_orders=("fairshare", "fcfs"))
         )
         stats = run.fairness_by_order["fcfs"]
         assert stats.n_unfair == 0
@@ -280,6 +280,6 @@ class TestExactFairnessDifferential:
     def test_exact_fairness_on_fixture(self, small_workload):
         run = run_policy(
             small_workload, "fcfs.nobackfill",
-            reference_orders=("fairshare", "fcfs"),
+            RunOptions(reference_orders=("fairshare", "fcfs")),
         )
         assert run.fairness_by_order["fcfs"].n_unfair == 0

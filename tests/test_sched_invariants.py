@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import KillPolicy, Observer
 from repro.core.job import Job
-from repro.experiments.runner import run_policy
+from repro.experiments.runner import RunOptions, run_policy
 from repro.sched.registry import get_policy, policy_names
 from repro.workload.model import Workload
 
@@ -103,7 +103,7 @@ class TestEveryRegisteredPolicy:
     def test_invariants_without_overruns(self, policy, jobs):
         """Honest estimates: all core invariants plus work conservation."""
         wl = Workload(jobs, SIZE, name="prop")
-        run = run_policy(wl, policy, validate=True)
+        run = run_policy(wl, policy, RunOptions(validate=True))
         _check_core_invariants(run.result)
         # every trace job is accounted for: unsplit jobs by id, chunked
         # chains by parent id (the runtime-limit transform)
@@ -121,7 +121,7 @@ class TestEveryRegisteredPolicy:
         and arrival invariants must survive every kill policy."""
         wl = Workload(jobs, SIZE, name="prop-overrun")
         for kp in (KillPolicy.IF_NEEDED, KillPolicy.AT_WCL):
-            run = run_policy(wl, policy, kill_policy=kp, validate=True)
+            run = run_policy(wl, policy, RunOptions(kill_policy=kp, validate=True))
             _check_core_invariants(run.result)
 
     @given(jobs=job_lists(max_jobs=10))

@@ -244,6 +244,31 @@ def test_mux_holds_jobs_until_the_frontier_covers_them():
     assert mux.drive()["admitted"] == 2  # frontier -> inf flushes the rest
 
 
+@pytest.mark.parametrize("bad", [
+    {"nodes": "two"},
+    {"wcl": "soon"},
+    {"nodes": 0},
+    {"nodes": 65},
+], ids=["nodes-str", "wcl-str", "nodes-zero", "wider-than-cluster"])
+def test_malformed_payload_rejects_its_batch_and_loses_no_jobs(bad):
+    live = LiveSimulation("easy.fairshare", system_size=64)
+    mux = TenantMux(live)
+    mux.register("a")
+    mux.register("b")
+    mux.submit("a", [{"at": 10.0, "nodes": 1, "runtime": 5.0},
+                     {"at": 20.0, "nodes": 2, "runtime": 5.0}])
+    batch = [{"at": 15.0, "nodes": 1, "runtime": 5.0},
+             {"at": 30.0, "nodes": 1, "runtime": 5.0, **bad}]
+    with pytest.raises(TenantError):
+        mux.submit("b", batch)
+    assert mux.backlog("b") == 0  # nothing of the bad batch was buffered
+    mux.drain("a")
+    mux.drain("b")
+    assert mux.drive()["admitted"] == 2
+    assert [j.submit_time for j in live.engine.jobs] == [10.0, 20.0]
+    assert [j.id for j in live.engine.jobs] == [0, 1]
+
+
 def test_malformed_payloads_are_tenant_errors():
     from repro.service import build_job
 
