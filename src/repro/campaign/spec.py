@@ -367,10 +367,9 @@ class CampaignSpec:
             "policies": list(self.policies),
             "workloads": [w.to_dict() for w in self.workloads],
             "replications": self.replications,
-            "estimate_mode": self.options.estimate_mode,
-            "epsilon": self.options.epsilon,
-            "kill_policy": self.options.kill_policy.name,
         }
+        identity = self.options.identity()
+        out.update((k, identity[k]) for k in self._OPTION_KEYS)
         if self.overrides != ((),):
             out["overrides"] = [dict(v) for v in self.overrides]
         if self.sweep:
