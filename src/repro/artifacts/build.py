@@ -26,14 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..campaign.cache import CampaignCache, cell_key, code_version
-from ..campaign.executor import (
-    CampaignRunStats,
-    ProgressFn,
-    campaign_stats,
-    default_journal_dir,
-    run_cells,
-)
-from ..campaign.journal import RunJournal
+from ..campaign.executor import ProgressFn, default_journal_dir, run_cells
 from ..campaign.retry import RetryPolicy, RunReport
 from ..campaign.spec import CampaignCell, WorkloadSpec
 from ..experiments.export import RecordRun
@@ -163,12 +156,19 @@ class BuildResult:
     plan: BuildPlan
     outputs: List[ArtifactOutput]
     manifest_path: Path
-    n_simulated: int = 0
-    n_cached: int = 0
-    elapsed: float = 0.0
+    #: the cell run's record, also written to ``stats_path``
+    stats: RunReport
+    stats_path: Path
+    elapsed: float
     texts: Dict[str, str] = field(default_factory=dict)
-    stats: Optional[CampaignRunStats] = None
-    stats_path: Optional[Path] = None
+
+    @property
+    def n_simulated(self) -> int:
+        return self.stats.n_simulated
+
+    @property
+    def n_cached(self) -> int:
+        return self.stats.n_cached
 
 
 def _sha256(data: bytes) -> str:
@@ -204,20 +204,15 @@ def build_artifacts(
     """
     t0 = time.perf_counter()
     plan = plan_build(only, config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    journal = None
     journal_dir = default_journal_dir(cache)
-    if journal_dir is not None:
-        journal = RunJournal.at(journal_dir, plan.keys, name="paper-build")
-    stats_base = cache.stats.snapshot() if cache is not None else None
-    report = RunReport()
+    stats = RunReport()
     results = run_cells(
         plan.cells, jobs=jobs, cache=cache, force=force, progress=progress,
-        retry=retry, journal=journal, resume=resume, report=report,
+        retry=retry,
+        journal=((journal_dir, "paper-build")
+                 if journal_dir is not None else None),
+        resume=resume, report=stats,
     )
-    cell_wall = time.perf_counter() - t0
     # the same policy may appear under different options across artifacts,
     # so suites are assembled per artifact from the content-addressed keys
     by_key = {r.key: r.metrics for r in results}
@@ -225,6 +220,8 @@ def build_artifacts(
     workload = plan.config.build_workload() if (plan.needs_workload or check) else None
     shape = workload is not None and len(workload) >= SHAPE_MIN_JOBS
     wl_digest = workload.content_digest() if plan.needs_workload else None
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     def _render(art: Artifact) -> Tuple[ArtifactOutput, str]:
         suite = {
@@ -253,11 +250,6 @@ def build_artifacts(
     doc = manifest_doc(plan, outputs, wl_digest)
     manifest_path = out / MANIFEST_NAME
     manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    stats = campaign_stats(
-        results, cell_wall, max(1, jobs),
-        cache.stats.since(stats_base) if stats_base is not None else None,
-        report=report,
-    )
     stats_path = out / STATS_NAME
     stats_path.write_text(json.dumps(stats.as_dict(), indent=2,
                                      sort_keys=True) + "\n")
@@ -265,12 +257,10 @@ def build_artifacts(
         plan=plan,
         outputs=outputs,
         manifest_path=manifest_path,
-        n_simulated=sum(1 for r in results if not r.cached),
-        n_cached=sum(1 for r in results if r.cached),
-        elapsed=time.perf_counter() - t0,
-        texts=texts,
         stats=stats,
         stats_path=stats_path,
+        elapsed=time.perf_counter() - t0,
+        texts=texts,
     )
 
 

@@ -33,10 +33,7 @@ from .cache import (
 )
 from .executor import (
     CampaignResult,
-    CampaignRunStats,
     CellResult,
-    campaign_stats,
-    default_journal_dir,
     run_campaign,
     run_cell,
     run_cells,
@@ -61,7 +58,6 @@ __all__ = [
     "CampaignCache",
     "CampaignCell",
     "CampaignResult",
-    "CampaignRunStats",
     "CampaignSpec",
     "CellFailure",
     "CellResult",
@@ -77,11 +73,9 @@ __all__ = [
     "WorkloadSpec",
     "aggregate_cells",
     "aggregate_rows",
-    "campaign_stats",
     "cell_key",
     "code_version",
     "default_cache_dir",
-    "default_journal_dir",
     "flatten_metrics",
     "metrics_digest",
     "run_campaign",

@@ -28,11 +28,12 @@ Because a 10k-cell sweep will meet real failures, the executor is a
   interrupted run resumes exactly; ``keep_going`` converts terminal
   failures into an explicit accounting instead of an exception.
 
-All recovery events are counted in a :class:`~.retry.RunReport`, echoed
-into the obs counters (``campaign.retry``, ``campaign.pool_rebuild``,
-``campaign.timeout``, ``campaign.quarantined``) and rendered by
-``--stats``; fault-free runs take none of these paths and stay
-byte-identical to the pre-hardening executor.
+:func:`run_cells` keeps one record per run, a :class:`~.retry.RunReport`:
+cell counts, wall time, workers, the cell-time summary, pool utilization,
+the run's window of the cache stats, and every recovery event (echoed
+into the obs counters ``campaign.retry``, ``campaign.pool_rebuild``,
+``campaign.timeout`` and ``campaign.quarantined``).  ``--stats`` renders
+it; fault-free runs take none of the recovery paths.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..experiments.export import policy_run_record
 from ..obs import counters as _counters
@@ -52,8 +53,8 @@ from ..obs.stats import timing_summary, utilization
 from ..workload.model import Workload
 from . import faults
 from .aggregate import aggregate_cells
-from .cache import CacheStats, CampaignCache, cell_key
-from .journal import JOURNAL_DIR_NAME, RunJournal
+from .cache import CampaignCache, cell_key
+from .journal import JOURNAL_DIR_NAME, PathLike, RunJournal
 from .retry import (
     CellFailure,
     CellState,
@@ -156,150 +157,31 @@ class CellResult:
 
 
 @dataclass
-class CampaignRunStats:
-    """Execution accounting for one campaign run: where the cells came
-    from, how long simulation took (per-cell percentiles over in-worker
-    time), how busy the worker pool was, and what the recovery machinery
-    had to do.  Rendered by ``repro sweep --stats``; the numbers are
-    observational and never feed back into metrics or cache keys."""
-
-    n_cells: int
-    n_cached: int
-    n_simulated: int
-    wall: float
-    workers: int
-    #: p50/p95/max/total over per-cell in-worker simulation seconds
-    cell_seconds: Dict[str, float]
-    #: fraction of worker capacity spent simulating (None when all cached)
-    pool_utilization: Optional[float]
-    cache: Optional[CacheStats] = None
-    #: recovery accounting (zeros on a fault-free run)
-    retries: int = 0
-    pool_rebuilds: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    n_failed: int = 0
-    n_journal: int = 0
-
-    @property
-    def rate(self) -> float:
-        """Cells per wall-clock second."""
-        return self.n_cells / self.wall if self.wall > 0 else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "n_cells": self.n_cells,
-            "n_cached": self.n_cached,
-            "n_simulated": self.n_simulated,
-            "wall": round(self.wall, 4),
-            "workers": self.workers,
-            "cell_seconds": dict(self.cell_seconds),
-            "pool_utilization": (
-                round(self.pool_utilization, 4)
-                if self.pool_utilization is not None else None
-            ),
-            "cache": self.cache.as_dict() if self.cache is not None else None,
-            "recovery": {
-                "retries": self.retries,
-                "pool_rebuilds": self.pool_rebuilds,
-                "timeouts": self.timeouts,
-                "quarantined": self.quarantined,
-                "n_failed": self.n_failed,
-                "n_journal": self.n_journal,
-            },
-        }
-
-    def render(self) -> str:
-        """Human-readable stats block (one fact per line, greppable)."""
-        cs = self.cell_seconds
-        lines = [
-            f"cells   : {self.n_cells} in {self.wall:.2f}s "
-            f"({self.rate:.1f} cells/s) — "
-            f"{self.n_simulated} simulated, {self.n_cached} cached",
-            f"cell time : p50 {cs['p50']:.3f}s, p95 {cs['p95']:.3f}s, "
-            f"max {cs['max']:.3f}s (sim total {cs['total']:.2f}s)",
-        ]
-        if self.pool_utilization is not None:
-            lines.append(
-                f"workers : {self.workers}, "
-                f"utilization {100 * self.pool_utilization:.0f}%"
-            )
-        if self.cache is not None:
-            s = self.cache
-            lines.append(
-                f"cache   : {s.hits} hits, {s.misses} misses, "
-                f"{s.corrupt} corrupt"
-            )
-        lines.append(
-            f"recovery: {self.retries} retries, "
-            f"{self.pool_rebuilds} pool rebuilds, "
-            f"{self.timeouts} timeouts, {self.quarantined} quarantined"
-        )
-        if self.n_journal:
-            lines.append(f"resume  : {self.n_journal} cells replayed "
-                         f"from the run journal")
-        if self.n_failed:
-            lines.append(f"failed  : {self.n_failed} cells missing "
-                         f"from aggregates (see --keep-going report)")
-        return "\n".join(lines)
-
-
-def campaign_stats(
-    results: Sequence[CellResult],
-    wall: float,
-    workers: int,
-    cache_stats: Optional[CacheStats] = None,
-    report: Optional[RunReport] = None,
-) -> CampaignRunStats:
-    """Compute the run-stats block from finished cell results."""
-    sim_times = [r.elapsed for r in results if not r.cached]
-    rep = report or RunReport()
-    return CampaignRunStats(
-        n_cells=len(results),
-        n_cached=sum(1 for r in results if r.cached),
-        n_simulated=len(sim_times),
-        wall=wall,
-        workers=workers,
-        cell_seconds=timing_summary(sim_times),
-        pool_utilization=utilization(sum(sim_times), wall, workers),
-        cache=cache_stats,
-        retries=rep.retries,
-        pool_rebuilds=rep.pool_rebuilds,
-        timeouts=rep.timeouts,
-        quarantined=rep.quarantined,
-        n_failed=len(rep.failures),
-        n_journal=rep.journal_cells,
-    )
-
-
-@dataclass
 class CampaignResult:
-    """Every completed cell's outcome, in grid order, plus execution
-    accounting.  With ``keep_going`` the result may be partial —
-    ``report.failures`` lists what is missing, and :meth:`aggregate`
+    """Every completed cell's outcome, in grid order, plus the run's
+    record.  With ``keep_going`` the result may be partial —
+    ``stats.failures`` lists what is missing, and :meth:`aggregate`
     carries an explicit ``incomplete`` block."""
 
     spec: CampaignSpec
-    results: List[CellResult] = field(default_factory=list)
-    elapsed: float = 0.0
-    stats: Optional[CampaignRunStats] = None
-    report: Optional[RunReport] = None
+    results: List[CellResult]
+    stats: RunReport
 
     @property
     def n_cells(self) -> int:
-        return len(self.results)
+        return self.stats.n_cells
 
     @property
     def n_cached(self) -> int:
-        return sum(1 for r in self.results if r.cached)
+        return self.stats.n_cached
 
     @property
     def n_simulated(self) -> int:
-        return sum(1 for r in self.results if not r.cached)
+        return self.stats.n_simulated
 
     @property
     def n_failed(self) -> int:
-        return len(self.report.failures) if self.report is not None else 0
+        return self.stats.n_failed
 
     def aggregate(self) -> Dict[str, object]:
         """Per-group statistics across seeds (see :mod:`.aggregate`).
@@ -309,9 +191,9 @@ class CampaignResult:
         can never mistake a survivor-only mean for a full one.
         """
         doc = aggregate_cells(self.results, campaign=self.spec.name)
-        if self.report is not None and self.report.failures:
+        if self.stats.failures:
             doc["incomplete"] = {
-                "n_failed": len(self.report.failures),
+                "n_failed": self.stats.n_failed,
                 "failed": [
                     {
                         "key": f.key,
@@ -322,7 +204,7 @@ class CampaignResult:
                         "attempts": f.attempts,
                         "quarantined": f.quarantined,
                     }
-                    for f in sorted(self.report.failures, key=lambda f: f.key)
+                    for f in sorted(self.stats.failures, key=lambda f: f.key)
                 ],
             }
         return doc
@@ -342,7 +224,7 @@ def run_cells(
     progress: Optional[ProgressFn] = None,
     *,
     retry: Optional[RetryPolicy] = None,
-    journal: Optional[RunJournal] = None,
+    journal: Optional[Tuple[PathLike, str]] = None,
     resume: bool = False,
     keep_going: bool = False,
     report: Optional[RunReport] = None,
@@ -357,16 +239,20 @@ def run_cells(
     sweeps call it on an expanded grid, the paper-artifact builder on a
     deduplicated union of artifact requirements.
 
+    ``journal`` is ``(directory, name)``: the run journals its
+    completions to the grid's auto-named :class:`~.journal.RunJournal`
+    in that directory, labelled ``name``, and with ``resume=True``
+    replays it first.  ``resume`` without a ``journal`` raises
+    ``ValueError``: there is nothing to replay, and re-running every
+    cell silently would pass for a resume.
+
     ``retry`` defaults to :class:`RetryPolicy` (retries on, watchdog
     off); pass ``RetryPolicy(max_attempts=1)`` to restore fail-fast.
     With ``keep_going`` terminal failures are recorded in ``report``
     instead of raised, and the returned list simply omits the failed
-    cells.  ``report`` (if given) is filled in place, so recovery counts
-    survive even a run that dies mid-flight.
-
-    ``resume`` without a ``journal`` raises ``ValueError``: there is
-    nothing to replay, and re-running every cell silently would pass for
-    a resume.
+    cells.  ``report`` (if given) is the run's record, filled in place —
+    recovery counts as they happen, everything else when the run ends,
+    even a run that dies mid-flight.
     """
     if resume and journal is None:
         raise ValueError(
@@ -374,6 +260,7 @@ def run_cells(
             "cache root: resuming without a cache (--no-cache) cannot "
             "replay anything"
         )
+    t0 = time.perf_counter()
     cells = list(cells)
     keys = [cell_key(c) for c in cells]
     policy = retry if retry is not None else RetryPolicy()
@@ -384,12 +271,15 @@ def run_cells(
     progress_ok = True
     stats_base = cache.stats.snapshot() if cache is not None else None
     failures: List[CellFailure] = []
+    workers = 0
 
     replayed: Dict[str, Dict[str, object]] = {}
+    run_journal = None
     if journal is not None:
+        journal_dir, name = journal
+        run_journal = RunJournal.at(journal_dir, keys, name=name)
         if resume and not force:
-            replayed = journal.completed_cells(keys)
-        journal.begin(keys, resuming=resume)
+            replayed = run_journal.completed_cells(keys)
 
     def _note(i: int, res: CellResult, source: str) -> None:
         # progress is advisory: a callback blowing up (closed pipe, UI gone)
@@ -397,8 +287,8 @@ def run_cells(
         nonlocal done, progress_ok
         slots[i] = res
         done += 1
-        if journal is not None and source != "journal":
-            journal.record(keys[i], res.metrics, source)
+        if run_journal is not None and source != "journal":
+            run_journal.record(keys[i], res.metrics, source)
         if progress is not None and progress_ok:
             try:
                 progress(done, len(cells), cells[i], source, res.elapsed)
@@ -423,9 +313,9 @@ def run_cells(
         if quarantined:
             rep.quarantined += 1
             _counter_hit("campaign.quarantined")
-        if journal is not None:
-            journal.record_failure(keys[i], kind, failure_signature(exc),
-                                   state.attempts, quarantined)
+        if run_journal is not None:
+            run_journal.record_failure(keys[i], kind, failure_signature(exc),
+                                       state.attempts, quarantined)
         log.warning("cell %s %s after %d attempt(s): %s",
                     cells[i].label(),
                     "quarantined" if quarantined else "failed",
@@ -438,20 +328,6 @@ def run_cells(
                  cells[i].label(), state.attempts + 1, policy.max_attempts,
                  failure_signature(exc))
 
-    todo: List[int] = []
-    for i, (c, k) in enumerate(zip(cells, keys)):
-        if not force and k in replayed:
-            rep.journal_cells += 1
-            _note(i, CellResult(cell=c, key=k, metrics=replayed[k],
-                                cached=True), "journal")
-            continue
-        rec = cache.get(k) if (cache is not None and not force) else None
-        if rec is not None:
-            _note(i, CellResult(cell=c, key=k, metrics=rec, cached=True),
-                  "cache")
-        else:
-            todo.append(i)
-
     def _finish(i: int, metrics: Dict[str, object], dt: float) -> None:
         if cache is not None:
             cache.put(keys[i], cells[i], metrics)
@@ -463,34 +339,61 @@ def run_cells(
         )
 
     try:
+        if run_journal is not None:
+            run_journal.begin(keys, resuming=resume)
+        todo: List[int] = []
+        for i, (c, k) in enumerate(zip(cells, keys)):
+            if not force and k in replayed:
+                rep.journal_cells += 1
+                _note(i, CellResult(cell=c, key=k, metrics=replayed[k],
+                                    cached=True), "journal")
+                continue
+            rec = cache.get(k) if (cache is not None and not force) else None
+            if rec is not None:
+                _note(i, CellResult(cell=c, key=k, metrics=rec, cached=True),
+                      "cache")
+            else:
+                todo.append(i)
+
         if todo and (jobs <= 1 or len(todo) == 1):
+            workers = 1
             _run_inline(cells, keys, todo, policy, _finish, _fail,
                         _note_retry)
         elif todo:
-            _run_pool(cells, keys, todo, jobs, policy, rep, _finish, _fail,
-                      _note_retry)
-        if journal is not None:
-            journal.end(completed=done, failed=len(failures))
+            workers = min(jobs, len(todo))
+            _run_pool(cells, keys, todo, workers, policy, rep, _finish,
+                      _fail, _note_retry)
+        if run_journal is not None:
+            run_journal.end(completed=done, failed=len(failures))
     finally:
-        if journal is not None:
-            journal.close()
+        if run_journal is not None:
+            run_journal.close()
+        sim_times = [r.elapsed for r in slots
+                     if r is not None and not r.cached]
+        rep.n_cells = done
+        rep.n_simulated = len(sim_times)
+        rep.n_cached = done - len(sim_times)
+        rep.wall = time.perf_counter() - t0
+        rep.workers = workers
+        rep.cell_seconds = timing_summary(sim_times)
+        rep.pool_utilization = utilization(sum(sim_times), rep.wall, workers)
+        if stats_base is not None:
+            rep.cache = cache.stats.since(stats_base)
 
-    if stats_base is not None:
-        window = cache.stats.since(stats_base)
-        if window.corrupt:
-            shown = ", ".join(window.corrupt_keys[:3])
-            more = ("" if window.corrupt <= 3
-                    else f" (+{window.corrupt - 3} more)")
-            log.warning(
-                "%d corrupt cache entr%s re-simulated: %s%s",
-                window.corrupt, "y" if window.corrupt == 1 else "ies",
-                shown, more,
-            )
+    window = rep.cache
+    if window is not None and window.corrupt:
+        shown = ", ".join(window.corrupt_keys[:3])
+        more = ("" if window.corrupt <= 3
+                else f" (+{window.corrupt - 3} more)")
+        log.warning(
+            "%d corrupt cache entr%s re-simulated: %s%s",
+            window.corrupt, "y" if window.corrupt == 1 else "ies",
+            shown, more,
+        )
 
     if failures:
         rep.failures.extend(failures)
         if not keep_going:
-            completed = sum(1 for r in slots if r is not None)
             detail = "; ".join(f"{f.cell.label()}: {f.error}"
                                for f in failures[:5])
             more = "" if len(failures) <= 5 else f" (+{len(failures) - 5} more)"
@@ -498,7 +401,7 @@ def run_cells(
             qnote = f", {quarantined} quarantined" if quarantined else ""
             err = RuntimeError(
                 f"{len(failures)}/{len(cells)} campaign cells failed"
-                f"{qnote} ({completed} completed and cached): {detail}{more}"
+                f"{qnote} ({done} completed and cached): {detail}{more}"
             )
             err.failures = list(failures)  # type: ignore[attr-defined]
             raise err from failures[0].exc
@@ -542,7 +445,7 @@ def _run_pool(
     cells: Sequence[CampaignCell],
     keys: Sequence[str],
     todo: Sequence[int],
-    jobs: int,
+    max_workers: int,
     policy: RetryPolicy,
     rep: RunReport,
     _finish: Callable[[int, Dict[str, object], float], None],
@@ -563,7 +466,6 @@ def _run_pool(
     # one workload across many cells)
     order = sorted(todo, key=lambda i: (repr(cells[i].workload),
                                         cells[i].seed, i))
-    max_workers = min(jobs, len(order))
     unsubmitted: "deque[int]" = deque(order)
     pending_retry: List[Tuple[float, int]] = []  # (ready time, cell index)
     states: Dict[int, CellState] = {}
@@ -756,40 +658,26 @@ def run_campaign(
     retry: Optional[RetryPolicy] = None,
     keep_going: bool = False,
     resume: bool = False,
-    journal: Optional[RunJournal] = None,
-    journal_dir: Optional[Union[str, Path]] = None,
+    journal_dir: Optional[PathLike] = None,
     report: Optional[RunReport] = None,
 ) -> CampaignResult:
     """Expand a spec and run its grid through :func:`run_cells`.
 
-    With ``journal_dir`` (typically ``<cache root>/journals``) the run
-    writes — and with ``resume=True`` replays — an auto-named crash-safe
-    journal, so the same spec always maps to the same resume point.
+    The run writes — and with ``resume=True`` replays — the grid's
+    auto-named crash-safe journal under ``journal_dir`` (default: the
+    cache root's ``journals/``; no journal without either), so the same
+    spec always maps to the same resume point.
     """
-    t0 = time.perf_counter()
-    stats_base = cache.stats.snapshot() if cache is not None else None
-    cells = spec.expand()
-    if journal is None and journal_dir is not None:
-        journal = RunJournal.at(journal_dir, [cell_key(c) for c in cells],
-                                name=spec.name)
+    if journal_dir is None:
+        journal_dir = default_journal_dir(cache)
     rep = report if report is not None else RunReport()
     results = run_cells(
-        cells, jobs=jobs, cache=cache, force=force, progress=progress,
-        retry=retry, journal=journal, resume=resume, keep_going=keep_going,
-        report=rep,
+        spec.expand(), jobs=jobs, cache=cache, force=force,
+        progress=progress, retry=retry,
+        journal=(journal_dir, spec.name) if journal_dir is not None else None,
+        resume=resume, keep_going=keep_going, report=rep,
     )
-    elapsed = time.perf_counter() - t0
-    return CampaignResult(
-        spec=spec,
-        results=results,
-        elapsed=elapsed,
-        stats=campaign_stats(
-            results, elapsed, max(1, jobs),
-            cache.stats.since(stats_base) if stats_base is not None else None,
-            report=rep,
-        ),
-        report=rep,
-    )
+    return CampaignResult(spec=spec, results=results, stats=rep)
 
 
 def default_journal_dir(cache: Optional[CampaignCache]) -> Optional[Path]:

@@ -27,7 +27,12 @@ only, but determinism keeps chaos tests exactly reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+from ..obs.stats import timing_summary
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from .cache import CacheStats
 
 __all__ = [
     "CellFailure",
@@ -125,10 +130,16 @@ class CellFailure:
 
 @dataclass
 class RunReport:
-    """Recovery accounting for one ``run_cells`` execution.
+    """The record of one ``run_cells`` execution: where the cells came
+    from, how long simulation took (per-cell percentiles over in-worker
+    time), how busy the workers were, the cache lookups of this run, and
+    what the recovery machinery had to do.
 
-    Filled in place (pass one in to keep it across an aborted run), so a
-    driver that dies mid-campaign still leaves its counts observable.
+    ``run_cells`` fills it in place (pass one in to keep it across an
+    aborted run), so a driver that dies mid-campaign still leaves its
+    counts observable.  Rendered by ``--stats`` and written to the paper
+    build's ``build-stats.json``; the numbers are observational and never
+    feed back into metrics or cache keys.
     """
 
     failures: List[CellFailure] = field(default_factory=list)
@@ -137,24 +148,86 @@ class RunReport:
     timeouts: int = 0
     quarantined: int = 0
     journal_cells: int = 0
+    n_cells: int = 0
+    n_cached: int = 0
+    n_simulated: int = 0
+    wall: float = 0.0
+    #: worker processes that simulated (1 inline, 0 when nothing ran)
+    workers: int = 0
+    #: p50/p95/max/total over per-cell in-worker simulation seconds
+    cell_seconds: Dict[str, float] = field(
+        default_factory=lambda: timing_summary([]))
+    #: fraction of worker capacity spent simulating (None when nothing ran)
+    pool_utilization: Optional[float] = None
+    #: this run's window of the cache's lookup stats (None without a cache)
+    cache: Optional[CacheStats] = None
 
-    def merge(self, other: "RunReport") -> None:
-        self.failures.extend(other.failures)
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
-        self.timeouts += other.timeouts
-        self.quarantined += other.quarantined
-        self.journal_cells += other.journal_cells
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
-    def as_dict(self) -> dict:
+    @property
+    def rate(self) -> float:
+        """Cells per wall-clock second."""
+        return self.n_cells / self.wall if self.wall > 0 else 0.0
+
+    def as_dict(self) -> Dict[str, object]:
+        """The ``build-stats.json`` document."""
         return {
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-            "journal_cells": self.journal_cells,
-            "n_failed": len(self.failures),
+            "n_cells": self.n_cells,
+            "n_cached": self.n_cached,
+            "n_simulated": self.n_simulated,
+            "wall": round(self.wall, 4),
+            "workers": self.workers,
+            "cell_seconds": dict(self.cell_seconds),
+            "pool_utilization": (
+                round(self.pool_utilization, 4)
+                if self.pool_utilization is not None else None
+            ),
+            "cache": self.cache.as_dict() if self.cache is not None else None,
+            "recovery": {
+                "retries": self.retries,
+                "pool_rebuilds": self.pool_rebuilds,
+                "timeouts": self.timeouts,
+                "quarantined": self.quarantined,
+                "n_failed": self.n_failed,
+                "n_journal": self.journal_cells,
+            },
         }
+
+    def render(self) -> str:
+        """Human-readable stats block (one fact per line, greppable)."""
+        cs = self.cell_seconds
+        lines = [
+            f"cells   : {self.n_cells} in {self.wall:.2f}s "
+            f"({self.rate:.1f} cells/s) — "
+            f"{self.n_simulated} simulated, {self.n_cached} cached",
+            f"cell time : p50 {cs['p50']:.3f}s, p95 {cs['p95']:.3f}s, "
+            f"max {cs['max']:.3f}s (sim total {cs['total']:.2f}s)",
+        ]
+        if self.pool_utilization is not None:
+            lines.append(
+                f"workers : {self.workers}, "
+                f"utilization {100 * self.pool_utilization:.0f}%"
+            )
+        if self.cache is not None:
+            s = self.cache
+            lines.append(
+                f"cache   : {s.hits} hits, {s.misses} misses, "
+                f"{s.corrupt} corrupt"
+            )
+        lines.append(
+            f"recovery: {self.retries} retries, "
+            f"{self.pool_rebuilds} pool rebuilds, "
+            f"{self.timeouts} timeouts, {self.quarantined} quarantined"
+        )
+        if self.journal_cells:
+            lines.append(f"resume  : {self.journal_cells} cells replayed "
+                         f"from the run journal")
+        if self.n_failed:
+            lines.append(f"failed  : {self.n_failed} cells missing "
+                         f"from aggregates (see --keep-going report)")
+        return "\n".join(lines)
 
 
 class CellState:

@@ -47,7 +47,6 @@ from .campaign import (
     CampaignSpec,
     RetryPolicy,
     aggregate_rows,
-    default_journal_dir,
 )
 from .campaign.executor import ProgressFn
 from .experiments.export import (
@@ -272,18 +271,16 @@ def _add_robustness_args(p: argparse.ArgumentParser) -> None:
 
 def cmd_sweep(args) -> int:
     spec = CampaignSpec.from_json(args.spec)
-    cache = _cache(args)
     try:
         result = api.sweep(
             spec,
             jobs=args.jobs,
-            cache=cache,
+            cache=_cache(args),
             force=args.force,
             progress=_progress("sweep", 4, args.quiet),
             retry=_retry_policy(args),
             keep_going=args.keep_going,
             resume=args.resume,
-            journal_dir=default_journal_dir(cache),
         )
     except ValueError as exc:
         print(exc.args[0], file=sys.stderr)
@@ -293,12 +290,12 @@ def cmd_sweep(args) -> int:
     print(
         f"campaign {spec.name!r}: {result.n_cells} cells "
         f"({result.n_simulated} simulated, {result.n_cached} cached) "
-        f"in {result.elapsed:.1f}s with --jobs {args.jobs}"
+        f"in {result.stats.wall:.1f}s with --jobs {args.jobs}"
     )
-    if args.stats and result.stats is not None:
+    if args.stats:
         print(result.stats.render())
     if result.n_failed:
-        for f in result.report.failures:
+        for f in result.stats.failures:
             print(f"[sweep] FAILED {f.cell.label()} [{f.kind}] after "
                   f"{f.attempts} attempt(s): {f.error}", file=sys.stderr)
         print(f"[sweep] partial result: {result.n_failed} cells missing "
@@ -506,7 +503,7 @@ def cmd_paper_build(args) -> int:
         print(exc.args[0], file=sys.stderr)
         return 2
     plan = result.plan
-    if args.stats and result.stats is not None:
+    if args.stats:
         print(result.stats.render())
     if not args.quiet:
         for rendered in result.outputs:

@@ -184,6 +184,7 @@ class TestCommands:
         assert main(argv) == 2
         assert "resume needs a run journal" in capsys.readouterr().err
         assert simulated == []
+        assert not (tmp_path / "out").exists()
 
     def test_tables(self, capsys):
         rc = main(["tables", "--scale", "0.02", "--seed", "1"])

@@ -325,6 +325,21 @@ class TestRunStats:
         assert "cache   : 0 hits, 2 misses, 0 corrupt" in text
         json.dumps(stats.as_dict())
 
+    def test_workers_counts_only_processes_that_simulated(self, tmp_path):
+        spec = CampaignSpec.from_dict(SWEEP_SPEC)  # 2 cells
+        cache = CampaignCache(tmp_path)
+        cold = run_campaign(spec, jobs=4, cache=cache).stats
+        assert cold.workers == 2  # the pool is min(jobs, cells run)
+        assert "workers : 2, utilization" in cold.render()
+        cache.path_for(cell_key(spec.expand()[0])).unlink()
+        one = run_campaign(spec, jobs=4, cache=cache).stats
+        assert (one.n_simulated, one.workers) == (1, 1)  # ran inline
+        warm = run_campaign(spec, jobs=4, cache=cache).stats
+        assert (warm.n_simulated, warm.workers) == (0, 0)
+        assert warm.pool_utilization is None
+        assert "workers :" not in warm.render()
+        assert warm.as_dict()["pool_utilization"] is None
+
     def test_corrupt_entries_warned_once_at_end(self, tmp_path, caplog):
         spec = CampaignSpec.from_dict(SWEEP_SPEC)
         cache = CampaignCache(tmp_path)
