@@ -6,7 +6,7 @@ Figures 8-19 project the same nine-policy suite — so the union is tiny).
 ``build_artifacts`` executes that plan through the campaign executor and
 its content-addressed cache (rebuilds are incremental: an unchanged cell
 is a cache hit, an unchanged selection simulates nothing), renders every
-artifact in parallel, and writes a ``manifest.json`` mapping each
+artifact in selection order, and writes a ``manifest.json`` mapping each
 artifact to the content digests of its inputs (cell keys, workload
 digest) and its output bytes.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -190,8 +189,10 @@ def build_artifacts(
     """Build a selection of paper artifacts end to end.
 
     Missing cells are simulated (in parallel for ``jobs > 1``) and
-    cached; renders fan out over a thread pool; the manifest is written
-    last so a manifest on disk always describes completed outputs.
+    cached; artifacts render inline, one after another (renders are pure
+    Python, so threads would only add start-up cost under the GIL); the
+    manifest is written last so a manifest on disk always describes
+    completed outputs.
     With ``check=True`` each artifact's qualitative shape check runs
     against the freshly built data (shape assertions only engage when
     the trace has at least ``SHAPE_MIN_JOBS`` jobs).
@@ -240,12 +241,10 @@ def build_artifacts(
 
     outputs: List[ArtifactOutput] = []
     texts: Dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(plan.artifacts)))) as pool:
-        futures = [pool.submit(_render, art) for art in plan.artifacts]
-        for fut in futures:
-            rendered, text = fut.result()
-            outputs.append(rendered)
-            texts[rendered.artifact.id] = text
+    for art in plan.artifacts:
+        rendered, text = _render(art)
+        outputs.append(rendered)
+        texts[art.id] = text
 
     doc = manifest_doc(plan, outputs, wl_digest)
     manifest_path = out / MANIFEST_NAME

@@ -174,22 +174,46 @@ def _assign_weeks(
     profile: np.ndarray,
 ) -> np.ndarray:
     """Greedy weighted assignment of jobs to weeks so per-week arriving work
-    tracks the profile.  Big jobs placed first against remaining deficits."""
+    tracks the profile.  Big jobs placed first against remaining deficits.
+
+    Each job's week is the draw ``rng.choice(weeks, p=p / total)`` over the
+    clipped deficits ``p``, made by the steps ``Generator.choice`` itself
+    runs for a 1-D ``p``: cumulative sum of ``p / total``, normalized by its
+    last entry, one ``rng.random()`` draw, right-sided search.  Only
+    ``choice``'s per-call validation of ``p`` is skipped, so the weeks and
+    the RNG stream are bit-identical (``tests/generator_reference.py``
+    keeps the ``choice`` form for the differential test).
+    """
     weeks = len(profile)
     target = profile / profile.sum() * areas.sum()
     deficit = target.copy()
-    order = np.argsort(-areas)
-    out = np.empty(len(areas), dtype=np.int64)
-    for idx in order:
-        p = np.clip(deficit, 0.0, None)
-        total = p.sum()
+    area_of = areas.tolist()
+    out = [0] * len(area_of)
+    # the ufuncs themselves: np.clip/ndarray.sum wrappers cost more than
+    # the arithmetic on a few dozen weeks
+    maximum, reduce, accumulate = np.maximum, np.add.reduce, np.add.accumulate
+    random = rng.random
+    for idx in np.argsort(-areas).tolist():
+        p = maximum(deficit, 0.0)
+        total = reduce(p)
         if total <= 0:
             week = int(rng.integers(0, weeks))
         else:
-            week = int(rng.choice(weeks, p=p / total))
+            cdf = accumulate(p / total).tolist()
+            last = cdf[-1]
+            u = random()
+            # searchsorted(cdf / cdf[-1], u, side="right")
+            lo, hi = 0, weeks
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if cdf[mid] / last <= u:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            week = lo
         out[idx] = week
-        deficit[week] -= areas[idx]
-    return out
+        deficit[week] -= area_of[idx]
+    return np.array(out, dtype=np.int64)
 
 
 def _arrival_offsets(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -295,18 +319,17 @@ def generate_cplant_workload(
     users = rng.choice(cfg.n_users, size=n, p=user_w) + 1
     groups = (users - 1) % cfg.n_groups + 1
 
+    # positional construction from plain-Python columns in submit order
+    # (as Job.fresh_copy does): no numpy-scalar conversion per field
     order = np.argsort(submit, kind="stable")
+    columns = zip(
+        submit[order].tolist(), widths[order].tolist(),
+        runtimes[order].tolist(), wcls[order].tolist(),
+        users[order].tolist(), groups[order].tolist(),
+    )
     jobs = [
-        Job(
-            id=i + 1,
-            submit_time=float(submit[k]),
-            nodes=int(widths[k]),
-            runtime=float(runtimes[k]),
-            wcl=float(wcls[k]),
-            user_id=int(users[k]),
-            group_id=int(groups[k]),
-        )
-        for i, k in enumerate(order)
+        Job(i, s, nodes, r, wcl, u, g)
+        for i, (s, nodes, r, wcl, u, g) in enumerate(columns, 1)
     ]
     return Workload(
         jobs=jobs,
