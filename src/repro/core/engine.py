@@ -299,15 +299,21 @@ class Engine:
         """Deep-copy the live engine — cluster, scheduler, queues, pending
         events, observers — for warm-started what-if simulation.
 
-        The fork shares nothing with the original: draining it answers
-        "what happens to the current backlog under changed settings"
-        without re-simulating completed history, while the live engine
-        keeps running.  Observers must be deep-copyable (file-backed
-        trace sinks are not; in-memory observers are).
+        The fork shares only the completed jobs with the original: a
+        completed job is never mutated again, so both engines hold the
+        same objects and the copy costs the live state, not the history.
+        Everything else is copied.  Draining the fork answers "what
+        happens to the current backlog under changed settings" without
+        re-simulating completed history, while the live engine keeps
+        running.  Observers must be deep-copyable (file-backed trace
+        sinks are not; in-memory observers are).
         """
         if self._result is not None:
             raise RuntimeError("cannot fork a finished engine")
-        return copy.deepcopy(self)
+        done = JobState.COMPLETED
+        return copy.deepcopy(
+            self, {id(j): j for j in self._jobs if j.state is done}
+        )
 
     # -- services used by schedulers -------------------------------------------
 

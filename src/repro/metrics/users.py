@@ -30,6 +30,32 @@ class UserFairness:
     worst_miss: float
 
 
+def user_record(
+    user_id: int,
+    misses: Sequence[float],
+    waits: Sequence[float],
+    areas: Sequence[float],
+    epsilon: float,
+) -> UserFairness:
+    """One user's record from their jobs' misses, waits and areas.
+
+    The three sequences must follow the jobs' order in the simulation's
+    job list: a mean or a sum taken in another order can differ in the
+    last bits.  Live service sessions and :func:`per_user_fairness` both
+    build records here.
+    """
+    vals = np.array(misses)
+    return UserFairness(
+        user_id=user_id,
+        n_jobs=len(vals),
+        total_work=float(sum(areas)),
+        avg_wait=float(np.array(waits).mean()),
+        avg_miss_time=float(vals.mean()),
+        percent_unfair=float((vals > epsilon).mean()),
+        worst_miss=float(vals.max()),
+    )
+
+
 def per_user_fairness(
     jobs: Sequence[Job],
     fst: Dict[int, float],
@@ -40,20 +66,16 @@ def per_user_fairness(
     by_user: Dict[int, list] = {}
     for j in jobs:
         by_user.setdefault(j.user_id, []).append(j)
-    out: Dict[int, UserFairness] = {}
-    for user, user_jobs in by_user.items():
-        vals = np.array([misses[j.id] for j in user_jobs])
-        waits = np.array([j.start_time - j.submit_time for j in user_jobs])
-        out[user] = UserFairness(
-            user_id=user,
-            n_jobs=len(user_jobs),
-            total_work=float(sum(j.area for j in user_jobs)),
-            avg_wait=float(waits.mean()),
-            avg_miss_time=float(vals.mean()),
-            percent_unfair=float((vals > epsilon).mean()),
-            worst_miss=float(vals.max()),
+    return {
+        user: user_record(
+            user,
+            [misses[j.id] for j in user_jobs],
+            [j.start_time - j.submit_time for j in user_jobs],
+            [j.area for j in user_jobs],
+            epsilon,
         )
-    return out
+        for user, user_jobs in by_user.items()
+    }
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,14 @@ batch run would read from a workload finishes with a byte-identical
 On top of the engine it adds the three service verbs:
 
 * :meth:`snapshot` — live per-user fairness / utilization / queue depth,
-  read straight from the attached observers (no re-simulation);
+  read from counters and per-user records the session updates with the
+  jobs completed since the previous snapshot (no re-simulation, no
+  rescan of history);
 * :meth:`whatif` — fork the warm engine state, apply scheduler-parameter
   overrides to the fork, and drain both the variant and an unmodified
   baseline fork to completion.  Completed history is *inherited*, not
-  re-simulated: both forks start at the parent's event count and completed
-  jobs keep their recorded times;
+  re-simulated: both forks start at the parent's event count and share
+  the parent's completed jobs, which keep their recorded times;
 * :meth:`finish` — seal the run and derive the full
   :class:`~repro.experiments.runner.PolicyRun` bundle through the same
   pipeline as the batch path.
@@ -23,21 +25,44 @@ On top of the engine it adds the three service verbs:
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-from ..core.engine import Engine
-from ..core.job import Job, JobState
+from ..core.engine import Engine, Observer
+from ..core.job import Job
 from ..experiments.runner import (
     PolicyRun,
     RunOptions,
     derive_policy_run,
     policy_engine,
 )
-from ..metrics.users import per_user_fairness
+from ..metrics.fairness import miss_times
+from ..metrics.users import UserFairness, per_user_fairness, user_record
 from ..sched.registry import get_policy, validate_overrides
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports us lazily)
     from ..api import SimulationRequest
+
+
+class _Completions(Observer):
+    """Counts completions and holds the jobs completed since the session
+    last filed them.
+
+    It rides inside the engine, so every fork copies it: it keeps no
+    state that grows with the run's history.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.since: List[Job] = []
+
+    def on_completion(self, job: Job, now: float) -> None:
+        self.count += 1
+        self.since.append(job)
+
+    def take(self) -> List[Job]:
+        taken, self.since = self.since, []
+        return taken
 
 
 class LiveSimulation:
@@ -62,10 +87,20 @@ class LiveSimulation:
             )
         self.policy = policy
         self.options = options
-        self.engine = policy_engine(spec, system_size, options, jobs, observers)
+        self._completions = _Completions()
+        self.engine = policy_engine(
+            spec, system_size, options, jobs, [*observers, self._completions]
+        )
         #: the hybrid-FST observer (first of the metric stack)
         self._fst_obs = self.engine.observers[0]
         self._run: Optional[PolicyRun] = None
+        #: job id -> position in ``engine.jobs``, for the jobs seen so far
+        self._position: Dict[int, int] = {}
+        #: user id -> (positions, misses, waits, areas) of the user's
+        #: filed jobs, each list in ``engine.jobs`` order
+        self._filed: Dict[int, tuple] = {}
+        #: user id -> record over the user's filed jobs
+        self._records: Dict[int, UserFairness] = {}
 
     @classmethod
     def from_request(
@@ -147,25 +182,28 @@ class LiveSimulation:
     def snapshot(self) -> Dict[str, object]:
         """Current engine state plus live per-user fairness.
 
-        Everything is read from state the engine and its metric observers
-        already maintain; taking a snapshot never schedules or simulates
-        anything.
+        Everything is read from state the engine, its metric observers
+        and the session already maintain; taking a snapshot never
+        schedules or simulates anything.  Its cost is the jobs completed
+        since the previous snapshot plus the records of their users, not
+        the run's history.
         """
-        jobs = self.engine.jobs
-        by_state = {s: 0 for s in JobState}
-        for j in jobs:
-            by_state[j.state] += 1
-        cluster = self.engine.cluster
+        per_user = self.per_user_metrics()
+        engine = self.engine
+        cluster = engine.cluster
+        submitted = len(engine.jobs)
+        completed = self._completions.count
+        running = cluster.running_count
         return {
-            "now": self.engine.now,
-            "events_processed": self.engine.events_processed,
-            "jobs_submitted": len(jobs),
-            "jobs_completed": by_state[JobState.COMPLETED],
-            "jobs_running": by_state[JobState.RUNNING],
-            "jobs_queued": by_state[JobState.QUEUED] + by_state[JobState.PENDING],
+            "now": engine.now,
+            "events_processed": engine.events_processed,
+            "jobs_submitted": submitted,
+            "jobs_completed": completed,
+            "jobs_running": running,
+            "jobs_queued": submitted - completed - running,
             "free_nodes": cluster.free_nodes,
             "utilization_now": cluster.used_nodes / cluster.size,
-            "per_user": self.per_user_metrics(),
+            "per_user": per_user,
         }
 
     def per_user_metrics(
@@ -173,18 +211,23 @@ class LiveSimulation:
     ) -> Dict[str, Dict[str, float]]:
         """Per-user fairness over completed jobs, JSON-shaped.
 
-        The same projection serves live snapshots (jobs completed so far)
-        and the final report (``finish().metric_jobs``), so a streamed
-        session and an offline batch run of the merged trace render
-        byte-identical payloads.
+        Without ``jobs``: the live records over every job completed so
+        far.  With ``jobs`` (the final report passes
+        ``finish().metric_jobs``): records rebuilt from those jobs by
+        :func:`~repro.metrics.users.per_user_fairness`.  Both build each
+        record with the same function over the same per-user job order,
+        so a streamed session and an offline batch run of the merged
+        trace render byte-identical payloads.
         """
         if jobs is None:
-            jobs = [j for j in self.engine.jobs if j.state is JobState.COMPLETED]
-        if not jobs:
+            self._file(self._completions.take())
+            stats = self._records
+        elif jobs:
+            stats = per_user_fairness(
+                jobs, self._fst_obs.fst, epsilon=self.options.epsilon
+            )
+        else:
             return {}
-        stats = per_user_fairness(
-            jobs, self._fst_obs.fst, epsilon=self.options.epsilon
-        )
         return {
             str(uid): {
                 "n_jobs": rec.n_jobs,
@@ -197,6 +240,34 @@ class LiveSimulation:
             for uid, rec in sorted(stats.items())
         }
 
+    def _file(self, done: List[Job]) -> None:
+        """File newly completed jobs under their users, each at its
+        ``engine.jobs`` position, and rebuild those users' records."""
+        if not done:
+            return
+        position, jobs = self._position, self.engine.jobs
+        for k in range(len(position), len(jobs)):
+            position[jobs[k].id] = k
+        misses = miss_times(done, self._fst_obs.fst)
+        touched = set()
+        for j in done:
+            filed = self._filed.get(j.user_id)
+            if filed is None:
+                filed = self._filed[j.user_id] = ([], [], [], [])
+            pos = position[j.id]
+            k = bisect(filed[0], pos)
+            filed[0].insert(k, pos)
+            filed[1].insert(k, misses[j.id])
+            filed[2].insert(k, j.start_time - j.submit_time)
+            filed[3].insert(k, j.area)
+            touched.add(j.user_id)
+        epsilon = self.options.epsilon
+        for uid in touched:
+            _, user_misses, waits, areas = self._filed[uid]
+            self._records[uid] = user_record(
+                uid, user_misses, waits, areas, epsilon
+            )
+
     # -- warm what-if ------------------------------------------------------------
 
     def whatif(
@@ -205,17 +276,16 @@ class LiveSimulation:
         """Answer "what if the scheduler ran with these parameters from
         *now* on?" without re-simulating completed history.
 
-        Two deep forks of the live engine are drained to completion: one
+        Two forks of the live engine are drained to completion: one
         untouched (the baseline the live run is heading for) and one with
         ``overrides`` applied to its scheduler.  Both inherit the parent's
         clock, queues, running jobs, and event count, so only the future
-        is simulated; the live session itself is never perturbed.
+        is simulated; they share its completed jobs, which nothing
+        mutates, and the live session itself is never perturbed.
         """
         validate_overrides(self.policy, overrides)
         events_before = self.engine.events_processed
-        completed_before = sum(
-            1 for j in self.engine.jobs if j.state is JobState.COMPLETED
-        )
+        completed_before = self._completions.count
         baseline = self.engine.fork()
         variant = self.engine.fork()
         self._apply_overrides(variant, overrides)

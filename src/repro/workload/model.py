@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List
 
 import numpy as np
 
 from ..core.job import Job
 from . import categories
+
+
+#: a job's place in a workload: by submit time, then id
+_SUBMIT_ORDER = attrgetter("submit_time", "id")
 
 
 @dataclass
@@ -36,7 +41,7 @@ class Workload:
             raise ValueError(
                 f"jobs wider than system ({self.system_size}): {too_wide[:5]}"
             )
-        self.jobs = sorted(self.jobs, key=lambda j: (j.submit_time, j.id))
+        self.jobs = sorted(self.jobs, key=_SUBMIT_ORDER)
 
     def __len__(self) -> int:
         return len(self.jobs)

@@ -143,14 +143,18 @@ def _overrun_workload() -> Workload:
     return Workload(jobs, 48, name="overrun-mix")
 
 
-@pytest.fixture(scope="module")
-def digest_workloads():
+def build_digest_workloads():
     return {
         "small": random_workload(120, system_size=32, seed=42, load=0.9),
         "heavy": random_workload(250, system_size=64, seed=11, load=1.3),
         "cplant0.03": generate_cplant_workload(GeneratorConfig(scale=0.03), seed=5),
         "overrun": _overrun_workload(),
     }
+
+
+@pytest.fixture(scope="module")
+def digest_workloads():
+    return build_digest_workloads()
 
 
 #: runs that evaluate several hybrid-FST reference orders at once, so the
@@ -193,15 +197,21 @@ ALL_DIGESTS = {**RECORDED_DIGESTS, **FRONTIER_DIGESTS, **MULTI_ORDER_DIGESTS,
                **ORDER_DIGESTS}
 
 
-@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
-def test_digest_matches_recorded_baseline(case, digest_workloads):
+def run_case(case, workloads, observers=()):
+    """Run one "<policy>|<workload>[|option=value...]" case."""
     parts = case.split("|")
     policy, workload = parts[0], parts[1]
     kwargs = {}
     for extra in parts[2:]:
         key, value = extra.split("=")
         kwargs[key] = value.split(",") if key == "reference_orders" else value
-    run = run_policy(digest_workloads[workload], policy, RunOptions(**kwargs))
+    return run_policy(workloads[workload], policy, RunOptions(**kwargs),
+                      observers=observers)
+
+
+@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
+def test_digest_matches_recorded_baseline(case, digest_workloads):
+    run = run_case(case, digest_workloads)
     assert run.result.digest() == ALL_DIGESTS[case], (
         f"{case}: simulation outcome changed — optimizations must be "
         "byte-identical (see docs/PERFORMANCE.md)"

@@ -1,6 +1,8 @@
 """Tests for the Workload container."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.workload.model import Workload
 from tests.conftest import make_job
@@ -25,6 +27,19 @@ class TestValidation:
             system_size=8,
         )
         assert [j.id for j in wl.jobs] == [2, 1]
+
+    @given(st.lists(st.integers(min_value=0, max_value=4), max_size=30),
+           st.randoms())
+    def test_unsorted_input_comes_out_in_submit_then_id_order(self, slots, rnd):
+        # few distinct submit times: ties are broken by id
+        jobs = [make_job(id=i, submit=100.0 * s) for i, s in enumerate(slots)]
+        rnd.shuffle(jobs)
+        given_order = list(jobs)
+        wl = Workload(jobs, system_size=8)
+        assert [(j.submit_time, j.id) for j in wl.jobs] \
+            == sorted((j.submit_time, j.id) for j in jobs)
+        assert list(map(id, jobs)) == list(map(id, given_order))
+        assert wl.jobs is not jobs
 
 
 class TestViews:

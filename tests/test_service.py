@@ -9,13 +9,14 @@ per-user metrics) to a one-shot batch run of the merged trace.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 
 import pytest
 
 from repro import api
-from repro.core.job import JobState
+from repro.core.job import Job, JobState
 from repro.service import (
     LiveSimulation,
     ServiceClient,
@@ -147,6 +148,41 @@ def test_whatif_completed_jobs_keep_their_times(trace):
     for j in fork.jobs:
         if j.id in done:
             assert j.end_time == done[j.id]
+
+
+#: what-if digests recorded before forks shared completed jobs
+WHATIF_DIGESTS = {
+    "baseline": "0a9c6d81240a8d058ea8a660dc19f552a0e87f3c0b91f16ad4ded960d85fec96",
+    "variant": "fc607f796f5a4679f07680322bde83a88241d5d42c6f0b9c7b23f244827fad6f",
+}
+
+
+def test_whatif_forks_never_touch_completed_jobs():
+    wl = generate_cplant_workload(GeneratorConfig(scale=0.05), seed=3)
+    live = api.open_session(policy="cplant24.nomax.all", workload=wl)
+    live.advance(120000.0)
+    names = [f.name for f in dataclasses.fields(Job)]
+    done = [j for j in live.engine.jobs if j.state is JobState.COMPLETED]
+    assert done
+    before = [[getattr(j, n) for n in names] for j in done]
+    w = live.whatif({"starvation_threshold": 600.0})  # drains both forks
+    assert w["baseline"]["digest"] == WHATIF_DIGESTS["baseline"]
+    assert w["variant"]["digest"] == WHATIF_DIGESTS["variant"]
+    assert [[getattr(j, n) for n in names] for j in done] == before
+
+
+def test_fork_shares_completed_jobs_and_copies_the_rest(trace):
+    live = api.open_session(policy="easy.fairshare", workload=trace)
+    live.advance(300000.0)
+    fork = live.engine.fork()
+    states = {j.state for j in live.engine.jobs}
+    assert JobState.COMPLETED in states and len(states) > 1
+    assert len(fork.jobs) == len(live.engine.jobs)
+    for mine, theirs in zip(live.engine.jobs, fork.jobs):
+        if mine.state is JobState.COMPLETED:
+            assert theirs is mine
+        else:
+            assert theirs is not mine and theirs == mine
 
 
 def test_whatif_rejects_unknown_overrides(trace):

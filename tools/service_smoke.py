@@ -6,11 +6,15 @@ End to end, against a real server process:
 1. launch ``repro serve`` on an ephemeral port and parse the announced
    address from stdout;
 2. stream a calibrated trace through three concurrent tenants, polling
-   live metrics mid-flight;
+   live metrics mid-flight: every payload's job counts must add up
+   (completed + running + queued = submitted) and its per-user ``n_jobs``
+   must sum to ``jobs_completed``;
 3. ask one warm what-if and check it inherited completed history;
 4. drain everyone, fetch the final result, and verify the digest and
    per-user metrics are byte-identical to an offline batch run of the
-   merged trace;
+   merged trace; the live snapshot taken after the result must carry the
+   same per-user bytes (the session's incremental records against the
+   batch records rebuilt from every job);
 5. shut the server down cleanly and require exit status 0.
 
 Usage::
@@ -87,6 +91,16 @@ async def tenant(host: str, port: int, name: str, jobs: list) -> None:
         await c.drain()
 
 
+def check_counts(snap: dict) -> None:
+    """A metrics payload's job counts and per-user records agree."""
+    assert (snap["jobs_completed"] + snap["jobs_running"]
+            + snap["jobs_queued"]) == snap["jobs_submitted"], \
+        f"job counts do not add up at t={snap['now']}"
+    assert sum(u["n_jobs"] for u in snap["per_user"].values()) \
+        == snap["jobs_completed"], \
+        f"per-user n_jobs do not sum to jobs_completed at t={snap['now']}"
+
+
 async def drive(host: str, port: int, streams: dict) -> dict:
     # tenants stream concurrently while a control connection watches
     feeders = [asyncio.create_task(tenant(host, port, n, j))
@@ -94,11 +108,12 @@ async def drive(host: str, port: int, streams: dict) -> dict:
     async with await ServiceClient.connect(host, port) as ctl:
         polls = 0
         while not all(f.done() for f in feeders):
-            snap = await ctl.metrics()
+            check_counts(await ctl.metrics())
             polls += 1
-            await asyncio.sleep(0.05)
+            await asyncio.sleep(0.005)
         await asyncio.gather(*feeders)
         snap = await ctl.metrics()
+        check_counts(snap)
         print(f"[smoke] {polls} metric polls; engine at t={snap['now']:.0f}, "
               f"{snap['jobs_completed']} completed")
         assert snap["jobs_submitted"] == sum(map(len, streams.values()))
@@ -111,6 +126,12 @@ async def drive(host: str, port: int, streams: dict) -> dict:
               f"simulated {whatif['variant']['events_simulated']} forward")
 
         result = await ctl.result()
+        final = await ctl.metrics()
+        check_counts(final)
+        assert final["jobs_completed"] == snap["jobs_submitted"]
+        assert json.dumps(final["per_user"], sort_keys=True) \
+            == json.dumps(result["per_user"], sort_keys=True), \
+            "live per-user records differ from the result's"
         await ctl.shutdown()
         return result
 
