@@ -25,6 +25,7 @@ On top of the engine it adds the three service verbs:
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
@@ -48,8 +49,9 @@ class _Completions(Observer):
     """Counts completions and holds the jobs completed since the session
     last filed them.
 
-    It rides inside the engine, so every fork copies it: it keeps no
-    state that grows with the run's history.
+    It rides inside the engine, so every fork copies it.  The copy stays
+    small: every snapshot empties it, and the jobs it holds are completed
+    ones, which forks share instead of copying.
     """
 
     def __init__(self) -> None:
@@ -97,7 +99,9 @@ class LiveSimulation:
         #: job id -> position in ``engine.jobs``, for the jobs seen so far
         self._position: Dict[int, int] = {}
         #: user id -> (positions, misses, waits, areas) of the user's
-        #: filed jobs, each list in ``engine.jobs`` order
+        #: filed jobs, each in ``engine.jobs`` order; misses and waits
+        #: are double arrays, which numpy reads without converting
+        #: every element
         self._filed: Dict[int, tuple] = {}
         #: user id -> record over the user's filed jobs
         self._records: Dict[int, UserFairness] = {}
@@ -253,7 +257,9 @@ class LiveSimulation:
         for j in done:
             filed = self._filed.get(j.user_id)
             if filed is None:
-                filed = self._filed[j.user_id] = ([], [], [], [])
+                filed = self._filed[j.user_id] = (
+                    [], array("d"), array("d"), []
+                )
             pos = position[j.id]
             k = bisect(filed[0], pos)
             filed[0].insert(k, pos)
