@@ -192,7 +192,6 @@ class LiveSimulation:
         since the previous snapshot plus the records of their users, not
         the run's history.
         """
-        per_user = self.per_user_metrics()
         engine = self.engine
         cluster = engine.cluster
         submitted = len(engine.jobs)
@@ -207,7 +206,7 @@ class LiveSimulation:
             "jobs_queued": submitted - completed - running,
             "free_nodes": cluster.free_nodes,
             "utilization_now": cluster.used_nodes / cluster.size,
-            "per_user": per_user,
+            "per_user": self.per_user_metrics(),
         }
 
     def per_user_metrics(
