@@ -46,7 +46,6 @@ from .experiments import (
 from .scenarios import (
     Scenario,
     all_scenarios,
-    build_scenario,
     get_scenario,
     scenario_names,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "WorkloadSpec",
     "aggregate_cells",
     "all_scenarios",
-    "build_scenario",
     "cell_key",
     "consp_fst",
     "fairness_stats",

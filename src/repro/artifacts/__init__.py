@@ -28,7 +28,6 @@ from .build import (
 from .registry import (
     BASELINE,
     all_artifacts,
-    artifact_ids,
     get_artifact,
     register,
     select_artifacts,
@@ -50,7 +49,6 @@ __all__ = [
     "RecordRun",
     "SHAPE_MIN_JOBS",
     "all_artifacts",
-    "artifact_ids",
     "build_artifacts",
     "diff_manifests",
     "get_artifact",

@@ -65,11 +65,6 @@ def get_artifact(artifact_id: str) -> Artifact:
         raise KeyError(f"unknown artifact {artifact_id!r}; known: {known}") from None
 
 
-def artifact_ids() -> List[str]:
-    """Registered ids, in registration (paper) order."""
-    return list(_REGISTRY)
-
-
 def all_artifacts() -> List[Artifact]:
     return list(_REGISTRY.values())
 

@@ -20,7 +20,7 @@ Because a 10k-cell sweep will meet real failures, the executor is a
   quarantined instead of retried forever;
 * worker loss (``BrokenProcessPool``) rebuilds the pool and resubmits
   the in-flight cells, charging each a conservative "kill" — a cell
-  charged more than ``max_worker_kills`` is quarantined;
+  charged more than ``MAX_WORKER_KILLS`` is quarantined;
 * a per-cell wall-clock watchdog (``RetryPolicy.timeout``) kills and
   rebuilds the pool under a hung simulation instead of hanging the
   campaign (pool mode only — inline execution cannot preempt);
@@ -56,6 +56,7 @@ from .aggregate import aggregate_cells
 from .cache import CampaignCache, cell_key
 from .journal import JOURNAL_DIR_NAME, PathLike, RunJournal
 from .retry import (
+    MAX_WORKER_KILLS,
     CellFailure,
     CellState,
     CellTimeout,
@@ -547,7 +548,7 @@ def _run_pool(
             state = _state(i)
             if charge_kills and i not in spare:
                 state.worker_kills += 1
-                if state.worker_kills > policy.max_worker_kills:
+                if state.worker_kills > MAX_WORKER_KILLS:
                     exc = WorkerLost(
                         f"cell killed its worker {state.worker_kills} times"
                     )

@@ -14,7 +14,7 @@ rule it uses instead:
   exception type and message) is **quarantined** — retrying a pure
   deterministic failure forever only burns the pool;
 * a cell whose execution repeatedly coincides with worker death is
-  quarantined after ``max_worker_kills`` charged kills (worker-loss
+  quarantined after ``MAX_WORKER_KILLS`` charged kills (worker-loss
   blame is conservative — every in-flight cell at a pool break is
   charged — so the threshold must exceed the number of breaks an
   innocent bystander can witness).
@@ -26,6 +26,7 @@ only, but determinism keeps chaos tests exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .cache import CacheStats
 
 __all__ = [
+    "MAX_WORKER_KILLS",
     "CellFailure",
     "CellTimeout",
     "RetryPolicy",
@@ -64,6 +66,10 @@ class CellTimeout(Exception):
     """
 
 
+#: worker-loss charges a cell may take before it is quarantined; it must
+#: exceed the pool breaks an innocent in-flight bystander can witness
+MAX_WORKER_KILLS = 2
+
 #: exception types treated as transient even without the marker base
 _TRANSIENT_TYPES = (TransientError, OSError, ConnectionError)
 
@@ -91,14 +97,18 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    max_worker_kills: int = 2
     timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None to disable)")
+        # NaN passes a ``<= 0`` test and would make the watchdog wait 0 s
+        # and never fire; an infinite budget is spelled None
+        if self.timeout is not None and not 0 < self.timeout < math.inf:
+            raise ValueError(
+                f"timeout must be positive and finite (or None to disable), "
+                f"got {self.timeout!r}"
+            )
 
     def backoff(self, attempt: int) -> float:
         """Deterministic capped exponential delay before retry ``attempt``

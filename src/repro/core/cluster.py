@@ -50,9 +50,6 @@ class Cluster:
     def running_jobs(self) -> Iterator[Job]:
         return iter(self._running.values())
 
-    def is_running(self, job: Job) -> bool:
-        return job.id in self._running
-
     def fits(self, job: Job) -> bool:
         return job.nodes <= self._free
 

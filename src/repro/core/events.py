@@ -93,7 +93,3 @@ class EventQueue:
         while heap and heap[0][3].cancelled:
             heapq.heappop(heap)
         return heap[0][3] if heap else None
-
-    def peek_time(self) -> Optional[float]:
-        ev = self.peek()
-        return ev.time if ev is not None else None

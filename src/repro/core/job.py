@@ -83,32 +83,6 @@ class Job:
         return self.nodes * self.runtime
 
     @property
-    def requested_area(self) -> float:
-        """Processor-seconds the scheduler must budget (nodes x WCL)."""
-        return self.nodes * self.wcl
-
-    @property
-    def overestimation_factor(self) -> float:
-        """WCL / runtime (Figure 6/7 quantity); inf for zero-runtime jobs."""
-        if self.runtime == 0:
-            return float("inf")
-        return self.wcl / self.runtime
-
-    @property
-    def wait_time(self) -> float:
-        """Queue wait; requires the job to have started."""
-        if self.start_time is None:
-            raise ValueError(f"job {self.id} has not started")
-        return self.start_time - self.submit_time
-
-    @property
-    def turnaround_time(self) -> float:
-        """Submission-to-completion time (Equation 1 numerator term)."""
-        if self.end_time is None:
-            raise ValueError(f"job {self.id} has not completed")
-        return self.end_time - self.submit_time
-
-    @property
     def is_chunk(self) -> bool:
         return self.parent_id is not None
 

@@ -4,8 +4,8 @@ The profile is the scheduler's view of the future: a piecewise-constant
 function from time to the number of nodes *not* committed to running jobs or
 reservations.  Backfilling is, operationally, two queries against this
 structure: "when is the earliest time a (nodes x duration) rectangle fits?"
-(``earliest_fit``) and "commit/uncommit that rectangle" (``reserve`` /
-``release``).
+(``earliest_fit``) and "commit/uncommit that rectangle"
+(``reserve_fitted`` / ``release_reserved``).
 
 The representation is two parallel lists: ``times`` (sorted segment starts)
 and ``avail`` (available nodes on ``[times[i], times[i+1])``); the final
@@ -13,13 +13,11 @@ segment extends to +infinity.  This is the hottest structure in the
 simulator (every conservative-backfill compression pass performs O(queue)
 release/fit/reserve cycles against it), so mutation keeps the profile
 *always coalesced* — adjacent equal segments are merged at the mutation
-boundary in O(1) extra work — and schedulers use the trusted
-``reserve_fitted``/``release_reserved`` fast paths, which skip the
-over-subscription pre-scan that :meth:`reserve`/:meth:`release` perform
-(those follow an ``earliest_fit`` or undo a prior reserve, so the scan can
-never fire).  The public validated API is unchanged and remains the
-reference behavior; ``tests/test_profile_reference.py`` checks both paths
-against a brute-force model under randomized op sequences.
+boundary in O(1) extra work — and mutation is trusted: a reserve follows an
+``earliest_fit`` and a release undoes a prior reserve, so neither re-scans
+for over-subscription.  ``check_invariants`` and
+``tests/test_profile_reference.py``, which checks the structure against a
+brute-force model under randomized op sequences, catch misuse.
 """
 
 from __future__ import annotations
@@ -168,61 +166,13 @@ class ReservationProfile:
             del times[i]
             del avail[i]
 
-    def _apply(self, start: float, end: float, delta: int) -> None:
-        if end <= start:
-            raise ValueError(f"empty interval [{start}, {end})")
-        # validate before touching the structure, so a raise leaves the
-        # profile byte-identical (no stray breakpoints)
-        lo = self.min_available(start, end)
-        if lo + delta < 0:
-            raise ProfileError(
-                f"over-subscription on [{start}, {end}): "
-                f"{lo} available, delta {delta}"
-            )
-        if delta > 0:
-            times = self.times
-            avail = self.avail
-            i = bisect_right(times, start) - 1
-            if i < 0:
-                i = 0
-            mx = 0
-            n = len(times)
-            while i < n and times[i] < end:
-                if avail[i] > mx:
-                    mx = avail[i]
-                i += 1
-            if mx + delta > self.size:
-                raise ProfileError(
-                    f"release beyond capacity on [{start}, {end}): "
-                    f"{mx} + {delta} > {self.size}"
-                )
-        self._apply_span(start, end, delta)
-
-    def reserve(self, start: float, end: float, nodes: int) -> None:
-        """Commit ``nodes`` over [start, end)."""
-        if nodes <= 0:
-            raise ValueError("nodes must be positive")
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("profile.reserve")
-        self._apply(start, end, -nodes)
-
-    def release(self, start: float, end: float, nodes: int) -> None:
-        """Undo a prior ``reserve`` of the same rectangle."""
-        if nodes <= 0:
-            raise ValueError("nodes must be positive")
-        c = _counters.ACTIVE
-        if c is not None:
-            c.hit("profile.release")
-        self._apply(start, end, +nodes)
-
     def reserve_fitted(self, start: float, end: float, nodes: int) -> None:
-        """Trusted fast path: commit a rectangle known to fit.
+        """Commit ``nodes`` over [start, end), a rectangle known to fit.
 
         Callers must have obtained ``start`` from :meth:`earliest_fit` (or
-        otherwise guaranteed ``min_available(start, end) >= nodes``); the
-        over-subscription pre-scan is skipped.  Misuse is caught by
-        :meth:`check_invariants` and the differential test suite, not here.
+        otherwise guaranteed ``min_available(start, end) >= nodes``); nothing
+        here re-checks it.  Misuse is caught by :meth:`check_invariants` and
+        the differential test suite.
         """
         c = _counters.ACTIVE
         if c is not None:
@@ -230,37 +180,11 @@ class ReservationProfile:
         self._apply_span(start, end, -nodes)
 
     def release_reserved(self, start: float, end: float, nodes: int) -> None:
-        """Trusted fast path: undo a rectangle known to be reserved."""
+        """Undo a prior :meth:`reserve_fitted` of the same rectangle."""
         c = _counters.ACTIVE
         if c is not None:
             c.hit("profile.release_reserved")
         self._apply_span(start, end, nodes)
-
-    def coalesce(self) -> None:
-        """Merge adjacent segments with equal availability.
-
-        Mutations keep the profile coalesced, so this scans (O(segments),
-        no allocation) and only rebuilds if a stray pair exists — it stays
-        cheap to call defensively.
-        """
-        avail = self.avail
-        n = len(avail)
-        for i in range(1, n):
-            if avail[i] == avail[i - 1]:
-                break
-        else:
-            return
-        times = self.times
-        nt: List[float] = times[:i]
-        na: List[int] = avail[:i]
-        for k in range(i, n):
-            a = avail[k]
-            if a == na[-1]:
-                continue
-            nt.append(times[k])
-            na.append(a)
-        self.times = nt
-        self.avail = na
 
     def advance(self, now: float) -> None:
         """Forget history before ``now`` (keeps the structure small)."""
@@ -273,8 +197,7 @@ class ReservationProfile:
         del avail[:i]
         times[0] = now
         # trimming can leave the new head equal to its successor (the old
-        # head differed only in the forgotten past); merge here instead of
-        # waiting for a coalesce pass
+        # head differed only in the forgotten past); merge it here
         while len(avail) > 1 and avail[0] == avail[1]:
             del times[1]
             del avail[1]

@@ -9,6 +9,7 @@ the facade rather than :func:`run_policy` directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -123,6 +124,12 @@ class RunOptions:
             raise ValueError(
                 f"epsilon must be a number, got {self.epsilon!r}"
             ) from None
+        # a NaN threshold counts no job as unfair (every ``miss > nan`` is
+        # false) and a negative one counts every job
+        if not math.isfinite(epsilon) or epsilon < 0:
+            raise ValueError(
+                f"epsilon must be finite and >= 0, got {self.epsilon!r}"
+            )
 
         kp = self.kill_policy
         if isinstance(kp, str):

@@ -16,14 +16,8 @@ from .fairness import (
     sabin_fst,
 )
 from .loc import LossOfCapacityObserver, loc_of
-from .queue import QueueObserver, QueueStats, queue_series_to_arrays
-from .users import (
-    HeavyLightSplit,
-    UserFairness,
-    heavy_light_split,
-    per_user_fairness,
-    render_user_fairness,
-)
+from .queue import QueueObserver, QueueStats
+from .users import UserFairness, per_user_fairness
 from .standard import (
     SummaryStats,
     average_slowdown,
@@ -42,17 +36,13 @@ __all__ = [
     "DEFAULT_EPSILON",
     "FairnessStats",
     "HybridFSTObserver",
-    "HeavyLightSplit",
     "LossOfCapacityObserver",
     "QueueObserver",
     "QueueStats",
     "REFERENCE_ORDERS",
     "SummaryStats",
     "UserFairness",
-    "heavy_light_split",
     "per_user_fairness",
-    "queue_series_to_arrays",
-    "render_user_fairness",
     "WeeklySeries",
     "average_miss_by_width",
     "average_slowdown",

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from ..core.engine import Engine, Observer
 from ..core.job import Job
 from ..core.results import SimulationResult
@@ -115,11 +113,3 @@ class QueueObserver(Observer):
             3: float(st.max_queued_nodes),
             4: st.longest_busy_queue_spell,
         }
-
-
-def queue_series_to_arrays(series: List[Tuple[float, int, int]]):
-    """Convert a recorded step series to (times, lengths, nodes) arrays."""
-    if not series:
-        return np.array([]), np.array([]), np.array([])
-    arr = np.array(series, dtype=np.float64)
-    return arr[:, 0], arr[:, 1].astype(np.int64), arr[:, 2].astype(np.int64)

@@ -128,10 +128,8 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("engine.wcl_kill", "one job killed by the IF_NEEDED wall-clock rule"),
     ("engine.chunk_resubmit", "one chunk-chain successor submitted"),
     ("profile.earliest_fit", "one earliest-fit query against a profile"),
-    ("profile.reserve", "one validated (slow-path) reserve"),
-    ("profile.release", "one validated (slow-path) release"),
-    ("profile.reserve_fitted", "one trusted fast-path reserve"),
-    ("profile.release_reserved", "one trusted fast-path release"),
+    ("profile.reserve_fitted", "one reserve of a fitted rectangle"),
+    ("profile.release_reserved", "one release of a reserved rectangle"),
     ("listsched.place", "one job placed on a FreeTimeline"),
     ("cons.rebuild", "one conservative full-profile rebuild"),
     ("cons.compress", "one compression (improvement) pass executed"),

@@ -13,7 +13,6 @@ from .base import (
     ScenarioParam,
     TransformStep,
     all_scenarios,
-    build_scenario,
     get_scenario,
     register,
     scenario_names,
@@ -26,7 +25,6 @@ __all__ = [
     "ScenarioParam",
     "TransformStep",
     "all_scenarios",
-    "build_scenario",
     "get_scenario",
     "register",
     "scenario_names",

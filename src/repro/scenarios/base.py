@@ -232,8 +232,3 @@ def scenario_names() -> Tuple[str, ...]:
 
 def all_scenarios() -> List[Scenario]:
     return [_REGISTRY[k] for k in scenario_names()]
-
-
-def build_scenario(name: str, seed: int = 0, **overrides: object) -> Workload:
-    """Shorthand: look up a scenario and build its workload."""
-    return get_scenario(name).build(seed=seed, **overrides)

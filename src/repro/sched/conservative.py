@@ -34,8 +34,8 @@ implementation; the digest regression tests enforce this):
   with its reservation still in place; ``None`` keeps the reservation
   without touching the profile (``tests/backfill_reference.py`` keeps the
   release/fit/reserve loop as the reference);
-* profile mutations use the trusted ``reserve_fitted``/``release_reserved``
-  fast paths (every reserve follows an ``earliest_fit``).
+* profile mutations (``reserve_fitted``/``release_reserved``) skip the
+  over-subscription check: every reserve follows an ``earliest_fit``.
 """
 
 from __future__ import annotations

@@ -80,14 +80,7 @@ class SchedulerService:
                 "policy": run.policy,
                 "digest": run.result.digest(),
                 "events_processed": run.result.events_processed,
-                "summary": {
-                    "n_jobs": s.n_jobs,
-                    "avg_wait": s.avg_wait,
-                    "avg_turnaround": s.avg_turnaround,
-                    "avg_slowdown": s.avg_slowdown,
-                    "utilization": s.utilization,
-                    "makespan": s.makespan,
-                },
+                "summary": s.as_dict(),
                 "fairness": {
                     "percent_unfair": f.percent_unfair,
                     "avg_miss_time": f.average_miss_time,

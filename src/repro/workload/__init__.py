@@ -11,11 +11,9 @@ from .generator import (
 from .model import Workload
 from .swf import SwfFormatError, SwfHeader, read_swf, write_swf
 from .transforms import (
-    filter_width,
     flash_crowds,
     parent_view,
     remap_runtime_tail,
-    shift_to_zero,
     split_by_runtime_limit,
 )
 
@@ -26,7 +24,6 @@ __all__ = [
     "Workload",
     "categories",
     "cplant",
-    "filter_width",
     "flash_crowds",
     "generate_cplant_workload",
     "parent_view",
@@ -34,7 +31,6 @@ __all__ = [
     "read_swf",
     "remap_runtime_tail",
     "replication_seeds",
-    "shift_to_zero",
     "split_by_runtime_limit",
     "write_swf",
 ]

@@ -126,15 +126,6 @@ class Workload:
             )
         return h.hexdigest()
 
-    def subset(self, n: int, name: str | None = None) -> "Workload":
-        """First ``n`` jobs by submit order (cheap scale-down for tests)."""
-        return Workload(
-            jobs=[j.fresh_copy() for j in self.jobs[:n]],
-            system_size=self.system_size,
-            name=name or f"{self.name}[:{n}]",
-            metadata=dict(self.metadata),
-        )
-
     def describe(self) -> str:
         if not self.jobs:
             return f"{self.name}: empty"

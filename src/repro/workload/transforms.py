@@ -250,28 +250,3 @@ def flash_crowds(
                   "flash_crowds": {"fraction": fraction, "n_crowds": n_crowds,
                                    "width_hours": width_hours, "seed": seed}},
     )
-
-
-def filter_width(workload: Workload, min_nodes: int = 1, max_nodes: int | None = None) -> Workload:
-    """Keep only jobs whose width is within [min_nodes, max_nodes]."""
-    hi = max_nodes if max_nodes is not None else workload.system_size
-    kept = [j.fresh_copy() for j in workload.jobs if min_nodes <= j.nodes <= hi]
-    return Workload(
-        kept, workload.system_size,
-        name=f"{workload.name}|width[{min_nodes},{hi}]",
-        metadata=dict(workload.metadata),
-    )
-
-
-def shift_to_zero(workload: Workload) -> Workload:
-    """Shift submit times so the first job arrives at t=0."""
-    if not workload.jobs:
-        return workload
-    t0 = workload.jobs[0].submit_time
-    shifted = [
-        replace(j.fresh_copy(), submit_time=j.submit_time - t0) for j in workload.jobs
-    ]
-    return Workload(
-        shifted, workload.system_size, name=workload.name,
-        metadata=dict(workload.metadata),
-    )

@@ -162,6 +162,21 @@ def test_from_mapping_rejects_unknown_reference_order():
         RunOptions.from_mapping({"reference_orders": ["fairshare", "vibes"]})
 
 
+@pytest.mark.parametrize(
+    "epsilon", [float("nan"), "nan", float("inf"), float("-inf"), -1.0])
+def test_epsilon_must_be_finite_and_non_negative(epsilon):
+    """A NaN threshold counted no job as unfair (``miss > nan`` is always
+    false); a negative one counted every job."""
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        RunOptions(epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        RunOptions.from_mapping({"epsilon": epsilon})
+
+
+def test_epsilon_zero_is_legal():
+    assert RunOptions(epsilon=0).epsilon == 0.0
+
+
 def test_from_mapping_pins_fairshare_first():
     opts = RunOptions.from_mapping({"reference_orders": ["fcfs"]})
     assert opts.reference_orders[0] == "fairshare"

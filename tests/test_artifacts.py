@@ -20,7 +20,6 @@ from repro.artifacts import (
     PaperConfig,
     RecordRun,
     all_artifacts,
-    artifact_ids,
     build_artifacts,
     diff_manifests,
     get_artifact,
@@ -70,7 +69,7 @@ def built(tmp_path_factory):
 
 class TestRegistry:
     def test_every_paper_artifact_is_registered(self):
-        assert artifact_ids() == EXPECTED_IDS
+        assert [a.id for a in all_artifacts()] == EXPECTED_IDS
 
     def test_output_paths_are_unique(self):
         outputs = [a.output for a in all_artifacts()]

@@ -127,6 +127,13 @@ class TestRetry:
         p = RetryPolicy(backoff_base=0.1, backoff_cap=0.35)
         assert [p.backoff(a) for a in (1, 2, 3, 4)] == [0.1, 0.2, 0.35, 0.35]
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        """A NaN budget passed a ``<= 0`` check; the pool then waited 0 s
+        per poll and its watchdog never fired."""
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            RetryPolicy(timeout=timeout)
+
     def test_cell_state_quarantines_only_non_transient(self):
         p = RetryPolicy(max_attempts=5)
         st = CellState()

@@ -27,7 +27,7 @@ class TestStartFinish:
         job.state = job.state.QUEUED
         c.start(job, now=10.0)
         assert c.free_nodes == 10
-        assert c.is_running(job)
+        assert list(c.running_jobs()) == [job]
         assert job.start_time == 10.0
 
     def test_finish_releases(self):
@@ -36,7 +36,7 @@ class TestStartFinish:
         c.start(job, 0.0)
         c.finish(job, 100.0)
         assert c.free_nodes == 16
-        assert not c.is_running(job)
+        assert list(c.running_jobs()) == []
         assert job.end_time == 100.0
 
     def test_over_allocation_raises(self):

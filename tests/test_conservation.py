@@ -1,11 +1,17 @@
-"""Little's law on every sample path.
+"""Conservation laws on every sample path.
 
-Each job adds one to the queue length when it arrives and takes one away
-when it starts, so the time integral of the queue length that
-:class:`~repro.metrics.queue.QueueObserver` accumulates equals the sum of
-the jobs' waits.  The chunks of a runtime-limited job are separate
-arrivals (a successor arrives when its predecessor completes), so each
-chunk's wait counts on its own.
+* Little's law: each job adds one to the queue length when it arrives and
+  takes one away when it starts, so the time integral of the queue length
+  that :class:`~repro.metrics.queue.QueueObserver` accumulates equals the
+  sum of the jobs' waits.  The chunks of a runtime-limited job are
+  separate arrivals (a successor arrives when its predecessor completes),
+  so each chunk's wait counts on its own.
+* Loss of capacity (Eq. 4): a sweep over the job records' submit, start
+  and end times rebuilds the integral of ``min(queued nodes, idle nodes)``
+  that :class:`~repro.metrics.loc.LossOfCapacityObserver` accumulates
+  event by event.
+* Chunk chains: the chunks of a runtime-limited job carry exactly its
+  runtime between them.
 
 Both sides add the same terms in different orders and groupings, so they
 agree to float rounding only.  ``REL_TOL`` bounds the gap; it was fixed
@@ -22,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.job import Job
 from repro.experiments.runner import RunOptions, policy_engine
+from repro.metrics.loc import LossOfCapacityObserver
 from repro.metrics.queue import QueueObserver
 from repro.sched.registry import get_policy
 from repro.workload.model import Workload
@@ -53,6 +60,63 @@ def test_littles_law_on_the_digest_workloads(case, digest_workloads):
     run = run_case(case, digest_workloads, observers=[obs])
     # the engine's jobs: chunks, not the collapsed trace jobs
     assert_littles_law(obs, run.result.jobs)
+
+
+def swept_wasted_proc_seconds(jobs, size: int) -> float:
+    """Eq. 4's numerator from the job records alone: queued nodes rise at
+    submit and fall at start, idle nodes fall at start and rise at end,
+    and ``min(queued, idle)`` holds until the next record time."""
+    deltas = {}  # time -> [queued delta, idle delta]
+    for j in jobs:
+        deltas.setdefault(j.submit_time, [0, 0])[0] += j.nodes
+        at_start = deltas.setdefault(j.start_time, [0, 0])
+        at_start[0] -= j.nodes
+        at_start[1] -= j.nodes
+        deltas.setdefault(j.end_time, [0, 0])[1] += j.nodes
+    times = sorted(deltas)
+    queued, idle = 0, size
+    terms = []
+    for t, t_next in zip(times, times[1:]):
+        dq, di = deltas[t]
+        queued += dq
+        idle += di
+        assert queued >= 0 and 0 <= idle <= size
+        terms.append(min(queued, idle) * (t_next - t))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
+def test_loss_of_capacity_on_the_digest_workloads(case, digest_workloads):
+    loc = LossOfCapacityObserver()
+    run = run_case(case, digest_workloads, observers=[loc])
+    swept = swept_wasted_proc_seconds(run.result.jobs, run.result.cluster_size)
+    assert loc.wasted_proc_seconds == pytest.approx(swept, rel=REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
+def test_chunk_chains_carry_the_original_runtime(case, digest_workloads):
+    """Every trace job longer than the policy's runtime limit runs as one
+    whole chain of chunks whose runtimes sum to its own; no other job is
+    split."""
+    policy, workload = case.split("|")[:2]
+    limit = get_policy(policy).max_runtime
+    run = run_case(case, digest_workloads)
+    chains = {}
+    for j in run.result.jobs:
+        if j.is_chunk:
+            chains.setdefault(j.parent_id, []).append(j)
+    for job in digest_workloads[workload].jobs:
+        chain = chains.pop(job.id, None)
+        if limit is None or job.runtime <= limit:
+            assert chain is None, f"job {job.id} was split"
+            continue
+        assert chain is not None, f"job {job.id} was not split"
+        assert sorted(c.chunk_index for c in chain) == list(range(len(chain)))
+        assert all(c.chunk_count == len(chain) for c in chain)
+        total = math.fsum(c.runtime for c in chain)
+        assert total == pytest.approx(job.runtime, rel=REL_TOL, abs=0.0), (
+            f"job {job.id}: chunks carry {total} s of {job.runtime} s")
+    assert not chains, f"chunks of unknown jobs {sorted(chains)}"
 
 
 @st.composite

@@ -66,9 +66,10 @@ class TestEdges:
 
     def test_peek_time(self):
         q = EventQueue()
-        assert q.peek_time() is None
+        assert q.peek() is None
         ev = q.push(3.0, EventKind.ARRIVAL)
         q.push(7.0, EventKind.ARRIVAL)
-        assert q.peek_time() == 3.0
+        assert q.peek().time == 3.0
         q.cancel(ev)
-        assert q.peek_time() == 7.0
+        assert q.peek().time == 7.0
+        assert len(q) == 1

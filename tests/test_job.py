@@ -37,30 +37,6 @@ class TestDerived:
     def test_area(self):
         assert make_job(nodes=4, runtime=100.0).area == 400.0
 
-    def test_requested_area_uses_wcl(self):
-        assert make_job(nodes=4, runtime=100.0, wcl=200.0).requested_area == 800.0
-
-    def test_overestimation_factor(self):
-        assert make_job(runtime=100.0, wcl=250.0).overestimation_factor == 2.5
-
-    def test_overestimation_factor_zero_runtime(self):
-        assert make_job(runtime=0.0, wcl=60.0).overestimation_factor == float("inf")
-
-    def test_wait_and_turnaround(self):
-        job = make_job(submit=50.0, runtime=100.0)
-        job.start_time = 80.0
-        job.end_time = 180.0
-        assert job.wait_time == 30.0
-        assert job.turnaround_time == 130.0
-
-    def test_wait_requires_start(self):
-        with pytest.raises(ValueError, match="not started"):
-            _ = make_job().wait_time
-
-    def test_turnaround_requires_completion(self):
-        with pytest.raises(ValueError, match="not completed"):
-            _ = make_job().turnaround_time
-
 
 class TestExpectedEnd:
     def test_before_wcl(self):

@@ -71,16 +71,6 @@ class TestViews:
         wl = Workload([make_job(id=1)], system_size=8)
         assert wl.offered_load() == 0.0
 
-    def test_subset(self):
-        wl = Workload([make_job(id=i, submit=float(i)) for i in range(1, 6)],
-                      system_size=8)
-        sub = wl.subset(2)
-        assert len(sub) == 2
-        assert [j.id for j in sub.jobs] == [1, 2]
-        # fresh copies: mutating the subset does not touch the original
-        sub.jobs[0].start_time = 99.0
-        assert wl.jobs[0].start_time is None
-
     def test_describe_nonempty(self):
         wl = Workload([make_job(id=1)], system_size=8)
         assert "1 jobs" in wl.describe()

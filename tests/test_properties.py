@@ -60,7 +60,7 @@ class TestProfileProperties:
         for start, dur, nodes in jobs:
             s = p.earliest_fit(nodes, dur, start)
             assert s >= start
-            p.reserve(s, s + dur, nodes)
+            p.reserve_fitted(s, s + dur, nodes)
             p.check_invariants()
         assert min(p.avail) >= 0
 
@@ -71,11 +71,10 @@ class TestProfileProperties:
         placed = []
         for start, dur, nodes in jobs:
             s = p.earliest_fit(nodes, dur, start)
-            p.reserve(s, s + dur, nodes)
+            p.reserve_fitted(s, s + dur, nodes)
             placed.append((s, s + dur, nodes))
         for s, e, n in reversed(placed):
-            p.release(s, e, n)
-        p.coalesce()
+            p.release_reserved(s, e, n)
         assert p.segments() == [(0.0, float("inf"), SIZE)]
 
     @given(st.lists(rects, max_size=12), rects)
@@ -84,7 +83,7 @@ class TestProfileProperties:
         p = ReservationProfile(SIZE)
         for start, dur, nodes in jobs:
             s = p.earliest_fit(nodes, dur, start)
-            p.reserve(s, s + dur, nodes)
+            p.reserve_fitted(s, s + dur, nodes)
         after, dur, nodes = probe
         s = p.earliest_fit(nodes, dur, after)
         # feasible at s

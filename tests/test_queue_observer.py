@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.engine import Engine
-from repro.metrics.queue import QueueObserver, queue_series_to_arrays
+from repro.metrics.queue import QueueObserver
 from repro.sched.nobackfill import NoBackfillScheduler
 from repro.sched.noguarantee import NoGuaranteeScheduler
 from tests.conftest import make_job
@@ -53,14 +53,10 @@ class TestQueueStats:
         jobs = [make_job(id=i, submit=float(i), nodes=8, runtime=10.0)
                 for i in range(1, 4)]
         obs, _ = run_with_queue(jobs, record=True)
-        t, lens, nodes = queue_series_to_arrays(obs.series)
-        assert len(t) == len(lens) == len(nodes)
-        assert lens.max() >= 1
-        assert (t[1:] >= t[:-1]).all()
-
-    def test_empty_series_helper(self):
-        t, lens, n = queue_series_to_arrays([])
-        assert len(t) == 0
+        t = [row[0] for row in obs.series]
+        assert all(len(row) == 3 for row in obs.series)
+        assert max(row[1] for row in obs.series) >= 1
+        assert t == sorted(t)
 
     def test_collect_into_result(self):
         jobs = [make_job(id=1, nodes=4, runtime=10.0)]

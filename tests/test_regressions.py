@@ -72,21 +72,6 @@ class TestChunkParentIdCollision:
         assert sorted(j.id for j in collapsed) == [1, 2]
 
 
-class TestProfileErrorAtomicity:
-    """A failed reserve used to corrupt availability via a bogus rollback;
-    it must now leave the profile byte-identical."""
-
-    def test_failed_reserve_is_atomic(self):
-        from repro.core.profile import ProfileError, ReservationProfile
-
-        p = ReservationProfile(10)
-        p.reserve(0.0, 100.0, 8)
-        before = (list(p.times), list(p.avail))
-        with pytest.raises(ProfileError):
-            p.reserve(50.0, 150.0, 5)
-        assert (list(p.times), list(p.avail)) == before
-
-
 class TestStrandedJobsDetected:
     """The engine used to report stranded queued jobs only via the
     SimulationResult constructor; it now names the failure directly."""

@@ -20,7 +20,6 @@ from repro.scenarios import (
     Scenario,
     TransformStep,
     all_scenarios,
-    build_scenario,
     get_scenario,
     scenario_names,
 )
@@ -82,11 +81,11 @@ class TestRegistry:
 class TestParams:
     def test_unknown_param_fails_fast(self):
         with pytest.raises(ValueError, match="no parameter"):
-            build_scenario("heavy-tail-runtimes", seed=1, bogus=2)
+            get_scenario("heavy-tail-runtimes").build(seed=1, bogus=2)
 
     def test_override_changes_the_workload(self):
-        a = build_scenario("heavy-tail-runtimes", seed=1, **SMALL)
-        b = build_scenario("heavy-tail-runtimes", seed=1, alpha=2.5, **SMALL)
+        a = get_scenario("heavy-tail-runtimes").build(seed=1, **SMALL)
+        b = get_scenario("heavy-tail-runtimes").build(seed=1, alpha=2.5, **SMALL)
         assert a.content_digest() != b.content_digest()
 
     def test_explicit_default_equals_omitted_default(self):
@@ -106,26 +105,26 @@ class TestParams:
 class TestBuilds:
     @pytest.mark.parametrize("name", scenario_names())
     def test_every_scenario_builds_a_nonempty_workload(self, name):
-        wl = build_scenario(name, seed=3, **small_params(name))
+        wl = get_scenario(name).build(seed=3, **small_params(name))
         assert len(wl) > 0
         assert wl.metadata["scenario"] == name
         assert wl.metadata["scenario_seed"] == 3
         assert wl.name.startswith(f"scenario:{name}(")
 
     def test_runtime_limit_chunking_splits_long_jobs(self):
-        wl = build_scenario("runtime-limit-chunking", seed=3, **SMALL)
+        wl = get_scenario("runtime-limit-chunking").build(seed=3, **SMALL)
         assert any(j.is_chunk for j in wl.jobs)
         assert all(j.runtime <= 72 * 3600 + 1e-6 for j in wl.jobs)
 
     def test_uniform_users_flattens_the_user_distribution(self):
-        zipf = build_scenario("zipf-extreme", seed=3, **SMALL)
-        flat = build_scenario("uniform-users", seed=3, **SMALL)
+        zipf = get_scenario("zipf-extreme").build(seed=3, **SMALL)
+        flat = get_scenario("uniform-users").build(seed=3, **SMALL)
         top_share = lambda wl: (
             np.bincount(wl.users()).max() / len(wl))  # noqa: E731
         assert top_share(zipf) > 2 * top_share(flat)
 
     def test_narrow_cluster_shrinks_the_machine(self):
-        wl = build_scenario("narrow-cluster", seed=3, nodes=256, **SMALL)
+        wl = get_scenario("narrow-cluster").build(seed=3, nodes=256, **SMALL)
         assert wl.system_size == 256
         assert all(j.nodes <= 256 for j in wl.jobs)
 
@@ -136,15 +135,15 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", scenario_names())
     def test_same_seed_same_digest(self, name):
         params = small_params(name)
-        a = build_scenario(name, seed=5, **params)
-        b = build_scenario(name, seed=5, **params)
+        a = get_scenario(name).build(seed=5, **params)
+        b = get_scenario(name).build(seed=5, **params)
         assert a.content_digest() == b.content_digest()
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_different_seed_different_digest(self, name):
         params = small_params(name)
-        a = build_scenario(name, seed=5, **params)
-        b = build_scenario(name, seed=6, **params)
+        a = get_scenario(name).build(seed=5, **params)
+        b = get_scenario(name).build(seed=6, **params)
         assert a.content_digest() != b.content_digest()
 
     def test_digests_stable_across_processes(self):
@@ -152,15 +151,15 @@ class TestDeterminism:
         (the property campaign cache keys rely on)."""
         names = list(scenario_names())
         here = {
-            name: build_scenario(name, seed=11, **small_params(name)).content_digest()
+            name: get_scenario(name).build(seed=11, **small_params(name)).content_digest()
             for name in names
         }
         prog = (
             "import json, sys\n"
-            "from repro.scenarios import build_scenario, scenario_names\n"
+            "from repro.scenarios import get_scenario, scenario_names\n"
             f"by_name = {SMALL_BY_NAME!r}\n"
             f"small = {SMALL!r}\n"
-            "out = {n: build_scenario(n, seed=11, **by_name.get(n, small))"
+            "out = {n: get_scenario(n).build(seed=11, **by_name.get(n, small))"
             ".content_digest() for n in scenario_names()}\n"
             "print(json.dumps(out))\n"
         )
@@ -180,13 +179,13 @@ class TestDeterminism:
 
 class TestTransforms:
     def test_pareto_remap_preserves_work_and_job_count(self):
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         tailed = remap_runtime_tail(base, dist="pareto", alpha=1.2)
         assert len(tailed) == len(base)
         assert tailed.total_work == pytest.approx(base.total_work, rel=0.02)
 
     def test_smaller_alpha_is_a_heavier_tail(self):
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         spread = lambda wl: (  # noqa: E731
             wl.runtimes().max() / np.median(wl.runtimes()))
         heavy = remap_runtime_tail(base, dist="pareto", alpha=1.05)
@@ -194,7 +193,7 @@ class TestTransforms:
         assert spread(heavy) > spread(light)
 
     def test_lognormal_variant_and_bad_dist(self):
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         ln = remap_runtime_tail(base, dist="lognormal", sigma=2.0)
         assert len(ln) == len(base)
         with pytest.raises(ValueError, match="unknown tail dist"):
@@ -202,7 +201,7 @@ class TestTransforms:
 
     def test_remap_keeps_wcl_at_least_runtime_ratio(self):
         """Overestimation factors survive: wcl scales with runtime."""
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         tailed = remap_runtime_tail(base, dist="pareto", alpha=1.2)
         by_id = {j.id: j for j in base.jobs}
         for j in tailed.jobs:
@@ -211,7 +210,7 @@ class TestTransforms:
                 assert j.wcl >= j.runtime * 0.999
 
     def test_flash_crowds_moves_about_the_requested_fraction(self):
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         crowded = flash_crowds(base, fraction=0.5, n_crowds=2,
                                width_hours=1.0, seed=9)
         assert len(crowded) == len(base)
@@ -222,7 +221,7 @@ class TestTransforms:
         assert 0.4 * len(base) <= moved <= 0.5 * len(base) + 1
 
     def test_flash_crowds_validates_inputs(self):
-        base = build_scenario("cplant-baseline", seed=2, **SMALL)
+        base = get_scenario("cplant-baseline").build(seed=2, **SMALL)
         with pytest.raises(ValueError, match="fraction"):
             flash_crowds(base, fraction=1.5)
         with pytest.raises(ValueError, match="crowd"):

@@ -19,6 +19,7 @@ from repro import api
 from repro.core.job import Job, JobState
 from repro.service import (
     LiveSimulation,
+    SchedulerService,
     ServiceClient,
     ServiceError,
     TenantError,
@@ -95,6 +96,13 @@ def test_snapshot_is_live_and_side_effect_free(trace):
 def test_session_rejects_runtime_limit_policies():
     with pytest.raises(ValueError, match="runtime-limit"):
         LiveSimulation("cons.72max", system_size=64)
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), -1.0])
+def test_server_rejects_a_bad_epsilon(epsilon):
+    """``repro serve --epsilon nan`` used to report 0% unfair forever."""
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        SchedulerService(options={"epsilon": epsilon})
 
 
 def test_ingest_rejects_jobs_behind_the_clock(trace, job_factory):

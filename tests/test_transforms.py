@@ -11,9 +11,7 @@ from repro.sched.nobackfill import NoBackfillScheduler
 from repro.workload.generator import random_workload
 from repro.workload.model import Workload
 from repro.workload.transforms import (
-    filter_width,
     parent_view,
-    shift_to_zero,
     split_by_runtime_limit,
 )
 from tests.conftest import make_job
@@ -129,20 +127,3 @@ class TestParentView:
         with pytest.raises(ValueError, match="not completed"):
             parent_view([make_job(id=1)])
 
-
-class TestOtherTransforms:
-    def test_filter_width(self):
-        wl = random_workload(100, system_size=64, seed=2)
-        narrow = filter_width(wl, 1, 8)
-        assert all(j.nodes <= 8 for j in narrow.jobs)
-        assert len(narrow) < len(wl)
-
-    def test_shift_to_zero(self):
-        wl = wl_of([make_job(id=1, submit=500.0), make_job(id=2, submit=800.0)])
-        out = shift_to_zero(wl)
-        assert out.jobs[0].submit_time == 0.0
-        assert out.jobs[1].submit_time == 300.0
-
-    def test_shift_empty(self):
-        wl = wl_of([])
-        assert len(shift_to_zero(wl)) == 0

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import run_policy
-from repro.metrics.users import (
-    HeavyLightSplit,
-    heavy_light_split,
-    per_user_fairness,
-    render_user_fairness,
-)
-from repro.workload.generator import GeneratorConfig, generate_cplant_workload
+from repro.metrics.users import per_user_fairness
 from tests.conftest import make_job
 
 
@@ -40,36 +33,3 @@ class TestPerUser:
 
     def test_empty(self):
         assert per_user_fairness([], {}) == {}
-
-    def test_render(self):
-        jobs = [completed(1, user=7, start=10.0, miss_target=None)]
-        txt = render_user_fairness(per_user_fairness(jobs, {1: 0.0}))
-        assert "7" in txt and "%unfair" in txt
-
-
-class TestHeavyLightSplit:
-    def test_split_identifies_heavy_group(self):
-        # user 1 submits 100x the work of users 2..5
-        jobs = [completed(1, user=1, start=0.0, miss_target=None,
-                          nodes=50, runtime=1000.0)]
-        jobs += [completed(10 + k, user=2 + k, start=10.0, miss_target=None)
-                 for k in range(4)]
-        fst = {j.id: 0.0 for j in jobs}
-        split = heavy_light_split(jobs, fst, work_quantile=0.75)
-        assert split.n_heavy_users >= 1
-        assert split.n_heavy_users + split.n_light_users == 5
-
-    def test_empty(self):
-        split = heavy_light_split([], {})
-        assert split == HeavyLightSplit(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_fair_policy_shifts_burden_to_heavy_users(self):
-        """The `.fair` entrance rule exists to spare light users at heavy
-        users' expense; the split must reflect at least no worsening for
-        light users."""
-        wl = generate_cplant_workload(GeneratorConfig(scale=0.05, weeks=5), seed=9)
-        base = run_policy(wl, "cplant24.nomax.all")
-        fair = run_policy(wl, "cplant24.nomax.fair")
-        s_base = heavy_light_split(base.metric_jobs, base.fst)
-        s_fair = heavy_light_split(fair.metric_jobs, fair.fst)
-        assert s_fair.light_avg_miss <= s_base.light_avg_miss * 1.5

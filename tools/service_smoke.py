@@ -9,7 +9,10 @@ End to end, against a real server process:
    live metrics mid-flight: every payload's job counts must add up
    (completed + running + queued = submitted) and its per-user ``n_jobs``
    must sum to ``jobs_completed``;
-3. ask one warm what-if and check it inherited completed history;
+3. ask a warm what-if while a tenant is still streaming and the engine
+   has work left: its baseline fork must simulate forward and complete
+   more jobs than the live run had; ask another after every tenant has
+   drained and check it inherited completed history;
 4. drain everyone, fetch the final result, and verify the digest and
    per-user metrics are byte-identical to an offline batch run of the
    merged trace; the live snapshot taken after the result must carry the
@@ -47,6 +50,7 @@ from repro.workload.generator import (  # noqa: E402
 POLICY = "easy.fairshare"
 SCALE, SEED, TENANTS = 0.02, 4, 3
 STARTUP_TIMEOUT = 30.0
+WHATIF = {"decay_factor": 0.5}
 
 
 def start_server(system_size: int) -> tuple[subprocess.Popen, str, int]:
@@ -101,24 +105,53 @@ def check_counts(snap: dict) -> None:
         f"per-user n_jobs do not sum to jobs_completed at t={snap['now']}"
 
 
+async def whatif_with_work_left(ctl: ServiceClient, snap: dict) -> dict | None:
+    """Ask a what-if after ``snap``, a poll that showed work left.
+
+    Tenants keep streaming between the two calls, so the fork may start
+    later than ``snap`` and, rarely, after that work has drained; then
+    ``None`` asks the caller to try again at a later poll.
+    """
+    whatif = await ctl.whatif(WHATIF)
+    assert whatif["events_inherited"] >= snap["events_processed"], \
+        "mid-flight what-if forked from an earlier state than its poll"
+    base = whatif["baseline"]
+    if base["events_simulated"] == 0:
+        return None
+    assert base["n_jobs"] > whatif["jobs_completed_before_fork"], \
+        "mid-flight baseline fork simulated events but completed no job"
+    return whatif
+
+
 async def drive(host: str, port: int, streams: dict) -> dict:
     # tenants stream concurrently while a control connection watches
     feeders = [asyncio.create_task(tenant(host, port, n, j))
                for n, j in streams.items()]
     async with await ServiceClient.connect(host, port) as ctl:
         polls = 0
+        mid = None
         while not all(f.done() for f in feeders):
-            check_counts(await ctl.metrics())
+            snap = await ctl.metrics()
+            check_counts(snap)
             polls += 1
+            if mid is None and snap["jobs_running"] + snap["jobs_queued"]:
+                mid = await whatif_with_work_left(ctl, snap)
             await asyncio.sleep(0.005)
         await asyncio.gather(*feeders)
+        assert mid is not None, \
+            "no mid-flight what-if found work left to simulate"
+        print(f"[smoke] mid-flight what-if at t={mid['forked_at']:.0f}: "
+              f"baseline simulated {mid['baseline']['events_simulated']} "
+              f"events forward, completing "
+              f"{mid['baseline']['n_jobs'] - mid['jobs_completed_before_fork']}"
+              f" more jobs")
         snap = await ctl.metrics()
         check_counts(snap)
         print(f"[smoke] {polls} metric polls; engine at t={snap['now']:.0f}, "
               f"{snap['jobs_completed']} completed")
         assert snap["jobs_submitted"] == sum(map(len, streams.values()))
 
-        whatif = await ctl.whatif({"decay_factor": 0.5})
+        whatif = await ctl.whatif(WHATIF)
         assert whatif["events_inherited"] == snap["events_processed"], \
             "what-if did not start from warm state"
         assert whatif["baseline"]["events_simulated"] >= 0
