@@ -5,13 +5,14 @@ Quickstart::
 
     from repro import api
 
-    h = api.run(policy="cplant24.nomax.all", scale=0.1, seed=1)
-    print(h.report())
-    print(h.summary)
-    print(h.fairness)
+    run = api.run(policy="cplant24.nomax.all", scale=0.1, seed=1)
+    print(run.report())
+    print(run.summary)
+    print(run.fairness)
 
-:mod:`repro.api` is the one way to run simulations (``run``,
-``compare``, ``sweep``, ``build_artifacts``, ``open_session``); see
+:mod:`repro.api` is the one way to run simulations (``run`` and
+``compare`` return :class:`PolicyRun` bundles; ``sweep``,
+``build_artifacts``, ``open_session``); see
 docs/ARCHITECTURE.md for the system inventory and docs/PIPELINE.md for
 the paper-artifact build.
 """

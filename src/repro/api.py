@@ -1,8 +1,8 @@
 """The stable public facade of the reproduction toolkit.
 
-Every way of running a simulation goes through one request/handle model:
-build a :class:`SimulationRequest` (policy + exactly one workload source +
-canonical options), call :func:`run`, and get a :class:`SimulationHandle`
+Every way of running a simulation goes through one request model: build
+a :class:`SimulationRequest` (policy + exactly one workload source +
+canonical options), call :func:`run`, and get the :class:`PolicyRun`
 carrying the full metric bundle.  The CLI, the campaign executor, the
 paper-artifact pipeline, and the scheduler service all consume this
 module; it is the one way to run a simulation.
@@ -11,8 +11,8 @@ Quick tour::
 
     import repro.api as api
 
-    h = api.run(policy="cplant24.nomax.all", scale=0.05, seed=7)
-    print(h.report())
+    run = api.run(policy="cplant24.nomax.all", scale=0.05, seed=7)
+    print(run.report())
 
     suite = api.compare(["fcfs.nobackfill", "easy.fairshare"], scale=0.02)
 
@@ -42,9 +42,8 @@ from .workload.model import Workload
 from .workload.swf import read_swf
 
 __all__ = [
-    # the request/handle model
+    # the request model
     "SimulationRequest",
-    "SimulationHandle",
     "run",
     "compare",
     # canonical option/contract types (re-exported for one-stop imports)
@@ -147,51 +146,10 @@ class SimulationRequest:
         )
 
 
-class SimulationHandle:
-    """The outcome of one request: the request itself plus the full
-    :class:`PolicyRun` metric bundle, with attribute delegation so every
-    consumer of the historical ``PolicyRun`` shape keeps working
-    (``handle.summary``, ``handle.fairness``, ``handle.result`` ...)."""
-
-    __slots__ = ("request", "run")
-
-    def __init__(self, request: SimulationRequest, run: PolicyRun) -> None:
-        self.request = request
-        self.run = run
-
-    def __getattr__(self, name: str):
-        return getattr(self.run, name)
-
-    def __repr__(self) -> str:
-        return (
-            f"SimulationHandle(policy={self.run.policy!r}, "
-            f"jobs={self.run.summary.n_jobs}, digest={self.digest()[:12]}...)"
-        )
-
-    def digest(self) -> str:
-        """Content digest of the simulation outcome (the equality oracle)."""
-        return self.run.result.digest()
-
-    def report(self) -> str:
-        """The standard per-policy text report (shared by the CLI)."""
-        s, f = self.run.summary, self.run.fairness
-        return "\n".join([
-            f"policy: {self.run.policy}",
-            f"  jobs completed        : {s.n_jobs}",
-            f"  avg wait              : {s.avg_wait:,.0f} s",
-            f"  avg turnaround (Eq.1) : {s.avg_turnaround:,.0f} s",
-            f"  avg bounded slowdown  : {s.avg_slowdown:,.1f}",
-            f"  utilization (Eq.2)    : {100 * s.utilization:.1f} %",
-            f"  loss of capacity(Eq.4): {100 * self.run.loss_of_capacity:.2f} %",
-            f"  percent unfair jobs   : {100 * f.percent_unfair:.2f} %",
-            f"  avg miss time (Eq.5)  : {f.average_miss_time:,.0f} s",
-        ])
-
-
 def run(
     request: Optional[SimulationRequest] = None,
     **kwargs: object,
-) -> SimulationHandle:
+) -> PolicyRun:
     """Execute one simulation request; keywords build or refine one.
 
     ``api.run(policy="easy.fairshare", scale=0.05)`` is shorthand for
@@ -204,18 +162,17 @@ def run(
         req = replace(request, **kwargs)  # type: ignore[arg-type]
     else:
         req = request
-    prun = _runner.run_policy(
+    return _runner.run_policy(
         req.resolve_workload(), req.policy, req.resolve_options(),
         observers=req.observers,
     )
-    return SimulationHandle(req, prun)
 
 
 def compare(
     policies: Union[str, Sequence[str]],
     progress: bool = False,
     **kwargs: object,
-) -> Dict[str, SimulationHandle]:
+) -> Dict[str, PolicyRun]:
     """Run several policies on one workload (resolved once); keywords are
     :class:`SimulationRequest` fields minus ``policy``.
 
@@ -232,7 +189,7 @@ def compare(
     wl = base.resolve_workload()
     base = replace(base, workload=wl, scenario=None, swf=None, params=(),
                    options=base.resolve_options())
-    out: Dict[str, SimulationHandle] = {}
+    out: Dict[str, PolicyRun] = {}
     for key in keys:
         if progress:
             print(f"[repro] simulating {key} on {wl.name} ...", flush=True)

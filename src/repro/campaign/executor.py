@@ -116,10 +116,9 @@ def run_cell(cell: CampaignCell) -> Dict[str, object]:
     from .. import api  # deferred: the facade imports campaign lazily too
 
     wl = _cell_workload(cell)
-    handle = api.run(api.SimulationRequest(
+    return policy_run_record(api.run(api.SimulationRequest(
         policy=cell.policy, workload=wl, options=cell.options,
-    ))
-    return policy_run_record(handle.run)
+    )))
 
 
 def _run_cell_timed(

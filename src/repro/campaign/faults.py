@@ -135,18 +135,6 @@ class FaultRule:
         return self.rate > 0.0 and _hash01(seed, self.site, self.kind,
                                            token) < self.rate
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"site": self.site, "kind": self.kind}
-        if self.tokens:
-            out["tokens"] = list(self.tokens)
-        else:
-            out["rate"] = self.rate
-        if self.times != 1:
-            out["times"] = self.times
-        if self.seconds:
-            out["seconds"] = self.seconds
-        return out
-
 
 @dataclass(frozen=True)
 class Fault:
@@ -242,10 +230,6 @@ class FaultPlan:
     @classmethod
     def from_json(cls, path) -> "FaultPlan":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"seed": self.seed,
-                "faults": [r.to_dict() for r in self.rules]}
 
 
 # -- activation ---------------------------------------------------------------

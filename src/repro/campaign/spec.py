@@ -130,18 +130,6 @@ class WorkloadSpec:
             seeds=tuple(int(s) for s in seeds) if seeds is not None else None,
         )
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"kind": self.kind, **dict(self.params)}
-        if self.path is not None:
-            out["path"] = self.path
-        if self.scenario is not None:
-            out["scenario"] = self.scenario
-        if self.seeds is not None:
-            out["seeds"] = list(self.seeds)
-        elif self.kind != "swf":
-            out["seed"] = self.seed
-        return out
-
     def validate(self) -> None:
         """Fail fast on parameters the workload source cannot accept, so a
         typo'd spec dies with the workload named instead of a raw
@@ -360,23 +348,6 @@ class CampaignSpec:
     @classmethod
     def from_json(cls, path) -> "CampaignSpec":
         return cls.from_dict(json.loads(Path(path).read_text()))
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "name": self.name,
-            "policies": list(self.policies),
-            "workloads": [w.to_dict() for w in self.workloads],
-            "replications": self.replications,
-        }
-        identity = self.options.identity()
-        out.update((k, identity[k]) for k in self._OPTION_KEYS)
-        if self.overrides != ((),):
-            out["overrides"] = [dict(v) for v in self.overrides]
-        if self.sweep:
-            out["sweep"] = {k: list(vs) for k, vs in self.sweep}
-        if self.options.validate:
-            out["validate_engine"] = True
-        return out
 
     # -- grid expansion --------------------------------------------------------
 

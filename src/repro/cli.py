@@ -33,7 +33,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -46,21 +45,29 @@ from .campaign import (
     CampaignCache,
     CampaignSpec,
     RetryPolicy,
+    WorkloadSpec,
     aggregate_rows,
 )
 from .campaign.executor import ProgressFn
 from .experiments.export import (
+    RecordRun,
     export_campaign_csv,
     export_campaign_json,
     export_per_job_csv,
     export_suite_csv,
     export_suite_json,
 )
+from .experiments.matrix import (
+    MATRIX_REFERENCE_ORDERS,
+    MATRIX_SCENARIOS,
+    matrix_from_suite,
+    render_matrix,
+)
 from . import api
 from .obs import collect_counters, render_counters, setup_logging
 from .obs.stats import ProgressMeter
 from .workload.analysis import render_analysis
-from .sched.registry import PAPER_POLICIES, REGISTRY, get_policy
+from .sched.registry import MATRIX_POLICIES, PAPER_POLICIES, REGISTRY, get_policy
 from .workload.model import Workload
 from .workload.swf import write_swf
 
@@ -361,43 +368,60 @@ def cmd_cache_prune(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    from .experiments.matrix import MatrixConfig, render_matrix, run_matrix
-
+    config = {
+        "policies": args.policies.split(",")
+        if args.policies else list(MATRIX_POLICIES),
+        "reference_orders": args.orders.split(",")
+        if args.orders else list(MATRIX_REFERENCE_ORDERS),
+        "scenarios": args.scenarios.split(",")
+        if args.scenarios else list(MATRIX_SCENARIOS),
+        "scale": args.scale,
+        "seed": args.seed,
+    }
     try:
-        cfg = MatrixConfig(
-            policies=tuple(args.policies.split(","))
-            if args.policies else MatrixConfig.policies,
-            reference_orders=tuple(args.orders.split(","))
-            if args.orders else MatrixConfig.reference_orders,
-            scenarios=tuple(args.scenarios.split(","))
-            if args.scenarios else MatrixConfig.scenarios,
-            scale=args.scale,
-            seed=args.seed,
+        spec = CampaignSpec(
+            name="matrix",
+            policies=config["policies"],
+            workloads=[
+                WorkloadSpec(kind="scenario", scenario=s,
+                             params=(("scale", args.scale),), seed=args.seed)
+                for s in config["scenarios"]
+            ],
+            options=api.RunOptions(reference_orders=config["reference_orders"]),
         )
+        spec.validate()
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    cache = _cache(args)
-    results, tables = run_matrix(
-        cfg, jobs=args.jobs, cache=cache, force=args.force,
+    result = api.sweep(
+        spec, jobs=args.jobs, cache=_cache(args), force=args.force,
         progress=_progress("matrix", 3, args.quiet),
     )
-    text = render_matrix(tables, cfg.reference_orders,
-                         policies=cfg.policies, scenarios=cfg.scenarios)
+    suites: dict = {}
+    for res in result.results:
+        suite = suites.setdefault(res.cell.workload.scenario, {})
+        suite[res.cell.policy] = RecordRun(res.cell.policy, res.metrics)
+    tables = {
+        scenario: matrix_from_suite(suite, config["reference_orders"])
+        for scenario, suite in suites.items()
+    }
+    text = render_matrix(tables, config["reference_orders"],
+                         policies=config["policies"],
+                         scenarios=config["scenarios"])
     print(text)
-    n_cached = sum(1 for r in results if r.cached)
     print(
-        f"\nmatrix: {len(results)} cells "
-        f"({len(results) - n_cached} simulated, {n_cached} cached) "
-        f"— {len(cfg.policies)} policies x {len(cfg.reference_orders)} "
-        f"orders x {len(cfg.scenarios)} scenarios"
+        f"\nmatrix: {result.n_cells} cells "
+        f"({result.n_simulated} simulated, {result.n_cached} cached) "
+        f"— {len(config['policies'])} policies x "
+        f"{len(config['reference_orders'])} orders x "
+        f"{len(config['scenarios'])} scenarios"
     )
     wrote = []
     if args.out:
         Path(args.out).write_text(text + "\n")
         wrote.append(args.out)
     if args.json:
-        doc = {"config": dataclasses.asdict(cfg), "matrix": tables}
+        doc = {"config": config, "matrix": tables}
         Path(args.json).write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
@@ -552,19 +576,21 @@ def cmd_paper_diff(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    overrides = {}
-    if args.estimate_mode:
-        overrides["estimate_mode"] = args.estimate_mode
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    api.serve(
-        host=args.host,
-        port=args.port,
-        policy=args.policy,
-        system_size=args.system_size,
-        options=overrides or None,
-        max_pending=args.max_pending,
-    )
+    # a bad option or policy fails while the service is built, before the
+    # port is bound
+    try:
+        api.serve(
+            host=args.host,
+            port=args.port,
+            policy=args.policy,
+            system_size=args.system_size,
+            options=api.RunOptions(estimate_mode=args.estimate_mode,
+                                   epsilon=args.epsilon),
+            max_pending=args.max_pending,
+        )
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     return 0
 
 
@@ -773,9 +799,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cluster size in nodes")
     sv.add_argument("--max-pending", type=int, default=512,
                     help="per-tenant pending-buffer bound (backpressure)")
-    sv.add_argument("--estimate-mode", default=None,
+    sv.add_argument("--estimate-mode", default=api.RunOptions.estimate_mode,
                     choices=["perfect", "wcl"], help="FST estimate mode")
-    sv.add_argument("--epsilon", type=float, default=None,
+    sv.add_argument("--epsilon", type=float, default=api.RunOptions.epsilon,
                     help="fairness tolerance (seconds)")
     sv.set_defaults(fn=cmd_serve)
 

@@ -9,24 +9,18 @@ of fair*.
 
 One simulation per (scenario, policy) cell suffices: reference orders
 are observers, not schedulers, so every order's FST series is recorded
-from the same run (see ``RunOptions.reference_orders``).  Cells flow
-through the campaign executor and its content-addressed cache, and the
+from the same run (see ``RunOptions.reference_orders``).  ``repro
+matrix`` runs those cells as a campaign (``api.sweep``, with its
+content-addressed cache) and this module projects and renders them; the
 rendered table is deterministic byte-for-byte, which the CI
 ``matrix-smoke`` job asserts by building it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..campaign.cache import CampaignCache
-from ..campaign.executor import CellResult, ProgressFn, run_cells
-from ..campaign.spec import CampaignCell, WorkloadSpec
 from ..metrics.fairness import REFERENCE_ORDERS
-from ..sched.registry import MATRIX_POLICIES, get_policy
-from .export import RecordRun
-from .runner import RunOptions
 
 #: the reference orders of the default matrix (all of them, in the order
 #: the columns render)
@@ -34,92 +28,6 @@ MATRIX_REFERENCE_ORDERS: Tuple[str, ...] = tuple(REFERENCE_ORDERS)
 
 #: the default scenario: the paper's baseline trace recipe
 MATRIX_SCENARIOS: Tuple[str, ...] = ("cplant-baseline",)
-
-
-@dataclass(frozen=True)
-class MatrixConfig:
-    """One fairness-matrix sweep, fully determined."""
-
-    policies: Tuple[str, ...] = MATRIX_POLICIES
-    reference_orders: Tuple[str, ...] = MATRIX_REFERENCE_ORDERS
-    scenarios: Tuple[str, ...] = MATRIX_SCENARIOS
-    scale: float = 0.05
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "policies", tuple(self.policies))
-        object.__setattr__(
-            self, "reference_orders", tuple(self.reference_orders)
-        )
-        object.__setattr__(self, "scenarios", tuple(self.scenarios))
-        if not self.policies:
-            raise ValueError("matrix needs at least one policy")
-        if not self.reference_orders:
-            raise ValueError("matrix needs at least one reference order")
-        if not self.scenarios:
-            raise ValueError("matrix needs at least one scenario")
-        for key in self.policies:
-            get_policy(key)
-        for name in self.reference_orders:
-            if name not in REFERENCE_ORDERS:
-                raise KeyError(
-                    f"unknown reference order (FST basis) {name!r}; "
-                    f"known: {', '.join(sorted(REFERENCE_ORDERS))}"
-                )
-
-    def options(self) -> RunOptions:
-        return RunOptions(reference_orders=self.reference_orders)
-
-    def cells(self) -> List[CampaignCell]:
-        """The sweep grid, in deterministic (scenario, policy) order."""
-        options = self.options()
-        out: List[CampaignCell] = []
-        for scenario in self.scenarios:
-            wspec = WorkloadSpec(
-                kind="scenario",
-                scenario=scenario,
-                params=(("scale", self.scale),),
-                seed=self.seed,
-            )
-            wspec.validate()
-            for policy in self.policies:
-                out.append(CampaignCell(
-                    workload=wspec, seed=self.seed, policy=policy,
-                    options=options,
-                ))
-        return out
-
-
-#: scenario -> policy -> reference order -> fairness block
-MatrixTables = Dict[str, Dict[str, Dict[str, Dict[str, float]]]]
-
-
-def run_matrix(
-    config: Optional[MatrixConfig] = None,
-    jobs: int = 1,
-    cache: Optional[CampaignCache] = None,
-    force: bool = False,
-    progress: Optional[ProgressFn] = None,
-) -> Tuple[List[CellResult], MatrixTables]:
-    """Execute a fairness-matrix sweep through the campaign executor.
-
-    Returns the executed cells and, per scenario, the table
-    :func:`matrix_from_suite` projects from their metric records (the
-    same projection the registered ``matrix`` artifact renders).
-    """
-    cfg = config or MatrixConfig()
-    results = run_cells(
-        cfg.cells(), jobs=jobs, cache=cache, force=force, progress=progress
-    )
-    suites: Dict[str, Dict[str, RecordRun]] = {}
-    for res in results:
-        suite = suites.setdefault(str(res.cell.workload.scenario), {})
-        suite[res.cell.policy] = RecordRun(res.cell.policy, res.metrics)
-    tables = {
-        scenario: matrix_from_suite(suite, cfg.reference_orders)
-        for scenario, suite in suites.items()
-    }
-    return results, tables
 
 
 # --------------------------------------------------------------------------

@@ -83,6 +83,25 @@ class PolicyRun:
         over the raw schedule (chunks count when and where they ran)."""
         return weekly_series(self.result.jobs, self.result.cluster_size)
 
+    def digest(self) -> str:
+        """Content digest of the simulation outcome (the equality oracle)."""
+        return self.result.digest()
+
+    def report(self) -> str:
+        """The standard per-policy text report (shared by the CLI)."""
+        s, f = self.summary, self.fairness
+        return "\n".join([
+            f"policy: {self.policy}",
+            f"  jobs completed        : {s.n_jobs}",
+            f"  avg wait              : {s.avg_wait:,.0f} s",
+            f"  avg turnaround (Eq.1) : {s.avg_turnaround:,.0f} s",
+            f"  avg bounded slowdown  : {s.avg_slowdown:,.1f}",
+            f"  utilization (Eq.2)    : {100 * s.utilization:.1f} %",
+            f"  loss of capacity(Eq.4): {100 * self.loss_of_capacity:.2f} %",
+            f"  percent unfair jobs   : {100 * f.percent_unfair:.2f} %",
+            f"  avg miss time (Eq.5)  : {f.average_miss_time:,.0f} s",
+        ])
+
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -175,7 +194,7 @@ class RunOptions:
         bad_orders = sorted(set(orders) - set(REFERENCE_ORDERS))
         if bad_orders:
             raise ValueError(
-                f"unknown reference_orders {bad_orders}; "
+                f"reference_orders: unknown reference order(s) {bad_orders}; "
                 f"known: {sorted(REFERENCE_ORDERS)}"
             )
 
@@ -189,11 +208,10 @@ class RunOptions:
             ("fairshare", *dict.fromkeys(o for o in orders if o != "fairshare")),
         )
 
-    #: mapping keys :meth:`from_mapping` understands ("overrides" is the
-    #: accepted shorthand for "scheduler_overrides")
+    #: mapping keys :meth:`from_mapping` understands
     MAPPING_KEYS = frozenset({
         "estimate_mode", "epsilon", "kill_policy", "scheduler_overrides",
-        "overrides", "validate", "reference_orders",
+        "validate", "reference_orders",
     })
 
     @classmethod
@@ -203,8 +221,8 @@ class RunOptions:
         **extra: object,
     ) -> "RunOptions":
         """Options from loosely-typed data (JSON specs, CLI flags, request
-        payloads): rejects unknown keys, resolves the ``overrides``
-        shorthand, and leaves every value to the constructor.
+        payloads): rejects unknown keys and leaves every value to the
+        constructor.
 
         ``extra`` keyword pairs merge over ``mapping`` (caller overrides).
         """
@@ -215,13 +233,6 @@ class RunOptions:
                 f"unknown run-option keys {unknown}; "
                 f"known: {sorted(cls.MAPPING_KEYS)}"
             )
-        if "overrides" in data:
-            if "scheduler_overrides" in data:
-                raise ValueError(
-                    "give either 'scheduler_overrides' or its shorthand "
-                    "'overrides', not both"
-                )
-            data["scheduler_overrides"] = data.pop("overrides")
         return cls(**data)  # type: ignore[arg-type]
 
     def identity(self) -> Dict[str, object]:

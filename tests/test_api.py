@@ -1,8 +1,8 @@
-"""The repro.api facade: one request/handle model for every entry path.
+"""The repro.api facade: one request model for every entry path.
 
 The contract under test: a :class:`SimulationRequest` fully determines a
-simulation; :func:`api.run` produces a handle whose metrics are identical
-to the engine-level runner path; and options validate in one place (the
+simulation; :func:`api.run` returns the :class:`PolicyRun` the
+engine-level runner path produces; and options validate in one place (the
 :class:`RunOptions` constructor, which :meth:`RunOptions.from_mapping`
 calls) with structured errors.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro import api
 from repro.core.engine import Engine, KillPolicy, Observer
-from repro.experiments.runner import RunOptions, run_policy
+from repro.experiments.runner import PolicyRun, RunOptions, run_policy
 
 
 # -- SimulationRequest ---------------------------------------------------------
@@ -65,28 +65,29 @@ def test_request_options_bad_type_is_a_value_error(small_workload):
         req.resolve_options()
 
 
-# -- run / handle --------------------------------------------------------------
+# -- run ---------------------------------------------------------------------
 
 
 def test_run_matches_direct_runner(small_workload):
-    handle = api.run(policy="easy.fairshare", workload=small_workload)
+    run = api.run(policy="easy.fairshare", workload=small_workload)
     direct = run_policy(small_workload, "easy.fairshare")
-    assert handle.digest() == direct.result.digest()
-    # attribute delegation: the handle quacks like the PolicyRun
-    assert handle.summary == direct.summary
-    assert handle.percent_unfair == direct.fairness.percent_unfair
+    assert isinstance(run, PolicyRun)
+    assert run.digest() == direct.result.digest()
+    assert run.summary == direct.summary
+    assert run.percent_unfair == direct.fairness.percent_unfair
 
 
 def test_run_refines_an_existing_request(small_workload):
     base = api.SimulationRequest(policy="fcfs.nobackfill", workload=small_workload)
-    handle = api.run(base, policy="easy.fairshare")
-    assert handle.request.policy == "easy.fairshare"
-    assert handle.run.policy == "easy.fairshare"
+    run = api.run(base, policy="easy.fairshare")
+    assert run.policy == "easy.fairshare"
+    assert run.digest() == api.run(
+        policy="easy.fairshare", workload=small_workload).digest()
 
 
 def test_run_report_renders_the_standard_block(small_workload):
-    handle = api.run(policy="easy.fairshare", workload=small_workload)
-    text = handle.report()
+    run = api.run(policy="easy.fairshare", workload=small_workload)
+    text = run.report()
     assert "policy: easy.fairshare" in text
     assert "avg turnaround (Eq.1)" in text
     assert "loss of capacity(Eq.4)" in text
@@ -126,7 +127,8 @@ def test_catalogs_list_scenarios_and_policies():
 def test_from_mapping_accepts_canonical_keys():
     opts = RunOptions.from_mapping(
         {"estimate_mode": "wcl", "epsilon": 2, "kill_policy": "never",
-         "overrides": {"starvation_threshold": 60.0}, "validate": True}
+         "scheduler_overrides": {"starvation_threshold": 60.0},
+         "validate": True}
     )
     assert opts.estimate_mode == "wcl"
     assert opts.epsilon == 2.0
@@ -150,15 +152,14 @@ def test_from_mapping_rejects_bad_kill_policy():
         RunOptions.from_mapping({"kill_policy": "sometimes"})
 
 
-def test_from_mapping_rejects_override_alias_conflict():
-    with pytest.raises(ValueError, match="scheduler_overrides"):
-        RunOptions.from_mapping(
-            {"overrides": {"a": 1}, "scheduler_overrides": {"a": 2}}
-        )
+def test_from_mapping_rejects_the_overrides_alias():
+    with pytest.raises(ValueError, match=r"unknown run-option keys \['overrides'\]"):
+        RunOptions.from_mapping({"overrides": {"a": 1}})
 
 
 def test_from_mapping_rejects_unknown_reference_order():
-    with pytest.raises(ValueError, match="reference_orders.*vibes"):
+    with pytest.raises(ValueError,
+                       match="reference_orders: unknown reference order.*vibes"):
         RunOptions.from_mapping({"reference_orders": ["fairshare", "vibes"]})
 
 
@@ -274,7 +275,7 @@ def test_engine_rejects_non_observers(small_workload):
 
 
 def test_structural_observer_runs(small_workload):
-    handle = api.run(policy="fcfs.nobackfill", workload=small_workload,
-                     observers=(_FullObserver(),))
+    observed = api.run(policy="fcfs.nobackfill", workload=small_workload,
+                       observers=(_FullObserver(),))
     bare = api.run(policy="fcfs.nobackfill", workload=small_workload)
-    assert handle.digest() == bare.digest()
+    assert observed.digest() == bare.digest()

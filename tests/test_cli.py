@@ -144,6 +144,25 @@ class TestCommands:
         assert "unknown policy 'nope'" in capsys.readouterr().err
         assert simulated == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--epsilon", "nan"], "epsilon must be finite"),
+        (["--policy", "bogus"], "unknown policy 'bogus'"),
+        (["--policy", "cons.72max"], "runtime-limit transform"),
+    ], ids=["nan-epsilon", "unknown-policy", "runtime-limit-policy"])
+    def test_serve_rejects_bad_input_before_binding(
+        self, argv, message, monkeypatch, capsys
+    ):
+        import asyncio
+
+        async def no_bind(*args, **kwargs):
+            raise AssertionError("bound a port")
+
+        monkeypatch.setattr(asyncio, "start_server", no_bind)
+        assert main(["serve", "--port", "0", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "listening on" not in out
+
     def test_export_without_outputs_exits_1_before_simulating(
         self, monkeypatch, capsys
     ):

@@ -12,6 +12,12 @@
   event by event.
 * Chunk chains: the chunks of a runtime-limited job carry exactly its
   runtime between them.
+* Eq. 5: a plain loop over the recorded fair-start times and the trace
+  jobs' starts rebuilds the fairness counts and mean miss time, for the
+  fairshare basis and for every other reference order a case asks for.
+* Busy node-seconds: the Figure 3 weekly utilization, summed over the
+  weeks, is the raw schedule's executed work, and the running jobs never
+  hold more nodes than the cluster has.
 
 Both sides add the same terms in different orders and groupings, so they
 agree to float rounding only.  ``REL_TOL`` bounds the gap; it was fixed
@@ -27,9 +33,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.job import Job
-from repro.experiments.runner import RunOptions, policy_engine
+from repro.experiments.runner import (
+    RunOptions,
+    derive_policy_run,
+    policy_engine,
+)
+from repro.metrics.fairness import REFERENCE_ORDERS
 from repro.metrics.loc import LossOfCapacityObserver
 from repro.metrics.queue import QueueObserver
+from repro.metrics.weekly import WEEK
 from repro.sched.registry import get_policy
 from repro.workload.model import Workload
 from repro.workload.transforms import split_by_runtime_limit
@@ -119,6 +131,62 @@ def test_chunk_chains_carry_the_original_runtime(case, digest_workloads):
     assert not chains, f"chunks of unknown jobs {sorted(chains)}"
 
 
+def trace_job_starts_and_fsts(jobs, fst):
+    """(start, FST) per trace job: a chunk chain is its first chunk's."""
+    out = {}
+    for j in jobs:
+        if not j.is_chunk:
+            out[j.id] = (j.start_time, fst[j.id])
+        elif j.chunk_index == 0:
+            out[j.parent_id] = (j.start_time, fst[j.id])
+    return out
+
+
+def assert_eq5(stats, jobs, fst, epsilon):
+    misses = [max(0.0, start - fair)
+              for start, fair in trace_job_starts_and_fsts(jobs, fst).values()]
+    n_unfair = 0
+    for miss in misses:
+        if miss > epsilon:
+            n_unfair += 1
+    assert stats.n_jobs == len(misses)
+    assert stats.n_unfair == n_unfair
+    assert stats.percent_unfair == n_unfair / len(misses)
+    assert stats.average_miss_time == pytest.approx(
+        math.fsum(misses) / len(misses), rel=REL_TOL, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
+def test_eq5_on_the_digest_workloads(case, digest_workloads):
+    assert_eq5_for_every_order(run_case(case, digest_workloads))
+
+
+def assert_eq5_for_every_order(run, epsilon=RunOptions().epsilon):
+    series = run.result.series
+    assert_eq5(run.fairness, run.result.jobs, series["fst_hybrid"], epsilon)
+    for order, stats in (run.fairness_by_order or {}).items():
+        name = "fst_hybrid" if order == "fairshare" else f"fst_hybrid_{order}"
+        assert_eq5(stats, run.result.jobs, series[name], epsilon)
+
+
+@pytest.mark.parametrize("case", sorted(ALL_DIGESTS))
+def test_busy_node_seconds_on_the_digest_workloads(case, digest_workloads):
+    run = run_case(case, digest_workloads)
+    jobs, size = run.result.jobs, run.result.cluster_size
+    busy = math.fsum(j.nodes * (j.end_time - j.start_time) for j in jobs)
+    weekly = math.fsum(u * WEEK * size for u in run.weekly.utilization)
+    assert busy > 0
+    assert weekly == pytest.approx(busy, rel=REL_TOL, abs=0.0)
+    # ends sort before starts at one instant: a job finishing at t frees
+    # its nodes for one starting at t
+    events = sorted([(j.start_time, 1, j.nodes) for j in jobs]
+                    + [(j.end_time, 0, -j.nodes) for j in jobs])
+    occupied = 0
+    for _, _, delta in events:
+        occupied += delta
+        assert 0 <= occupied <= size
+
+
 @st.composite
 def job_lists(draw, max_jobs=20):
     """Jobs on a 50 s submit grid with repeated runtimes (simultaneous
@@ -158,3 +226,19 @@ def test_littles_law_under_hypothesis(jobs, policy, kill, chunk):
     engine = policy_engine(get_policy(policy), SIZE,
                            RunOptions(kill_policy=kill), wl.jobs, [obs])
     assert_littles_law(obs, engine.run().jobs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    jobs=job_lists(),
+    policy=st.sampled_from(["easy.fairshare", "cons.nomax", "rr.user"]),
+    chunk=st.sampled_from([100.0, 300.0]),
+)
+def test_eq5_on_chunk_chains_under_hypothesis(jobs, policy, chunk):
+    """On the digest cases no chunk chain misses its FST; here chains
+    queue on a small cluster, so the first-chunk collapse is exercised."""
+    wl = split_by_runtime_limit(Workload(jobs, SIZE), chunk)
+    options = RunOptions(reference_orders=tuple(REFERENCE_ORDERS))
+    engine = policy_engine(get_policy(policy), SIZE, options, wl.jobs)
+    run = derive_policy_run(policy, engine.run(), options, split=True)
+    assert_eq5_for_every_order(run)

