@@ -10,6 +10,12 @@ artifact in selection order, and writes a ``manifest.json`` mapping each
 artifact to the content digests of its inputs (cell keys, workload
 digest) and its output bytes.
 
+The workload-characterization artifacts (Figures 4-7, Tables 1-2) depend
+on the trace alone, so each one's rendered text and the trace's content
+digest are cached as one record in the same store, keyed like a cell by
+(artifact, workload identity, seed, code version): a warm build serves
+them without generating, digesting or rendering the trace.
+
 The manifest is deterministic: identical code + config produce
 byte-identical manifests across processes and machines, which is what
 the CI ``paper-smoke`` job asserts.
@@ -22,10 +28,20 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..campaign.cache import CampaignCache, cell_key, code_version
-from ..campaign.executor import ProgressFn, default_journal_dir, run_cells
+from ..campaign.cache import (
+    CampaignCache,
+    canonical_digest,
+    cell_key,
+    code_version,
+)
+from ..campaign.executor import (
+    ProgressFn,
+    default_journal_dir,
+    memo_workload,
+    run_cells,
+)
 from ..campaign.retry import RetryPolicy, RunReport
 from ..campaign.spec import CampaignCell, WorkloadSpec
 from ..experiments.export import RecordRun
@@ -73,7 +89,42 @@ class PaperConfig:
         )
 
     def build_workload(self) -> Workload:
-        return self.workload_spec().build(self.seed)
+        """The shared trace, through the executor's per-process workload
+        memo: a build whose cells ran inline reuses the trace they
+        simulated instead of generating it again."""
+        return memo_workload(self.workload_spec(), self.seed)
+
+
+def workload_record_identity(
+    art: Artifact, config: PaperConfig
+) -> Dict[str, object]:
+    """Everything a workload artifact's text depends on besides code."""
+    return {
+        "artifact": art.id,
+        "workload": config.workload_spec().family_identity(),
+        "seed": config.seed,
+    }
+
+
+def workload_record_key(art: Artifact, config: PaperConfig) -> str:
+    """Cache key of a workload artifact's record (same trust model as
+    :func:`~repro.campaign.cache.cell_key`)."""
+    identity = workload_record_identity(art, config)
+    return canonical_digest({**identity, "code": code_version()})
+
+
+def _is_recorded(art: Artifact) -> bool:
+    """Whether an artifact's text is cached as a workload record: it reads
+    the trace and no cells, so the trace alone fixes its bytes."""
+    return art.needs_workload and not art.policies
+
+
+def _usable(rec: Optional[Dict[str, object]]) -> bool:
+    return (
+        rec is not None
+        and isinstance(rec.get("text"), str)
+        and isinstance(rec.get("workload"), str)
+    )
 
 
 @dataclass
@@ -195,7 +246,9 @@ def build_artifacts(
     completed outputs.
     With ``check=True`` each artifact's qualitative shape check runs
     against the freshly built data (shape assertions only engage when
-    the trace has at least ``SHAPE_MIN_JOBS`` jobs).
+    the trace has at least ``SHAPE_MIN_JOBS`` jobs).  ``check`` and
+    ``force`` render the workload artifacts from the trace and rewrite
+    their records; ``cache=None`` neither reads nor writes records.
 
     Every run journals its completions next to the cache, so an
     interrupted build continues with ``resume=True`` (``repro paper
@@ -218,13 +271,43 @@ def build_artifacts(
     # so suites are assembled per artifact from the content-addressed keys
     by_key = {r.key: r.metrics for r in results}
 
-    workload = plan.config.build_workload() if (plan.needs_workload or check) else None
+    # workload records: a warm build serves these texts and the trace
+    # digest without generating the trace; any missing, damaged or
+    # disagreeing record sends the build back to the trace
+    records: Dict[str, str] = {}  # artifact id -> record key
+    served: Dict[str, Dict[str, object]] = {}
+    if cache is not None:
+        records = {
+            art.id: workload_record_key(art, plan.config)
+            for art in plan.artifacts
+            if _is_recorded(art)
+        }
+        if not (check or force):
+            for art_id, key in records.items():
+                rec = cache.get(key)
+                if _usable(rec):
+                    served[art_id] = rec
+    digests = {rec["workload"] for rec in served.values()}
+    needs_trace = (
+        check
+        or len(digests) > 1
+        or any(a.needs_workload and a.id not in served for a in plan.artifacts)
+    )
+    workload = plan.config.build_workload() if needs_trace else None
     shape = workload is not None and len(workload) >= SHAPE_MIN_JOBS
-    wl_digest = workload.content_digest() if plan.needs_workload else None
+    wl_digest: Optional[str] = None
+    if workload is not None and plan.needs_workload:
+        wl_digest = workload.content_digest()
+        # a record of another trace is stale: render it again
+        served = {k: v for k, v in served.items() if v["workload"] == wl_digest}
+    elif digests:
+        (wl_digest,) = digests
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def _render(art: Artifact) -> Tuple[ArtifactOutput, str]:
+    def _text(art: Artifact) -> str:
+        if art.id in served:
+            return str(served[art.id]["text"])
         suite = {
             policy: RecordRun(policy, by_key[key])
             for policy, key in plan.cell_keys[art.id].items()
@@ -234,16 +317,22 @@ def build_artifacts(
             workload=workload if art.needs_workload else None,
         )
         text = art.build_text(inputs, check=check, shape=shape)
-        blob = (text + "\n").encode()
-        path = out / art.output
-        path.write_bytes(blob)
-        return ArtifactOutput(artifact=art, path=path, sha256=_sha256(blob)), text
+        if art.id in records:
+            cache.put(
+                records[art.id],
+                workload_record_identity(art, plan.config),
+                {"text": text, "workload": wl_digest},
+            )
+        return text
 
     outputs: List[ArtifactOutput] = []
     texts: Dict[str, str] = {}
     for art in plan.artifacts:
-        rendered, text = _render(art)
-        outputs.append(rendered)
+        text = _text(art)
+        blob = (text + "\n").encode()
+        path = out / art.output
+        path.write_bytes(blob)
+        outputs.append(ArtifactOutput(artifact=art, path=path, sha256=_sha256(blob)))
         texts[art.id] = text
 
     doc = manifest_doc(plan, outputs, wl_digest)

@@ -1,4 +1,5 @@
-"""Content-addressed on-disk cache for campaign cells.
+"""Content-addressed on-disk cache for campaign cells (and other
+records keyed the same way, e.g. the paper build's workload artifacts).
 
 A cell's key is the SHA-256 of its canonical JSON identity — workload
 identity (generator parameters + seed, or trace-file content hash),
@@ -28,7 +29,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..obs.log import get_logger
 from . import faults
@@ -66,17 +67,20 @@ def default_cache_dir() -> Path:
     return base / "repro-campaign"
 
 
-def cell_key(cell: CampaignCell) -> str:
-    """Stable content hash of everything that determines a cell's result."""
-    doc = {"cell": cell.identity(), "code": code_version()}
+def canonical_digest(doc: Mapping[str, object]) -> str:
+    """SHA-256 of a JSON-safe mapping's canonical JSON."""
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def cell_key(cell: CampaignCell) -> str:
+    """Stable content hash of everything that determines a cell's result."""
+    return canonical_digest({"cell": cell.identity(), "code": code_version()})
+
+
 def metrics_digest(metrics: Dict[str, object]) -> str:
     """Integrity digest of a metrics block (canonical-JSON SHA-256)."""
-    blob = json.dumps(metrics, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(metrics)
 
 
 @dataclass
@@ -225,15 +229,18 @@ class CampaignCache:
         self.stats.hits += 1
         return json.loads(text)["metrics"]
 
-    def put(self, key: str, cell: CampaignCell,
+    def put(self, key: str, identity: Mapping[str, object],
             metrics: Dict[str, object]) -> Path:
+        """Store ``metrics`` under ``key``; ``identity`` is what the key
+        hashes (a cell's :meth:`~.spec.CampaignCell.identity`), kept in
+        the entry for inspection."""
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         doc = {
             "key": key,
             "schema": CACHE_SCHEMA,
             "code": code_version(),
-            "cell": cell.identity(),
+            "cell": dict(identity),
             "integrity": metrics_digest(metrics),
             "metrics": metrics,
         }

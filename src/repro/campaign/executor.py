@@ -65,7 +65,7 @@ from .retry import (
     WorkerLost,
     failure_signature,
 )
-from .spec import CampaignCell, CampaignSpec, _swf_digest
+from .spec import CampaignCell, CampaignSpec, WorkloadSpec, _swf_digest
 
 log = get_logger("repro.campaign")
 
@@ -82,23 +82,26 @@ _WL_CACHE: "OrderedDict[Tuple, Workload]" = OrderedDict()
 _WL_CACHE_MAX = 8
 
 
-def _workload_key(cell: CampaignCell) -> Tuple:
-    """Identity of the generated workload a cell simulates (cells differing
-    only in policy/options share it — and share the built object)."""
-    key: Tuple = (cell.workload, cell.seed)
-    if cell.workload.kind == "swf":
+def _workload_key(workload: WorkloadSpec, seed: Optional[int]) -> Tuple:
+    """Identity of a generated workload (cells differing only in
+    policy/options share it — and share the built object)."""
+    key: Tuple = (workload, seed)
+    if workload.kind == "swf":
         # the spec compares equal across a trace edit; the content digest
         # doesn't — without it an in-process edit would serve the stale
         # workload and poison the cache under the new content hash
-        key += (_swf_digest(str(cell.workload.path)),)
+        key += (_swf_digest(str(workload.path)),)
     return key
 
 
-def _cell_workload(cell: CampaignCell) -> Workload:
-    key = _workload_key(cell)
+def memo_workload(workload: WorkloadSpec, seed: Optional[int]) -> Workload:
+    """``workload.build(seed)`` through this process's memo: the object
+    inline cells already simulated when they ran here, else a fresh build
+    that later cells reuse."""
+    key = _workload_key(workload, seed)
     wl = _WL_CACHE.get(key)
     if wl is None:
-        wl = cell.workload.build(cell.seed)
+        wl = workload.build(seed)
         _WL_CACHE[key] = wl
         if len(_WL_CACHE) > _WL_CACHE_MAX:
             _WL_CACHE.popitem(last=False)
@@ -115,7 +118,7 @@ def run_cell(cell: CampaignCell) -> Dict[str, object]:
     """
     from .. import api  # deferred: the facade imports campaign lazily too
 
-    wl = _cell_workload(cell)
+    wl = memo_workload(cell.workload, cell.seed)
     return policy_run_record(api.run(api.SimulationRequest(
         policy=cell.policy, workload=wl, options=cell.options,
     )))
@@ -330,7 +333,7 @@ def run_cells(
 
     def _finish(i: int, metrics: Dict[str, object], dt: float) -> None:
         if cache is not None:
-            cache.put(keys[i], cells[i], metrics)
+            cache.put(keys[i], cells[i].identity(), metrics)
         _note(
             i,
             CellResult(cell=cells[i], key=keys[i], metrics=metrics,

@@ -36,6 +36,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional
@@ -221,16 +222,20 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _progress(prefix: str, width: int, quiet: bool) -> Optional[ProgressFn]:
+def _progress(
+    prefix: str, width: int, quiet: bool, clock=time.perf_counter,
+) -> Optional[ProgressFn]:
     """The campaign progress callback: one ``[prefix] done/total`` line
-    per finished cell (None under ``--quiet``)."""
+    per finished cell (None under ``--quiet``).  Call it as the run
+    starts: its rates count from then, not from the first completion."""
     if quiet:
         return None
+    start = clock()
     meter: List[ProgressMeter] = []
 
     def progress(done, total, cell, source, elapsed):
         if not meter:
-            meter.append(ProgressMeter(total))
+            meter.append(ProgressMeter(total, clock=clock, start=start))
         tag = {"cache": "cache", "journal": "jrnl "}.get(source, "run  ")
         print(f"[{prefix}] {done:>{width}}/{total} {tag} {cell.label()} "
               f"— {meter[0].note(done)}", flush=True)

@@ -66,10 +66,12 @@ class ProgressMeter:
     complete instantly and legitimately pull the rate up).
     """
 
-    def __init__(self, total: int, clock=time.perf_counter) -> None:
+    def __init__(self, total: int, clock=time.perf_counter,
+                 start: Optional[float] = None) -> None:
         self.total = total
         self._clock = clock
-        self._t0 = clock()
+        #: when the run began (default: now), on ``clock``'s scale
+        self._t0 = clock() if start is None else start
 
     def note(self, done: int) -> str:
         elapsed = max(self._clock() - self._t0, 1e-9)

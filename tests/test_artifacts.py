@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,10 @@ from repro.artifacts import (
     select_artifacts,
     verify_outputs,
 )
+from repro.artifacts.build import workload_record_key
 from repro.campaign import CampaignCache, cell_key
+from repro.campaign import executor
+from repro.campaign import spec as campaign_spec
 from repro.cli import main
 from repro.experiments.export import policy_run_record
 from repro.experiments.runner import run_policy
@@ -47,6 +51,10 @@ EXPECTED_IDS = (
 #: default options, plus the matrix's eight under its reference-order
 #: options (distinct cache keys even where the policy repeats)
 N_FULL_CELLS = len(PAPER_POLICIES) + len(MATRIX_POLICIES)
+
+#: the workload-characterization artifacts: they read the trace and no
+#: cells, so each is cached as a workload record
+WORKLOAD_IDS = ["fig04", "fig05", "fig06", "fig07", "table1", "table2"]
 
 #: sha256 of the ``SMALL`` build's manifest.json.  The manifest embeds
 #: every artifact's output sha256 and cell key, so this one digest pins
@@ -262,6 +270,179 @@ class TestBuild:
             parallel.manifest_path.read_bytes()
             == result.manifest_path.read_bytes()
         )
+
+
+def count_traces(monkeypatch, fail: bool = False) -> list:
+    """Empty the per-process workload memo and count (or, with ``fail``,
+    forbid) synthetic-trace generation; returns the call log."""
+    calls: list = []
+    generate = campaign_spec.generate_cplant_workload
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        if fail:
+            raise AssertionError("the trace was generated")
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "_WL_CACHE", OrderedDict())
+    monkeypatch.setattr(campaign_spec, "generate_cplant_workload", spy)
+    return calls
+
+
+def record_puts(monkeypatch, cache: CampaignCache) -> list:
+    """The keys ``cache`` stores from now on, in order."""
+    keys: list = []
+    put = cache.put
+
+    def spy(key, identity, metrics):
+        keys.append(key)
+        return put(key, identity, metrics)
+
+    monkeypatch.setattr(cache, "put", spy)
+    return keys
+
+
+def output_bytes(result) -> dict:
+    blobs = {r.artifact.id: r.path.read_bytes() for r in result.outputs}
+    blobs[MANIFEST_NAME] = result.manifest_path.read_bytes()
+    return blobs
+
+
+def record_keys(config: PaperConfig = SMALL) -> dict:
+    return {i: workload_record_key(get_artifact(i), config) for i in WORKLOAD_IDS}
+
+
+class TestWorkloadRecords:
+    """The workload artifacts' texts and trace digest, cached per artifact
+    in the cell cache so a warm build never touches the trace."""
+
+    def build(self, tmp_path, tag, cache, **kwargs):
+        kwargs.setdefault("config", SMALL)
+        kwargs.setdefault("only", WORKLOAD_IDS)
+        return build_artifacts(out_dir=tmp_path / tag, cache=cache, **kwargs)
+
+    def test_cold_build_matches_the_uncached_build(self, tmp_path):
+        cold = self.build(tmp_path, "cold", CampaignCache(tmp_path / "c"))
+        uncached = self.build(tmp_path, "plain", None)
+        assert output_bytes(cold) == output_bytes(uncached)
+
+    def test_warm_build_never_touches_the_trace(self, tmp_path, monkeypatch):
+        cold = self.build(tmp_path, "cold", CampaignCache(tmp_path / "c"))
+        count_traces(monkeypatch, fail=True)
+        cache = CampaignCache(tmp_path / "c")
+        warm = self.build(tmp_path, "warm", cache)
+        assert output_bytes(warm) == output_bytes(cold)
+        assert cache.stats.hits == len(WORKLOAD_IDS)
+        # a new cache object over the same root: what a fresh process sees
+        fresh = self.build(tmp_path, "fresh", CampaignCache(tmp_path / "c"))
+        assert output_bytes(fresh) == output_bytes(cold)
+
+    def test_warm_full_build_never_touches_the_trace(
+        self, built, tmp_path, monkeypatch
+    ):
+        root, cache, result = built
+        count_traces(monkeypatch, fail=True)
+        warm = self.build(tmp_path, "warm", cache, only=None)
+        assert warm.n_simulated == 0
+        assert warm.n_cached == N_FULL_CELLS
+        assert output_bytes(warm) == output_bytes(result)
+
+    def test_damaged_records_are_rendered_again_and_re_put(
+        self, tmp_path, monkeypatch
+    ):
+        cache = CampaignCache(tmp_path / "c")
+        cold = self.build(tmp_path, "cold", cache)
+        keys = record_keys()
+        cache.path_for(keys["fig05"]).unlink()
+        victim = cache.path_for(keys["table1"])
+        victim.write_text(victim.read_text()[:40])
+        traces = count_traces(monkeypatch)
+        puts = record_puts(monkeypatch, cache)
+        again = self.build(tmp_path, "again", cache)
+        assert output_bytes(again) == output_bytes(cold)
+        assert len(traces) == 1
+        assert puts == [keys["fig05"], keys["table1"]]
+        assert cache.verify().n_ok == len(WORKLOAD_IDS)
+
+    def test_a_record_of_another_trace_is_rendered_again(
+        self, tmp_path, monkeypatch
+    ):
+        cache = CampaignCache(tmp_path / "c")
+        cold = self.build(tmp_path, "cold", cache)
+        keys = record_keys()
+        rec = cache.get(keys["fig06"])
+        cache.put(keys["fig06"], {"artifact": "fig06"},
+                  {**rec, "workload": "0" * 64, "text": "stale"})
+        traces = count_traces(monkeypatch)
+        puts = record_puts(monkeypatch, cache)
+        again = self.build(tmp_path, "again", cache)
+        assert output_bytes(again) == output_bytes(cold)
+        assert len(traces) == 1
+        assert puts == [keys["fig06"]]
+
+    @pytest.mark.parametrize("flag", ["check", "force"])
+    def test_check_and_force_render_from_the_trace(
+        self, tmp_path, monkeypatch, flag
+    ):
+        cache = CampaignCache(tmp_path / "c")
+        cold = self.build(tmp_path, "cold", cache)
+        traces = count_traces(monkeypatch)
+        puts = record_puts(monkeypatch, cache)
+        again = self.build(tmp_path, "again", cache, **{flag: True})
+        assert output_bytes(again) == output_bytes(cold)
+        assert len(traces) == 1
+        assert puts == list(record_keys().values())
+
+    @pytest.mark.parametrize(
+        "other", [PaperConfig(scale=0.02, seed=4), PaperConfig(scale=0.03, seed=3)]
+    )
+    def test_another_seed_or_scale_never_reads_them(
+        self, tmp_path, monkeypatch, other
+    ):
+        cache = CampaignCache(tmp_path / "c")
+        self.build(tmp_path, "small", cache)
+        assert not set(record_keys(other).values()) & set(record_keys().values())
+        traces = count_traces(monkeypatch)
+        got = self.build(tmp_path, "other", cache, config=other)
+        assert len(traces) == 1
+        assert cache.stats.hits == 0
+        want = self.build(tmp_path, "plain", None, config=other)
+        assert output_bytes(got) == output_bytes(want)
+
+    def test_cache_verify_counts_them_healthy(self, tmp_path, capsys):
+        self.build(tmp_path, "cold", CampaignCache(tmp_path / "c"))
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(tmp_path / "c")]) == 0
+        out = capsys.readouterr().out
+        n = len(WORKLOAD_IDS)
+        assert f"{n} entries — {n} ok, 0 corrupt" in out
+
+    def test_a_subset_build_record_serves_the_full_build(self, tmp_path, monkeypatch):
+        cache_dir = str(tmp_path / "c")
+        argv = ["paper", "build", "--scale", str(SMALL.scale),
+                "--seed", str(SMALL.seed), "--cache-dir", cache_dir, "--quiet"]
+        assert main([*argv, "--only", "fig04",
+                     "--out-dir", str(tmp_path / "one")]) == 0
+        cache = CampaignCache(cache_dir)
+        puts = record_puts(monkeypatch, cache)
+        full = self.build(tmp_path, "full", cache, only=None)
+        keys = record_keys()
+        assert keys["fig04"] not in puts
+        assert [k for k in puts if k in keys.values()] == [
+            keys[i] for i in WORKLOAD_IDS[1:]
+        ]
+        one = (tmp_path / "one" / get_artifact("fig04").output).read_bytes()
+        assert full.texts["fig04"] + "\n" == one.decode()
+
+    def test_cold_inline_build_generates_the_trace_once(
+        self, tmp_path, monkeypatch
+    ):
+        traces = count_traces(monkeypatch)
+        result = self.build(
+            tmp_path, "cold", CampaignCache(tmp_path / "c"), only=["fig08", "fig04"]
+        )
+        assert result.n_simulated == len(get_artifact("fig08").policies)
+        assert len(traces) == 1
 
 
 class TestRecordRun:

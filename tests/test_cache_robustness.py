@@ -41,13 +41,13 @@ class TestCrashConsistency:
         cell = _cell()
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
-        cache.put(key, cell, METRICS_V1)
+        cache.put(key, cell.identity(), METRICS_V1)
 
         faults.install(FaultPlan(rules=(
             FaultRule(site="cache.put", kind="crash", tokens=(key,)),
         )))
         with pytest.raises(InjectedCrashError):
-            cache.put(key, cell, METRICS_V2)
+            cache.put(key, cell.identity(), METRICS_V2)
         faults.clear()
 
         # the old entry survives and reads back whole — no torn record
@@ -64,7 +64,7 @@ class TestCrashConsistency:
     def test_fresh_tmp_files_survive_the_grace_window(self, tmp_path):
         cell = _cell()
         cache = CampaignCache(tmp_path)
-        cache.put(cell_key(cell), cell, METRICS_V1)
+        cache.put(cell_key(cell), cell.identity(), METRICS_V1)
         live = tmp_path / cell_key(cell)[:2] / "writer-in-flight.tmp"
         live.write_text("partial")
         CampaignCache(tmp_path, tmp_grace=3600.0)
@@ -77,7 +77,7 @@ class TestCrashConsistency:
         faults.install(FaultPlan(rules=(
             FaultRule(site="cache.put", kind="corrupt", tokens=(key,)),
         )))
-        cache.put(key, cell, METRICS_V1)
+        cache.put(key, cell.identity(), METRICS_V1)
         faults.clear()
         assert cache.get(key) is None  # truncated entry reads as a miss
         assert cache.stats.corrupt == 1
@@ -88,7 +88,7 @@ class TestIntegrity:
         cell = _cell()
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
-        path = cache.put(key, cell, METRICS_V1)
+        path = cache.put(key, cell.identity(), METRICS_V1)
         doc = json.loads(path.read_text())
         doc["metrics"]["summary.avg_wait"] = 99.0  # bit-flip, digest stale
         path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -99,7 +99,7 @@ class TestIntegrity:
         cell = _cell()
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
-        cache.put(key, cell, METRICS_V1)
+        cache.put(key, cell.identity(), METRICS_V1)
 
         bad = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
         bad.parent.mkdir(parents=True, exist_ok=True)
@@ -119,7 +119,7 @@ class TestIntegrity:
         cell = _cell()
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
-        cache.put(key, cell, METRICS_V1)
+        cache.put(key, cell.identity(), METRICS_V1)
         bad = tmp_path / "ab" / ("ab" + "0" * 62 + ".json")
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_text("truncated{")
@@ -147,7 +147,7 @@ class TestCLI:
 
         cell = _cell()
         cache = CampaignCache(tmp_path)
-        cache.put(cell_key(cell), cell, METRICS_V1)
+        cache.put(cell_key(cell), cell.identity(), METRICS_V1)
         assert main(["cache", "verify", "--cache-dir", str(tmp_path)]) == 0
         assert "1 entries — 1 ok, 0 corrupt" in capsys.readouterr().out
 
@@ -178,7 +178,7 @@ def test_schema_bump_reads_as_miss_not_corrupt(tmp_path):
     cell = _cell()
     key = cell_key(cell)
     cache = CampaignCache(tmp_path)
-    path = cache.put(key, cell, METRICS_V1)
+    path = cache.put(key, cell.identity(), METRICS_V1)
     doc = json.loads(path.read_text())
     doc["schema"] = CACHE_SCHEMA - 1
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")

@@ -189,7 +189,7 @@ class TestCache:
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
         assert cache.get(key) is None
-        cache.put(key, cell, {"x": 1.5})
+        cache.put(key, cell.identity(), {"x": 1.5})
         assert cache.get(key) == {"x": 1.5}
         assert key in cache
         assert len(cache) == 1
@@ -204,14 +204,14 @@ class TestCache:
         cell = small_spec().expand()[0]
         key = cell_key(cell)
         cache = CampaignCache(tmp_path)
-        path = cache.put(key, cell, {"x": 1.0})
+        path = cache.put(key, cell.identity(), {"x": 1.0})
         path.write_text("{not json")
         assert cache.get(key) is None
 
     def test_clear(self, tmp_path):
         cell = small_spec().expand()[0]
         cache = CampaignCache(tmp_path)
-        cache.put(cell_key(cell), cell, {"x": 1.0})
+        cache.put(cell_key(cell), cell.identity(), {"x": 1.0})
         assert cache.clear() == 1
         assert len(cache) == 0
 
@@ -316,7 +316,7 @@ class TestExecutor:
         import os
         import time as _time
 
-        from repro.campaign.executor import _cell_workload
+        from repro.campaign.executor import memo_workload
         from repro.workload.generator import random_workload
         from repro.workload.swf import write_swf
 
@@ -324,10 +324,11 @@ class TestExecutor:
         write_swf(random_workload(20, system_size=16, seed=1), path)
         spec = small_spec(workloads=[{"kind": "swf", "path": str(path)}])
         cell = spec.expand()[0]
-        assert len(_cell_workload(cell)) == 20
+        assert len(memo_workload(cell.workload, cell.seed)) == 20
         write_swf(random_workload(40, system_size=16, seed=2), path)
         os.utime(path, ns=(_time.time_ns(), _time.time_ns()))
-        assert len(_cell_workload(spec.expand()[0])) == 40
+        cell = spec.expand()[0]
+        assert len(memo_workload(cell.workload, cell.seed)) == 40
 
     def test_run_cell_matches_serial_runner(self):
         from repro.experiments.export import policy_run_record

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _progress, build_parser, main
 
 
 class TestParser:
@@ -248,3 +248,24 @@ class TestScenariosCommands:
                    "--set", "scale=0.02", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("; Version: 2")
+
+
+class TestProgressLines:
+    class Cell:
+        def label(self):
+            return "easy.fcfs on cplant"
+
+    def test_first_rate_counts_from_the_start_of_the_run(self, capsys):
+        # the run starts at t=0 and each cell takes 2 s: the first line
+        # must not divide by the microseconds after the first completion
+        ticks = iter([0.0, 2.0, 4.0])
+        progress = _progress("sweep", 1, False, clock=lambda: next(ticks))
+        progress(1, 2, self.Cell(), "run", 2.0)
+        progress(2, 2, self.Cell(), "cache", 0.0)
+        assert capsys.readouterr().out.splitlines() == [
+            "[sweep] 1/2 run   easy.fcfs on cplant — 0.5 cells/s, eta 2s",
+            "[sweep] 2/2 cache easy.fcfs on cplant — 0.5 cells/s, done in 4s",
+        ]
+
+    def test_quiet_prints_nothing(self):
+        assert _progress("sweep", 1, True) is None

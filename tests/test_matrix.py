@@ -43,12 +43,22 @@ TINY_JSON_SHA256 = (
     "a2bef82e3caa35f073d87902e654496901ce6591339a73829939bd103978022d")
 
 
-def run_matrix_command(tmp_path, capsys, *extra, tag="m"):
-    """Run ``repro matrix`` + TINY in process (``--no-cache`` unless
+#: TINY's policies on twice the trace (267 jobs), where 6 of the 9 cells
+#: read a non-zero unfair share, so these digests see fairness numbers
+FAIR = ["--policies", ",".join(TINY_POLICIES), "--scale", "0.02",
+        "--seed", "3"]
+FAIR_TEXT_SHA256 = (
+    "ace59b052858a52c078b68ba82693e8d3186f91e97d5d391ad4de832362b8c17")
+FAIR_JSON_SHA256 = (
+    "c40ece45702508154fe5bac081c5b10102f9ef707c26367ae91673cdc815f4ab")
+
+
+def run_matrix_command(tmp_path, capsys, *extra, tag="m", axes=TINY):
+    """Run ``repro matrix`` + ``axes`` in process (``--no-cache`` unless
     ``extra`` names a cache); returns its stdout, text and JSON bytes."""
     text, doc = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.json"
     cache = [] if "--cache-dir" in extra else ["--no-cache"]
-    assert main(["matrix", *TINY, *cache, *extra, "--out", str(text),
+    assert main(["matrix", *axes, *cache, *extra, "--out", str(text),
                  "--json", str(doc)]) == 0
     return capsys.readouterr().out, text.read_bytes(), doc.read_bytes()
 
@@ -124,6 +134,18 @@ class TestRunMatrix:
         _, text, doc = run_matrix_command(tmp_path, capsys)
         assert hashlib.sha256(text).hexdigest() == TINY_TEXT_SHA256
         assert hashlib.sha256(doc).hexdigest() == TINY_JSON_SHA256
+
+    def test_fairness_outputs_match_the_pinned_digests(self, tmp_path, capsys):
+        _, text, doc = run_matrix_command(tmp_path, capsys, axes=FAIR)
+        assert hashlib.sha256(text).hexdigest() == FAIR_TEXT_SHA256
+        assert hashlib.sha256(doc).hexdigest() == FAIR_JSON_SHA256
+        cells = [
+            cell
+            for rows in json.loads(doc)["matrix"].values()
+            for orders in rows.values()
+            for cell in orders.values()
+        ]
+        assert any(cell["percent_unfair"] > 0 for cell in cells)
 
     def test_deterministic_in_process(self, tmp_path, capsys):
         _, text_a, doc_a = run_matrix_command(tmp_path, capsys, tag="a")

@@ -253,7 +253,7 @@ class TestCacheStats:
     def test_hit_miss_accounting(self, tmp_path):
         cell, key, cache = self._cell_and_cache(tmp_path)
         assert cache.get(key) is None
-        cache.put(key, cell, {"x": 1.0})
+        cache.put(key, cell.identity(), {"x": 1.0})
         assert cache.get(key) == {"x": 1.0}
         assert (cache.stats.hits, cache.stats.misses,
                 cache.stats.corrupt) == (1, 1, 0)
@@ -261,17 +261,17 @@ class TestCacheStats:
 
     def test_corrupt_classification(self, tmp_path):
         cell, key, cache = self._cell_and_cache(tmp_path)
-        path = cache.put(key, cell, {"x": 1.0})
+        path = cache.put(key, cell.identity(), {"x": 1.0})
         path.write_text("{not json")
         assert cache.get(key) is None
         # wrong key inside an otherwise valid doc
-        cache.put(key, cell, {"x": 1.0})
+        cache.put(key, cell.identity(), {"x": 1.0})
         doc = json.loads(path.read_text())
         doc["key"] = "0" * 64
         path.write_text(json.dumps(doc))
         assert cache.get(key) is None
         # metrics block that is not a dict
-        cache.put(key, cell, {"x": 1.0})
+        cache.put(key, cell.identity(), {"x": 1.0})
         doc = json.loads(path.read_text())
         doc["metrics"] = [1, 2]
         path.write_text(json.dumps(doc))
@@ -281,7 +281,7 @@ class TestCacheStats:
 
     def test_schema_mismatch_is_a_plain_miss(self, tmp_path):
         cell, key, cache = self._cell_and_cache(tmp_path)
-        path = cache.put(key, cell, {"x": 1.0})
+        path = cache.put(key, cell.identity(), {"x": 1.0})
         doc = json.loads(path.read_text())
         doc["schema"] = -1
         path.write_text(json.dumps(doc))
