@@ -10,7 +10,10 @@ The worker, :func:`run_cell`, is a pure top-level function: it builds the
 cell's workload (memoized per worker process — one trace typically feeds
 many policy cells) and runs it through :func:`repro.api.run`, the facade
 every other path uses, then flattens the result into the JSON-safe metric
-record the cache stores.
+record the cache stores.  Inline, cells that differ only in their
+hybrid-FST reference orders share one simulation (:func:`run_family`):
+observers never influence scheduling, so one run that observes every
+order they ask for yields each of their records.
 
 Because a 10k-cell sweep will meet real failures, the executor is a
 *runtime*, not a loop (semantics in ``docs/ROBUSTNESS.md``):
@@ -42,18 +45,20 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..experiments import runner as _runner
 from ..experiments.export import policy_run_record
 from ..obs import counters as _counters
 from ..obs.log import get_logger
 from ..obs.stats import timing_summary, utilization
+from ..sched.registry import get_policy
 from ..workload.model import Workload
 from . import faults
 from .aggregate import aggregate_cells
-from .cache import CampaignCache, cell_key
+from .cache import CampaignCache, canonical_digest, cell_key
 from .journal import JOURNAL_DIR_NAME, PathLike, RunJournal
 from .retry import (
     MAX_WORKER_KILLS,
@@ -113,15 +118,68 @@ def memo_workload(workload: WorkloadSpec, seed: Optional[int]) -> Workload:
 def run_cell(cell: CampaignCell) -> Dict[str, object]:
     """Simulate one grid cell and return its JSON-safe metric record.
 
-    Pure top-level function — picklable for process pools, and the single
-    implementation behind both ``--jobs 1`` and ``--jobs N``.
+    Pure top-level function — picklable for process pools; a family of
+    one for :func:`run_family`, the one implementation behind both
+    ``--jobs 1`` and ``--jobs N``.
+    """
+    return run_family([cell])[0][0]
+
+
+def family_key(cell: CampaignCell) -> str:
+    """The cell's identity without its reference orders: cells with equal
+    keys run the same simulation and differ only in the hybrid-FST
+    orders their records report."""
+    identity = cell.identity()
+    identity["options"].pop("reference_orders", None)
+    return canonical_digest(identity)
+
+
+def run_family(
+    cells: Sequence[CampaignCell],
+) -> List[Tuple[Dict[str, object], float]]:
+    """Records of cells with one :func:`family_key`, from one simulation.
+
+    The run observes the union of the cells' reference orders (fairshare
+    first) and each record is derived from it under the cell's own
+    options, so it equals the record :func:`run_cell` gives that cell
+    alone.  Each record comes with the seconds it took; the first one's
+    include the simulation.  Only records leave: the simulation result
+    is dropped here.
     """
     from .. import api  # deferred: the facade imports campaign lazily too
 
-    wl = memo_workload(cell.workload, cell.seed)
-    return policy_run_record(api.run(api.SimulationRequest(
-        policy=cell.policy, workload=wl, options=cell.options,
-    )))
+    base = cells[0]
+    options = replace(base.options, reference_orders=tuple(
+        o for c in cells for o in c.options.reference_orders))
+    t0 = time.perf_counter()
+    run = api.run(api.SimulationRequest(
+        policy=base.policy, workload=memo_workload(base.workload, base.seed),
+        options=options,
+    ))
+    split = get_policy(base.policy).max_runtime is not None
+    out: List[Tuple[Dict[str, object], float]] = []
+    for cell in cells:
+        if cell.options != options:
+            run_for_cell = _runner.derive_policy_run(
+                cell.policy, run.result, cell.options, split=split)
+        else:
+            run_for_cell = run
+        record = policy_run_record(run_for_cell)
+        t1 = time.perf_counter()
+        out.append((record, t1 - t0))
+        t0 = t1
+    return out
+
+
+def _check_fault(cell: CampaignCell, key: Optional[str], attempt: int,
+                 inline: bool) -> None:
+    """Fire the fault plan's ``cell.run`` fault for this attempt, if any."""
+    plan = faults.active_plan()
+    if plan is not None:
+        fault = plan.check("cell.run", key if key is not None
+                           else cell_key(cell), attempt)
+        if fault is not None:
+            fault.fire(inline=inline)
 
 
 def _run_cell_timed(
@@ -137,12 +195,7 @@ def _run_cell_timed(
     sees a count that survives worker death; ``inline`` degrades
     worker-kill faults to a raise when there is no worker to kill.
     """
-    plan = faults.active_plan()
-    if plan is not None:
-        fault = plan.check("cell.run", key if key is not None
-                           else cell_key(cell), attempt)
-        if fault is not None:
-            fault.fire(inline=inline)
+    _check_fault(cell, key, attempt, inline)
     t0 = time.perf_counter()
     metrics = run_cell(cell)
     return metrics, time.perf_counter() - t0
@@ -360,7 +413,7 @@ def run_cells(
 
         if todo and (jobs <= 1 or len(todo) == 1):
             workers = 1
-            _run_inline(cells, keys, todo, policy, _finish, _fail,
+            _run_inline(cells, keys, todo, policy, rep, _finish, _fail,
                         _note_retry)
         elif todo:
             workers = min(jobs, len(todo))
@@ -371,8 +424,12 @@ def run_cells(
     finally:
         if run_journal is not None:
             run_journal.close()
-        sim_times = [r.elapsed for r in slots
-                     if r is not None and not r.cached]
+        ran = [r for r in slots if r is not None and not r.cached]
+        sim_times = [r.elapsed for r in ran]
+        if ran:
+            slowest = max(ran, key=lambda r: r.elapsed).cell
+            rep.slowest = (f"{slowest.label()} (orders "
+                           f"{','.join(slowest.options.reference_orders)})")
         rep.n_cells = done
         rep.n_simulated = len(sim_times)
         rep.n_cached = done - len(sim_times)
@@ -417,18 +474,44 @@ def _run_inline(
     keys: Sequence[str],
     todo: Sequence[int],
     policy: RetryPolicy,
+    rep: RunReport,
     _finish: Callable[[int, Dict[str, object], float], None],
     _fail: Callable[[int, CellState, BaseException, str, bool], None],
     _note_retry: Callable[[int, CellState, BaseException], None],
 ) -> None:
     """The ``--jobs 1`` path: same retry semantics, no watchdog (a
-    single-process driver cannot preempt its own simulation)."""
+    single-process driver cannot preempt its own simulation).
+
+    Cells of one :func:`family_key` share a simulation: the first of them
+    to run simulates once for every member still waiting
+    (:func:`run_family`), and each sibling's record waits for the
+    sibling's own turn.  There it passes the same fault check, retries,
+    journal line and cache put as a simulated cell; only the simulation
+    is skipped.
+    """
+    members: Dict[str, List[int]] = {}
+    family: Dict[int, List[int]] = {}
+    for i in todo:
+        family[i] = members.setdefault(family_key(cells[i]), [])
+        family[i].append(i)
+    held: Dict[int, Tuple[Dict[str, object], float]] = {}
+    shared: Set[int] = set()
+
+    def _attempt(i: int, attempt: int) -> Tuple[Dict[str, object], float]:
+        waiting = family[i][family[i].index(i):]
+        if i not in held and len(waiting) == 1:
+            return _run_cell_timed(cells[i], keys[i], attempt, inline=True)
+        _check_fault(cells[i], keys[i], attempt, inline=True)
+        if i not in held:
+            held.update(zip(waiting, run_family([cells[j] for j in waiting])))
+            shared.update(waiting[1:])
+        return held[i]
+
     for i in todo:
         state = CellState()
         while True:
             try:
-                metrics, dt = _run_cell_timed(cells[i], keys[i],
-                                              state.attempts, inline=True)
+                metrics, dt = _attempt(i, state.attempts)
             except Exception as exc:
                 action = state.classify(exc, policy)
                 if action == "retry":
@@ -437,9 +520,14 @@ def _run_inline(
                     if delay > 0:
                         time.sleep(delay)
                     continue
+                held.pop(i, None)
                 _fail(i, state, exc, "error", action == "quarantine")
                 break
             else:
+                held.pop(i, None)
+                if i in shared:
+                    rep.n_shared += 1
+                    _counter_hit("campaign.cell_shared")
                 _finish(i, metrics, dt)
                 break
 

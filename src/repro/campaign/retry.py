@@ -161,6 +161,12 @@ class RunReport:
     n_cells: int = 0
     n_cached: int = 0
     n_simulated: int = 0
+    #: simulated cells whose record came from a sibling's simulation (a
+    #: cell differing only in reference orders); counted in n_simulated
+    n_shared: int = 0
+    #: the simulated cell that took longest: its label and reference
+    #: orders (None when nothing ran)
+    slowest: Optional[str] = None
     wall: float = 0.0
     #: worker processes that simulated (1 inline, 0 when nothing ran)
     workers: int = 0
@@ -187,6 +193,8 @@ class RunReport:
             "n_cells": self.n_cells,
             "n_cached": self.n_cached,
             "n_simulated": self.n_simulated,
+            "n_shared": self.n_shared,
+            "slowest_cell": self.slowest,
             "wall": round(self.wall, 4),
             "workers": self.workers,
             "cell_seconds": dict(self.cell_seconds),
@@ -215,6 +223,11 @@ class RunReport:
             f"cell time : p50 {cs['p50']:.3f}s, p95 {cs['p95']:.3f}s, "
             f"max {cs['max']:.3f}s (sim total {cs['total']:.2f}s)",
         ]
+        if self.slowest is not None:
+            lines.append(f"slowest : {self.slowest}, {cs['max']:.3f}s")
+        if self.n_shared:
+            lines.append(f"shared  : {self.n_shared} cells derived from a "
+                         f"sibling's simulation")
         if self.pool_utilization is not None:
             lines.append(
                 f"workers : {self.workers}, "

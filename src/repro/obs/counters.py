@@ -142,6 +142,7 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("sched.backfill_start", "one start that leapt past the priority head"),
     ("sched.order_cache_hit", "one priority-order request served from cache"),
     ("sched.order_sort", "one full priority-order re-sort"),
+    ("sched.pass_skipped", "one CPlant pass skipped as provably idle"),
     ("fairshare.settle", "one usage settlement that advanced accounts"),
     ("fairshare.decay", "one daily decay tick applied"),
     ("fsp.settle", "one fluid-drain step of the FSP virtual machine"),
@@ -151,6 +152,7 @@ CATALOG: Tuple[Tuple[str, str], ...] = (
     ("campaign.pool_rebuild", "one worker pool rebuilt after loss/timeout"),
     ("campaign.timeout", "one cell killed by the wall-clock watchdog"),
     ("campaign.quarantined", "one cell quarantined (deterministic failure)"),
+    ("campaign.cell_shared", "one cell's record derived from a sibling's simulation"),
 )
 
 #: just the names, for membership checks.

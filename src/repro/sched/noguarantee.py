@@ -16,6 +16,10 @@ Mechanics reproduced from the paper:
   — decayed usage above ``heavy_factor`` x the mean active usage — are
   temporarily barred from the starvation queue and re-checked every
   ``recheck_interval`` seconds as their usage decays.
+
+A pass that provably starts nothing is skipped (:meth:`_idle`): most
+passes follow a barred user's recheck or an arrival that does not fit,
+and nothing has changed since the last pass started everything it could.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ class NoGuaranteeScheduler(BaseScheduler):
         self.recheck_interval = recheck_interval
         self.starvation_queue: List[Job] = []
         self._starved_ids = set()
+        #: no completion and no promotion since the last pass, which
+        #: left nothing startable
+        self._unchanged = False
+        #: jobs queued since the last pass
+        self._arrived: List[Job] = []
         h = int(starvation_threshold // 3600)
         self.name = f"cplant{h}.{entrance}"
 
@@ -59,6 +68,7 @@ class NoGuaranteeScheduler(BaseScheduler):
 
     def enqueue(self, job: Job, now: float) -> None:
         super().enqueue(job, now)
+        self._arrived.append(job)
         # chunk continuations inherit their original job's seniority, so a
         # split job that already waited out the threshold is immediately
         # eligible again rather than restarting its starvation clock
@@ -77,6 +87,7 @@ class NoGuaranteeScheduler(BaseScheduler):
             self.lanes.remove(job)
             self._drop_from_order(job)
             self._starve_insert(job)
+            self._unchanged = False
         else:
             # barred heavy user: poll again as usage decays
             self.engine.add_timer(
@@ -100,6 +111,10 @@ class NoGuaranteeScheduler(BaseScheduler):
         sq.insert(i, job)
         self._starved_ids.add(job.id)
 
+    def on_completion(self, job: Job, now: float) -> None:
+        super().on_completion(job, now)
+        self._unchanged = False
+
     def waiting_jobs(self) -> List[Job]:
         return self.queue + self.starvation_queue
 
@@ -119,8 +134,49 @@ class NoGuaranteeScheduler(BaseScheduler):
             super().start(job, now)
 
     def schedule(self, now: float, reason: str) -> None:
-        while self._one_round(now):
-            pass
+        if self._idle(now):
+            # the fairshare tracker settles where a full pass settles it
+            self._order_epoch(now)
+            c = _counters.ACTIVE
+            if c is not None:
+                c.hit("sched.pass_skipped")
+        else:
+            while self._one_round(now):
+                pass
+        self._unchanged = True
+        self._arrived.clear()
+
+    def _idle(self, now: float) -> bool:
+        """Whether a full pass at ``now`` would start nothing.
+
+        Every pass ends with nothing startable.  If since the last one no
+        job completed and none was promoted, the free nodes, the running
+        jobs and the starvation queue are the same, so a job that did not
+        fit then does not fit now.  With a starvation head whose shadow
+        lies after ``now``, the shadow and the extra nodes are the same as
+        then too (an expected end that passed since fell short of the
+        head's nodes then, and still does); a job that would have ended
+        after the shadow and needed more than the extra nodes still
+        does, as ``now + wcl`` only grows.  A shadow at ``now`` always
+        runs the pass: ``now + wcl <= now`` can turn true as ``now``
+        grows and rounding absorbs a tiny ``wcl``.  So only the jobs
+        queued since the last pass need the pass's own test.
+        """
+        if not self._unchanged:
+            return False
+        free = self.cluster.free_nodes
+        starv = self.starvation_queue
+        if not starv:
+            return all(job.nodes > free for job in self._arrived)
+        head = starv[0]
+        shadow, free_then = self.cluster.expected_ends.shadow(head.nodes, now)
+        if shadow <= now:
+            return False
+        extra = free_then - head.nodes
+        return all(
+            job.nodes > free or (now + job.wcl > shadow and job.nodes > extra)
+            for job in self._arrived
+        )
 
     def _one_round(self, now: float) -> bool:
         """One greedy round; True if a job was started."""

@@ -1,4 +1,4 @@
-"""Full-pass references for the reservation-profile schedulers.
+"""Full-pass references for the backfilling schedulers.
 
 The production :class:`~repro.sched.depthk.DepthKScheduler` ends a pass
 once no remaining job can start now, and
@@ -11,11 +11,15 @@ exists.  The subclasses here keep the plain loops those shortcuts replace:
   (:class:`PredictedEnds`), not from the shared
   :class:`~repro.sched.conservative.RunningProfile`;
 * :class:`FullCompressionConservative` releases, re-fits and re-reserves
-  every queued job at every compression pass.
+  every queued job at every compression pass;
+* :class:`FullPassNoGuarantee` runs the CPlant scheduler's greedy rounds
+  at every pass, including the passes the production scheduler skips as
+  idle.
 
 ``tests/test_backfill_reference.py`` runs both sides on the same
 workloads and requires the same digest, the same starts and, for the
-conservative pair, the same reservations and profile after every pass.
+conservative pair, the same reservations and profile after every pass;
+``tests/test_noguarantee_skip.py`` does the same for the CPlant pair.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.sched.conservative import (
     ConservativeScheduler,
 )
 from repro.sched.depthk import DepthKScheduler
+from repro.sched.noguarantee import NoGuaranteeScheduler
 
 
 def from_occupations(size, origin, occupations):
@@ -152,3 +157,11 @@ class FullCompressionConservative(ConservativeScheduler):
         # the others; future passes are no-ops until the next release
         self._holes_dirty = moved
         self._compact_res_heap()
+
+
+class FullPassNoGuarantee(NoGuaranteeScheduler):
+    """The CPlant scheduler without the idle-pass skip."""
+
+    def schedule(self, now: float, reason: str) -> None:
+        while self._one_round(now):
+            pass
