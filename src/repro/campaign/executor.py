@@ -10,10 +10,12 @@ The worker, :func:`run_cell`, is a pure top-level function: it builds the
 cell's workload (memoized per worker process — one trace typically feeds
 many policy cells) and runs it through :func:`repro.api.run`, the facade
 every other path uses, then flattens the result into the JSON-safe metric
-record the cache stores.  Inline, cells that differ only in their
-hybrid-FST reference orders share one simulation (:func:`run_family`):
-observers never influence scheduling, so one run that observes every
-order they ask for yields each of their records.
+record the cache stores.  Cells that differ only in their hybrid-FST
+reference orders share one simulation (:func:`run_family`): observers
+never influence scheduling, so one run that observes every order they
+ask for yields each of their records.  Such a family is the unit of work
+on every path; ``--jobs 1`` drives the same loop as the pool, with an
+in-process executor.
 
 Because a 10k-cell sweep will meet real failures, the executor is a
 *runtime*, not a loop (semantics in ``docs/ROBUSTNESS.md``):
@@ -22,9 +24,9 @@ Because a 10k-cell sweep will meet real failures, the executor is a
   (:class:`~.retry.RetryPolicy`); a cell that fails identically twice is
   quarantined instead of retried forever;
 * worker loss (``BrokenProcessPool``) rebuilds the pool and resubmits
-  the in-flight cells, charging each a conservative "kill" — a cell
-  charged more than ``MAX_WORKER_KILLS`` is quarantined;
-* a per-cell wall-clock watchdog (``RetryPolicy.timeout``) kills and
+  the in-flight tasks, charging each task's first cell a conservative
+  "kill" — a cell charged more than ``MAX_WORKER_KILLS`` is quarantined;
+* a per-task wall-clock watchdog (``RetryPolicy.timeout``) kills and
   rebuilds the pool under a hung simulation instead of hanging the
   campaign (pool mode only — inline execution cannot preempt);
 * every completion is journaled (:class:`~.journal.RunJournal`) so an
@@ -42,8 +44,10 @@ it; fault-free runs take none of the recovery paths.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict, defaultdict, deque
+from concurrent.futures import (
+    FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -196,9 +200,38 @@ def _run_cell_timed(
     worker-kill faults to a raise when there is no worker to kill.
     """
     _check_fault(cell, key, attempt, inline)
-    t0 = time.perf_counter()
-    metrics = run_cell(cell)
-    return metrics, time.perf_counter() - t0
+    return run_family([cell])[0]
+
+
+def _run_task(
+    cells: Sequence[CampaignCell],
+    key: str,
+    attempt: int,
+    inline: bool,
+    held: Optional[Tuple[Dict[str, object], float]] = None,
+) -> List[Tuple[Dict[str, object], float]]:
+    """Worker entry for one task: ``cells[0]``'s fault check, then its
+    ``held`` record (a sibling's, kept by the driver) if given, else one
+    simulation for every cell (:func:`run_family`; a lone cell runs
+    through :func:`_run_cell_timed`)."""
+    if held is None and len(cells) == 1:
+        return [_run_cell_timed(cells[0], key, attempt, inline)]
+    _check_fault(cells[0], key, attempt, inline)
+    return [held] if held is not None else run_family(cells)
+
+
+class _InlineExecutor(Executor):
+    """The executor of ``--jobs 1``: ``submit`` runs the task in the
+    driver and returns its future already done, so no deadline ever
+    expires on it — inline execution cannot preempt a simulation."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
 @dataclass
@@ -286,9 +319,11 @@ def run_cells(
     report: Optional[RunReport] = None,
 ) -> List[CellResult]:
     """Execute an explicit cell list: journal replays and cache lookups
-    first, then the missing cells — inline for ``jobs <= 1``, else across
-    a self-healing process pool — with results streamed back (journaled
-    and cached) as they complete.
+    first, then the missing cells — one task per family of cells that
+    differ only in reference orders, inline for ``jobs <= 1`` or a single
+    task, else across a self-healing process pool (:func:`_run_pool`) —
+    with results streamed back (journaled and cached) per cell as they
+    complete.
 
     Results come back aligned with the input order regardless of
     completion order.  This is the shared execution core: campaign
@@ -377,13 +412,6 @@ def run_cells(
                     "quarantined" if quarantined else "failed",
                     state.attempts, failure_signature(exc))
 
-    def _note_retry(i: int, state: CellState, exc: BaseException) -> None:
-        rep.retries += 1
-        _counter_hit("campaign.retry")
-        log.info("retrying cell %s (attempt %d/%d) after %s",
-                 cells[i].label(), state.attempts + 1, policy.max_attempts,
-                 failure_signature(exc))
-
     def _finish(i: int, metrics: Dict[str, object], dt: float) -> None:
         if cache is not None:
             cache.put(keys[i], cells[i].identity(), metrics)
@@ -397,7 +425,8 @@ def run_cells(
     try:
         if run_journal is not None:
             run_journal.begin(keys, resuming=resume)
-        todo: List[int] = []
+        family: Dict[int, List[int]] = {}  # cell -> its family's cells
+        groups: Dict[str, List[int]] = {}
         for i, (c, k) in enumerate(zip(cells, keys)):
             if not force and k in replayed:
                 rep.journal_cells += 1
@@ -409,16 +438,13 @@ def run_cells(
                 _note(i, CellResult(cell=c, key=k, metrics=rec, cached=True),
                       "cache")
             else:
-                todo.append(i)
-
-        if todo and (jobs <= 1 or len(todo) == 1):
-            workers = 1
-            _run_inline(cells, keys, todo, policy, rep, _finish, _fail,
-                        _note_retry)
-        elif todo:
-            workers = min(jobs, len(todo))
-            _run_pool(cells, keys, todo, workers, policy, rep, _finish,
-                      _fail, _note_retry)
+                family[i] = groups.setdefault(family_key(c), [])
+                family[i].append(i)
+        if family:
+            # jobs <= 1, or a single task (one family), runs inline
+            workers = max(1, min(jobs, len(groups)))
+            _run_pool(cells, keys, family, workers, policy, rep, _finish,
+                      _fail)
         if run_journal is not None:
             run_journal.end(completed=done, failed=len(failures))
     finally:
@@ -469,162 +495,131 @@ def run_cells(
     return [r for r in slots if r is not None]
 
 
-def _run_inline(
-    cells: Sequence[CampaignCell],
-    keys: Sequence[str],
-    todo: Sequence[int],
-    policy: RetryPolicy,
-    rep: RunReport,
-    _finish: Callable[[int, Dict[str, object], float], None],
-    _fail: Callable[[int, CellState, BaseException, str, bool], None],
-    _note_retry: Callable[[int, CellState, BaseException], None],
-) -> None:
-    """The ``--jobs 1`` path: same retry semantics, no watchdog (a
-    single-process driver cannot preempt its own simulation).
-
-    Cells of one :func:`family_key` share a simulation: the first of them
-    to run simulates once for every member still waiting
-    (:func:`run_family`), and each sibling's record waits for the
-    sibling's own turn.  There it passes the same fault check, retries,
-    journal line and cache put as a simulated cell; only the simulation
-    is skipped.
-    """
-    members: Dict[str, List[int]] = {}
-    family: Dict[int, List[int]] = {}
-    for i in todo:
-        family[i] = members.setdefault(family_key(cells[i]), [])
-        family[i].append(i)
-    held: Dict[int, Tuple[Dict[str, object], float]] = {}
-    shared: Set[int] = set()
-
-    def _attempt(i: int, attempt: int) -> Tuple[Dict[str, object], float]:
-        waiting = family[i][family[i].index(i):]
-        if i not in held and len(waiting) == 1:
-            return _run_cell_timed(cells[i], keys[i], attempt, inline=True)
-        _check_fault(cells[i], keys[i], attempt, inline=True)
-        if i not in held:
-            held.update(zip(waiting, run_family([cells[j] for j in waiting])))
-            shared.update(waiting[1:])
-        return held[i]
-
-    for i in todo:
-        state = CellState()
-        while True:
-            try:
-                metrics, dt = _attempt(i, state.attempts)
-            except Exception as exc:
-                action = state.classify(exc, policy)
-                if action == "retry":
-                    _note_retry(i, state, exc)
-                    delay = policy.backoff(state.attempts)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                held.pop(i, None)
-                _fail(i, state, exc, "error", action == "quarantine")
-                break
-            else:
-                held.pop(i, None)
-                if i in shared:
-                    rep.n_shared += 1
-                    _counter_hit("campaign.cell_shared")
-                _finish(i, metrics, dt)
-                break
-
-
 def _run_pool(
     cells: Sequence[CampaignCell],
     keys: Sequence[str],
-    todo: Sequence[int],
+    family: Dict[int, List[int]],
     max_workers: int,
     policy: RetryPolicy,
     rep: RunReport,
     _finish: Callable[[int, Dict[str, object], float], None],
     _fail: Callable[[int, CellState, BaseException, str, bool], None],
-    _note_retry: Callable[[int, CellState, BaseException], None],
 ) -> None:
-    """The self-healing process-pool path.
+    """The execution loop of every ``jobs`` value: a self-healing process
+    pool, or for ``max_workers == 1`` an in-process executor that runs
+    each task as it is submitted.
 
-    Submission is bounded at ``max_workers`` outstanding futures — this
+    ``family`` maps each cell to run onto the list of its
+    :func:`family_key`'s waiting members.  A task belongs to its first
+    waiting member: that cell's fault check fires, then one simulation
+    yields the records of every waiting member (:func:`run_family`).
+    The others ride along: they keep their queue places, are skipped
+    while the task is in flight, and the driver holds their records until
+    each one's own turn.  There a sibling passes its own fault check in
+    the driver, then its retries, journal line and cache put, exactly as
+    a simulated cell does; a retry serves the held record again.
+
+    Submission is bounded at ``max_workers`` outstanding tasks — this
     keeps each worker fed (the loop refills on every completion) while
     keeping worker-loss *blame* tight: when the pool breaks, every
-    in-flight cell is charged one kill, and with bounded submission
-    "in-flight" means "actually running", not "queued behind 500 others".
+    in-flight task's first cell is charged one kill, and with bounded
+    submission "in-flight" means "actually running", not "queued behind
+    500 others".  Riders are never charged: they go back to the queue
+    and form the next task.
     """
-    # submit cells grouped by workload identity: tasks go out in order,
-    # so each worker sees long runs of the same workload and its
-    # per-process memo regenerates far fewer traces (policy grids share
-    # one workload across many cells)
-    order = sorted(todo, key=lambda i: (repr(cells[i].workload),
-                                        cells[i].seed, i))
+    # pool tasks go out grouped by workload identity, so each worker sees
+    # long runs of the same workload and its per-process memo regenerates
+    # far fewer traces; inline keeps the cells' order
+    order = list(family) if max_workers == 1 else sorted(
+        family, key=lambda i: (repr(cells[i].workload), cells[i].seed, i))
     unsubmitted: "deque[int]" = deque(order)
     pending_retry: List[Tuple[float, int]] = []  # (ready time, cell index)
-    states: Dict[int, CellState] = {}
-    futures: Dict[object, int] = {}
-    deadlines: Dict[object, float] = {}
-    pool = ProcessPoolExecutor(max_workers=max_workers)
+    states: Dict[int, CellState] = defaultdict(CellState)
+    futures: Dict[Future, List[int]] = {}  # task -> its cells, owner first
+    deadlines: Dict[Future, float] = {}
+    held: Dict[int, Tuple[Dict[str, object], float]] = {}
+    riding: Set[int] = set()
+    inline = _InlineExecutor()
+    pool: Executor = (inline if max_workers == 1
+                      else ProcessPoolExecutor(max_workers=max_workers))
 
-    def _state(i: int) -> CellState:
-        st = states.get(i)
-        if st is None:
-            st = states[i] = CellState()
-        return st
-
-    def _submit(i: int) -> bool:
-        st = _state(i)
+    def _submit(i: int) -> None:
+        st = states[i]
+        members = [i] if i in held else [i] + [
+            j for j in family[i] if j != i and j not in held]
+        executor = inline if i in held else pool
         # the fault-layer occurrence number counts charged kills too:
         # worker-loss resubmission does not consume a retry attempt, but a
         # `times: 1` kill rule must not re-fire on the resubmitted cell
         try:
-            fut = pool.submit(_run_cell_timed, cells[i], keys[i],
-                              st.attempts + st.worker_kills, False)
+            fut = executor.submit(
+                _run_task, [cells[j] for j in members], keys[i],
+                st.attempts + st.worker_kills, executor is inline,
+                held.get(i))
         except BrokenProcessPool:
             # the pool broke while idle (e.g. an OOM-killed worker between
-            # tasks); push the cell back and let the caller rebuild
+            # tasks); push the cell back and rebuild
             unsubmitted.appendleft(i)
-            return False
-        futures[fut] = i
+            _rebuild(charge_kills=True)
+            return
+        futures[fut] = members
+        riding.update(members[1:])
         if policy.timeout is not None:
             deadlines[fut] = time.monotonic() + policy.timeout
-        return True
+
+    def _take(fut: Future) -> List[int]:
+        """Retire a task; its riders are free to form the next one."""
+        deadlines.pop(fut, None)
+        members = futures.pop(fut)
+        riding.difference_update(members)
+        return members
+
+    def _done(members: List[int], out: List[Tuple[Dict[str, object], float]]
+              ) -> None:
+        held.update(zip(members[1:], out[1:]))
+        i = members[0]
+        family[i].remove(i)
+        if held.pop(i, None) is not None:
+            rep.n_shared += 1
+            _counter_hit("campaign.cell_shared")
+        _finish(i, *out[0])
 
     def _on_failure(i: int, exc: BaseException) -> None:
-        state = _state(i)
+        state = states[i]
         action = state.classify(exc, policy)
         if action == "retry":
-            _note_retry(i, state, exc)
+            rep.retries += 1
+            _counter_hit("campaign.retry")
+            log.info("retrying cell %s (attempt %d/%d) after %s",
+                     cells[i].label(), state.attempts + 1,
+                     policy.max_attempts, failure_signature(exc))
             pending_retry.append(
                 (time.monotonic() + policy.backoff(state.attempts), i))
         else:
+            family[i].remove(i)
+            held.pop(i, None)
             kind = "timeout" if isinstance(exc, CellTimeout) else "error"
             _fail(i, state, exc, kind, action == "quarantine")
 
-    def _rebuild(charge_kills: bool, spare: Set[int]) -> None:
-        """Tear the pool down, salvage finished futures, requeue the rest.
-
-        ``charge_kills`` charges every unfinished in-flight cell one
-        worker kill (the worker-loss blame model); cells in ``spare``
-        are never charged (e.g. bystanders of a watchdog teardown, which
-        was our own kill, not theirs).
-        """
+    def _rebuild(charge_kills: bool) -> None:
+        """Tear the pool down, salvage finished tasks, requeue the rest;
+        ``charge_kills`` charges the first cell of every unfinished
+        in-flight task one worker kill (the worker-loss blame model)."""
         nonlocal pool
         rep.pool_rebuilds += 1
         _counter_hit("campaign.pool_rebuild")
         victims: List[int] = []
-        salvaged: List[Tuple[int, Dict[str, object], float]] = []
+        salvaged: List[Tuple[List[int], list]] = []
         for fut in list(futures):
-            i = futures.pop(fut)
-            deadlines.pop(fut, None)
+            members = _take(fut)
             if fut.done():
                 try:
-                    metrics, dt = fut.result()
+                    salvaged.append((members, fut.result()))
                 except Exception:
-                    victims.append(i)
-                else:
-                    salvaged.append((i, metrics, dt))
+                    victims.append(members[0])
             else:
                 fut.cancel()
-                victims.append(i)
+                victims.append(members[0])
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -635,8 +630,8 @@ def _run_pool(
             len(victims),
         )
         for i in victims:
-            state = _state(i)
-            if charge_kills and i not in spare:
+            state = states[i]
+            if charge_kills:
                 state.worker_kills += 1
                 if state.worker_kills > MAX_WORKER_KILLS:
                     exc = WorkerLost(
@@ -645,93 +640,75 @@ def _run_pool(
                     # worker-loss failures never consumed attempts, so the
                     # failure record carries the kill count instead
                     state.attempts = max(state.attempts, state.worker_kills)
+                    family[i].remove(i)
                     _fail(i, state, exc, "worker-loss", True)
                     continue
             unsubmitted.appendleft(i)
         # salvage last: _finish may raise an injected driver abort, and
         # by now every victim is safely requeued (nothing is lost even
         # if this propagates)
-        for i, metrics, dt in salvaged:
-            _finish(i, metrics, dt)
+        for members, out in salvaged:
+            _done(members, out)
 
     try:
         while unsubmitted or pending_retry or futures:
             now = time.monotonic()
-            if pending_retry:
-                ready = [i for t, i in pending_retry if t <= now]
-                if ready:
-                    pending_retry = [(t, i) for t, i in pending_retry
-                                     if t > now]
-                    unsubmitted.extendleft(reversed(ready))
-            while unsubmitted and len(futures) < max_workers:
-                if not _submit(unsubmitted.popleft()):
-                    _rebuild(charge_kills=True, spare=set())
+            ready = [i for t, i in pending_retry if t <= now]
+            if ready:
+                pending_retry = [(t, i) for t, i in pending_retry if t > now]
+                unsubmitted.extendleft(reversed(ready))
+            while len(futures) < max_workers:
+                i = next((j for j in unsubmitted if j not in riding), None)
+                if i is None:
+                    break
+                unsubmitted.remove(i)
+                _submit(i)
             if not futures:
                 if pending_retry:
                     time.sleep(max(0.0, min(t for t, _ in pending_retry)
                                    - time.monotonic()))
                 continue
 
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines.values()) - now)
-            if pending_retry:
-                t_retry = max(0.0, min(t for t, _ in pending_retry) - now)
-                timeout = t_retry if timeout is None else min(timeout, t_retry)
-
-            finished, _ = wait(set(futures), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-
-            broken = False
+            wake = [*deadlines.values(), *(t for t, _ in pending_retry)]
+            finished, _ = wait(
+                set(futures), return_when=FIRST_COMPLETED,
+                timeout=max(0.0, min(wake) - now) if wake else None)
             for fut in finished:
-                i = futures.pop(fut, None)
-                if i is None:
-                    continue
-                deadlines.pop(fut, None)
                 try:
-                    metrics, dt = fut.result()
+                    out = fut.result()
                 except BrokenProcessPool:
-                    # this cell was in flight when a worker died; requeue
-                    # via the rebuild so every in-flight cell is blamed
-                    # exactly once
-                    futures[fut] = i
-                    broken = True
+                    # a worker died with this task in flight; the rebuild
+                    # blames every in-flight task exactly once
+                    _rebuild(charge_kills=True)
                     break
                 except Exception as exc:
-                    _on_failure(i, exc)
+                    _on_failure(_take(fut)[0], exc)
                 else:
-                    _finish(i, metrics, dt)
-            if broken:
-                _rebuild(charge_kills=True, spare=set())
-                continue
+                    _done(_take(fut), out)
 
-            if policy.timeout is not None:
-                now = time.monotonic()
-                expired = [fut for fut, dl in deadlines.items()
-                           if dl <= now and not fut.done()]
-                if expired:
-                    spare: Set[int] = set()
-                    for fut in expired:
-                        i = futures.pop(fut)
-                        deadlines.pop(fut, None)
-                        fut.cancel()
-                        rep.timeouts += 1
-                        _counter_hit("campaign.timeout")
-                        spare.add(i)
-                        _on_failure(i, CellTimeout(
-                            f"cell exceeded the {policy.timeout:g}s "
-                            f"wall-clock budget"
-                        ))
-                    # the hung workers must die: terminate the pool's
-                    # processes, then rebuild; surviving in-flight cells
-                    # are requeued without blame (our kill, not theirs)
-                    procs = getattr(pool, "_processes", None) or {}
-                    for p in list(procs.values()):
-                        try:
-                            p.terminate()
-                        except Exception:
-                            pass
-                    _rebuild(charge_kills=False, spare=spare)
+            now = time.monotonic()
+            expired = [fut for fut, dl in deadlines.items()
+                       if dl <= now and not fut.done()]
+            if expired:
+                for fut in expired:
+                    i = _take(fut)[0]
+                    fut.cancel()
+                    rep.timeouts += 1
+                    _counter_hit("campaign.timeout")
+                    _on_failure(i, CellTimeout(
+                        f"cell exceeded the {policy.timeout:g}s "
+                        f"wall-clock budget"
+                    ))
+                # the hung workers must die: terminate the pool's
+                # processes, then rebuild; the other in-flight tasks are
+                # requeued without blame (our kill, not theirs)
+                for p in list((getattr(pool, "_processes", None)
+                               or {}).values()):
+                    try:
+                        p.terminate()
+                    except Exception:
+                        pass
+                _rebuild(charge_kills=False)
     finally:
         try:
             pool.shutdown(wait=True, cancel_futures=True)

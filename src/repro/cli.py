@@ -541,7 +541,7 @@ def cmd_paper_build(args) -> int:
     print(
         f"paper build: {len(result.outputs)} artifacts, "
         f"{len(plan.cells)} cells ({result.n_simulated} simulated, "
-        f"{result.n_cached} cached, {plan.n_shared} shared) "
+        f"{result.n_cached} cached, {plan.n_shared} merged) "
         f"in {result.elapsed:.1f}s at scale {plan.config.scale}"
     )
     print(f"manifest: {result.manifest_path}")

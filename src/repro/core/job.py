@@ -109,17 +109,6 @@ class Job:
             self.chunk_count, self.seniority_time,
         )
 
-    def expected_end(self, now: float) -> float:
-        """Scheduler-visible completion estimate for a running job.
-
-        Once a job outlives its estimate the best available prediction is
-        "any moment now"; production backfilling schedulers continually push
-        such a job's expected end to the current time.
-        """
-        if self.start_time is None:
-            raise ValueError(f"job {self.id} is not running")
-        return max(self.start_time + self.wcl, now)
-
     def __repr__(self) -> str:  # compact, log-friendly
         return (
             f"Job(id={self.id}, t={self.submit_time:.0f}, n={self.nodes}, "

@@ -98,10 +98,6 @@ class FairshareTracker:
         self.settle(now)
         return self._usage.get(user, 0.0)
 
-    def all_usage(self, now: float) -> Dict[int, float]:
-        self.settle(now)
-        return dict(self._usage)
-
     def mean_active_usage(self, now: float) -> float:
         """Mean decayed usage over users with nonzero usage (0 if none)."""
         self.settle(now)

@@ -111,11 +111,6 @@ def category_matrix(
     return out
 
 
-def width_bounds_contain(cat: int, nodes: int) -> bool:
-    lo, hi = WIDTH_BOUNDS[cat]
-    return nodes >= lo and (hi is None or nodes <= hi)
-
-
 def format_category_table(matrix: np.ndarray, title: str, fmt: str = "{:.0f}") -> str:
     """Render a category matrix in the paper's Tables 1/2 layout."""
     if matrix.shape != (N_WIDTH, N_LENGTH):

@@ -189,19 +189,3 @@ def write_swf(
             emit(out)
     else:
         emit(target)
-
-
-def roundtrip_equal(a: Workload, b: Workload) -> bool:
-    """Field-level equality modulo integer rounding of times (writer emits
-    integer seconds, the archive convention)."""
-    if len(a) != len(b):
-        return False
-    for ja, jb in zip(a.jobs, b.jobs):
-        if (ja.id != jb.id or ja.nodes != jb.nodes
-                or ja.user_id != jb.user_id or ja.group_id != jb.group_id):
-            return False
-        if abs(ja.submit_time - jb.submit_time) > 1.0:
-            return False
-        if abs(ja.runtime - jb.runtime) > 1.0 or abs(ja.wcl - jb.wcl) > 1.0:
-            return False
-    return True

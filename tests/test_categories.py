@@ -37,12 +37,12 @@ class TestClassification:
         assert list(C.width_categories(nodes)) == [C.width_category(n) for n in nodes]
         assert list(C.length_categories(rts)) == [C.length_category(r) for r in rts]
 
-    def test_bounds_contain(self):
+    def test_bounds_match_width_category(self):
         for cat, (lo, hi) in enumerate(C.WIDTH_BOUNDS):
-            assert C.width_bounds_contain(cat, lo)
+            assert C.width_category(lo) == cat
             if hi is not None:
-                assert C.width_bounds_contain(cat, hi)
-                assert not C.width_bounds_contain(cat, hi + 1)
+                assert C.width_category(hi) == cat
+                assert C.width_category(hi + 1) == cat + 1
 
     def test_labels_align(self):
         assert len(C.WIDTH_LABELS) == C.N_WIDTH

@@ -3,8 +3,8 @@
 Observers never influence scheduling, so one run that observes every
 reference order of a cell family yields each member's record.  These
 tests hold the shared path to the standalone one: the same records, the
-same cache and manifest bytes as a process-pool build (which never
-shares), and per-cell fault checks and retries for every member.
+same cache and manifest bytes inline and in a process pool, and per-cell
+fault checks and retries for every member on both paths.
 """
 
 from __future__ import annotations
@@ -167,16 +167,79 @@ class TestInlineSharing:
         assert _json(r.metrics for r in results) == _json(
             run_cell(cell) for cell in cells[1:])
 
-    def test_pool_runs_each_cell_alone(self):
+    def test_one_family_runs_inline_under_jobs_2(self):
         report = RunReport()
         run_cells(_family("cons.nomax"), jobs=2, report=report)
-        assert report.n_shared == 0
+        assert (report.n_shared, report.workers) == (2, 1)
+
+
+def _plan(monkeypatch, *rules):
+    """Install a fault plan that pool workers inherit too."""
+    monkeypatch.setenv(faults.PLAN_ENV, json.dumps({"faults": list(rules)}))
+
+
+class TestPoolSharing:
+    """``jobs=2`` over more than one family: the family is the pool's task,
+    blame stays with its first member, and siblings are served in the
+    driver from the records their family's task returned."""
+
+    def _cells(self):
+        # two families (3 + 2 cells) and a lone cell
+        return (_family("cplant24.nomax.all") + _family("cons.nomax")[:2]
+                + _family("easy.fcfs")[:1])
+
+    def _run(self, cells, **kw):
+        report = RunReport()
+        results = run_cells(cells, jobs=2, report=report,
+                            keep_going=True, **kw)
+        assert not report.failures
+        assert report.workers == 2
+        assert _json(r.metrics for r in results) == _json(
+            run_cell(cell) for cell in cells)
+        return report
+
+    def test_two_families_and_a_lone_cell(self):
+        report = self._run(self._cells())
+        assert report.n_shared == 3
+        assert (report.n_simulated, report.retries) == (6, 0)
+
+    def test_worker_kill_charges_the_first_member_only(self, monkeypatch):
+        cells = self._cells()
+        # the sibling's one transient fault fires only while its attempt
+        # count is 0: a kill charged to it too would have skipped it
+        _plan(monkeypatch,
+              {"site": "cell.run", "kind": "worker_kill",
+               "tokens": [cell_key(cells[0])]},
+              {"site": "cell.run", "kind": "transient",
+               "tokens": [cell_key(cells[1])]})
+        report = self._run(cells, retry=RetryPolicy(**FAST))
+        assert report.pool_rebuilds == 1
+        assert report.retries == 1
+        assert report.n_shared == 3
+
+    def test_timeout_charges_the_first_member_only(self, monkeypatch):
+        cells = self._cells()
+        _plan(monkeypatch, {"site": "cell.run", "kind": "delay",
+                            "tokens": [cell_key(cells[0])], "seconds": 60.0})
+        report = self._run(cells, retry=RetryPolicy(timeout=2.0, **FAST))
+        assert (report.timeouts, report.retries) == (1, 1)
+        # the siblings' next task simulated the timed-out member too
+        assert report.n_shared == 3
+
+    def test_fault_on_sibling_retries_its_held_record(self, monkeypatch):
+        cells = self._cells()
+        _plan(monkeypatch, {"site": "cell.run", "kind": "transient",
+                            "tokens": [cell_key(cells[2])]})
+        report = self._run(cells, retry=RetryPolicy(**FAST))
+        assert report.retries == 1
+        # a sibling that simulated again would own its run, not share it
+        assert report.n_shared == 3
 
 
 class TestBuildBytes:
     def test_inline_build_matches_pool_build(self, tmp_path):
-        """A cold inline build (shared runs) and a cold ``--jobs 2`` build
-        (one run per cell) write the same cache records and manifest."""
+        """A cold inline build and a cold ``--jobs 2`` build share the
+        same runs and write the same cache records and manifest."""
         cfg = PaperConfig(scale=0.05)
         builds = {}
         for jobs in (1, 2):
@@ -185,7 +248,7 @@ class TestBuildBytes:
                                   jobs=jobs, cache=CampaignCache(root / "cache"))
             builds[jobs] = res
         assert builds[1].stats.n_shared == 2
-        assert builds[2].stats.n_shared == 0
+        assert builds[2].stats.n_shared == 2
         assert (builds[1].manifest_path.read_bytes()
                 == builds[2].manifest_path.read_bytes())
 

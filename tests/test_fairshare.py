@@ -79,7 +79,8 @@ class TestDecay:
         t.job_finished(job, now=1.0)
         for k in range(60):
             t.decay(DAY * (k + 1))
-        assert t.all_usage(60 * DAY) == {}
+        # 100 * 0.5**60 would still read as about 9e-17
+        assert t.usage_of(1, 60 * DAY) == 0.0
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):

@@ -38,22 +38,6 @@ class TestDerived:
         assert make_job(nodes=4, runtime=100.0).area == 400.0
 
 
-class TestExpectedEnd:
-    def test_before_wcl(self):
-        job = make_job(runtime=500.0, wcl=1000.0)
-        job.start_time = 0.0
-        assert job.expected_end(now=100.0) == 1000.0
-
-    def test_past_wcl_clamps_to_now(self):
-        job = make_job(runtime=5000.0, wcl=1000.0)
-        job.start_time = 0.0
-        assert job.expected_end(now=2500.0) == 2500.0
-
-    def test_requires_running(self):
-        with pytest.raises(ValueError, match="not running"):
-            make_job().expected_end(0.0)
-
-
 class TestSeniority:
     def test_defaults_to_submit(self):
         assert make_job(submit=42.0).seniority == 42.0

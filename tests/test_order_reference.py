@@ -152,7 +152,7 @@ def test_order_through_ties_and_deleted_accounts():
     assert 0.0 < tracker.usage_of(2, now) < 1e-9 * 2 ** 3
     for _ in range(3):
         tracker.decay(now)
-    assert 2 not in tracker.all_usage(now)
+    assert tracker.usage_of(2, now) == 0.0  # deleted, not just tiny
     assert tracker.usage_of(1, now) == tracker.usage_of(11, now) > 0.0
     jobs = [Job(id=i, submit_time=s, nodes=1, runtime=1.0, wcl=1.0, user_id=u)
             for i, (s, u) in enumerate([(5.0, 1), (1.0, 11), (1.0, 2), (0.0, 5),
