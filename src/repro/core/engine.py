@@ -1,11 +1,12 @@
 """Event-driven simulation engine.
 
-The engine owns the clock, the event queue, and the cluster; the scheduler
-owns the waiting jobs and all policy decisions.  At every event the engine
-performs bookkeeping (complete jobs, deliver arrivals, fire timers) and then
-lets the scheduler run a scheduling pass, mirroring the paper's simulator
-("at each scheduling event (job completion and job arrival), the queue was
-processed...").
+The engine owns the clock, the event queue, the cluster, the scheduler and
+the observers, and nothing it owns keeps the engine.  The scheduler owns
+the waiting jobs and all policy decisions.  At every event the engine
+performs bookkeeping (complete jobs, deliver arrivals, fire timers) and
+then lets the scheduler run a scheduling pass, mirroring the paper's
+simulator ("at each scheduling event (job completion and job arrival), the
+queue was processed..."), and launches the jobs the pass started.
 
 Chunk chains (from the runtime-limit transform) are driven here: when a
 chunk completes, its successor chunk is submitted at that instant, exactly
@@ -72,6 +73,7 @@ class Observer(Protocol):
     ``on_chunk_chain``) are only invoked for observers that actually
     override them — the engine detects overrides at construction, so a
     run without tracing pays nothing for the hook points.
+    ``on_attach`` reads what the observer needs and keeps no engine.
     """
 
     def on_attach(self, engine: "Engine") -> None: ...
@@ -132,17 +134,16 @@ class Engine:
         self._events_processed = 0
         self._jobs: List[Job] = []
         self._job_ids: set = set()
-        self._started_this_pass: List[Job] = []
         self._outstanding = 0
         self._result: Optional[SimulationResult] = None
 
         # chunk chains: (parent_id, chunk_index) -> job; chunks beyond the
         # first are submitted when their predecessor completes.
         self._successors: Dict[Tuple[int, int], Job] = {}
-        # chain-tail work after each chunk (fairness observers treat a chunk
-        # chain as one contiguous trace job in their hypothetical schedules)
-        self._tail_runtime: Dict[int, float] = {}
-        self._tail_wcl: Dict[int, float] = {}
+        #: job id -> runtime / WCL still to come in its chunk chain (absent
+        #: for ordinary jobs and final chunks), read by fairness and SRPT
+        self.tail_runtime: Dict[int, float] = {}
+        self.tail_wcl: Dict[int, float] = {}
 
         self._register(jobs)
 
@@ -208,8 +209,8 @@ class Engine:
             chunks.sort(key=lambda c: c.chunk_index)
             rt = wcl = 0.0
             for c in reversed(chunks):
-                self._tail_runtime[c.id] = rt
-                self._tail_wcl[c.id] = wcl
+                self.tail_runtime[c.id] = rt
+                self.tail_wcl[c.id] = wcl
                 rt += c.runtime
                 wcl += c.wcl
 
@@ -314,35 +315,6 @@ class Engine:
         return copy.deepcopy(
             self, {id(j): j for j in self._jobs if j.state is done}
         )
-
-    # -- services used by schedulers -------------------------------------------
-
-    def start_job(self, job: Job) -> None:
-        """Allocate nodes and schedule the completion; called by schedulers
-        from inside a scheduling pass."""
-        if job.state is not JobState.QUEUED:
-            raise RuntimeError(f"cannot start job {job.id} in state {job.state}")
-        self.cluster.start(job, self.now)
-        duration = job.runtime
-        if self.kill_policy is KillPolicy.AT_WCL:
-            duration = min(duration, job.wcl)
-        ev = self.events.push(self.now + duration, EventKind.COMPLETION, job)
-        if self.kill_policy is KillPolicy.IF_NEEDED and job.runtime > job.wcl:
-            self._completion_events[job.id] = ev
-            self.events.push(self.now + job.wcl, EventKind.WCL_CHECK, job)
-        self._started_this_pass.append(job)
-
-    def chain_tail_runtime(self, job: Job) -> float:
-        """Actual runtime still to come in this job's chunk chain (0 for
-        ordinary jobs and final chunks)."""
-        return self._tail_runtime.get(job.id, 0.0)
-
-    def chain_tail_wcl(self, job: Job) -> float:
-        """Estimated (WCL) work still to come in this job's chunk chain."""
-        return self._tail_wcl.get(job.id, 0.0)
-
-    def add_timer(self, time: float, payload=None, kind: EventKind = EventKind.GENERIC_TIMER) -> Event:
-        return self.events.push(time, kind, payload)
 
     # -- main loop -----------------------------------------------------------------
 
@@ -450,7 +422,7 @@ class Engine:
                 c.hit("engine.wcl_kill")
             for obs in self._kill_observers:
                 obs.on_kill(job, self.now)
-            self._handle_completion(job)
+            self._handle_completions([job])
         else:
             self.events.push(
                 self.now + self.wcl_check_interval, EventKind.WCL_CHECK, job
@@ -487,9 +459,6 @@ class Engine:
                         obs.on_chunk_chain(job, succ, self.now)
         self._run_pass("completion")
 
-    def _handle_completion(self, job: Job) -> None:
-        self._handle_completions([job])
-
     def _run_pass(self, reason: str) -> None:
         pass_observers = self._pass_observers
         if pass_observers:
@@ -500,14 +469,23 @@ class Engine:
         c = _counters.ACTIVE
         if c is not None:
             c.hit("engine.schedule_pass")
-        self._started_this_pass = []
+        started = self.scheduler.started
         self.scheduler.schedule(self.now, reason)
-        for job in self._started_this_pass:
+        # in start order: equal-time completions are delivered in push order
+        now, kill, push = self.now, self.kill_policy, self.events.push
+        for job in started:
+            duration = job.runtime
+            if kill is KillPolicy.AT_WCL:
+                duration = min(duration, job.wcl)
+            ev = push(now + duration, EventKind.COMPLETION, job)
+            if kill is KillPolicy.IF_NEEDED and job.runtime > job.wcl:
+                self._completion_events[job.id] = ev
+                push(now + job.wcl, EventKind.WCL_CHECK, job)
             for obs in self.observers:
-                obs.on_start(job, self.now)
+                obs.on_start(job, now)
         if pass_observers:
-            started = len(self._started_this_pass)
             for obs in pass_observers:
                 obs.on_schedule_pass(
-                    self.now, reason, queue_depth, running, free, started
+                    now, reason, queue_depth, running, free, len(started)
                 )
+        started.clear()

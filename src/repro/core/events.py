@@ -27,8 +27,7 @@ class EventKind(enum.IntEnum):
     ARRIVAL = 1
     STARVATION_TIMER = 2
     DECAY_TICK = 3
-    GENERIC_TIMER = 4
-    WCL_CHECK = 5
+    WCL_CHECK = 4
 
 
 class Event:

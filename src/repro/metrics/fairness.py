@@ -143,7 +143,6 @@ class HybridFSTObserver(Observer):
         #: order name -> {job id -> FST}
         self._fsts: Dict[str, Dict[int, float]] = {o: {} for o in orders}
         self.fst: Dict[int, float] = self._fsts[orders[0]]
-        self._engine: Engine | None = None
         self._reset()
 
     def _reset(self) -> None:
@@ -164,26 +163,30 @@ class HybridFSTObserver(Observer):
         self._waiting: List[Job] | None = None
 
     def on_attach(self, engine: Engine) -> None:
-        self._engine = engine
-        self._reset()
-        self._running = RunningTimeline(engine.cluster.size)
         sched = engine.scheduler
         if not hasattr(sched, "waiting_jobs") or not hasattr(sched, "tracker"):
             raise TypeError(
                 "HybridFSTObserver needs a scheduler with waiting_jobs() and "
                 "a fairshare tracker"
             )
+        self._reset()
+        self._running = RunningTimeline(engine.cluster.size)
+        # keep what the hypothetical schedule reads, never the engine
+        self._scheduler = sched
+        self._tail_runtime = engine.tail_runtime
+        self._tail_wcl = engine.tail_wcl
+        self._kill_policy = engine.kill_policy
 
     @property
     def tracker(self):
         """The scheduler's fairshare tracker (for usage-ranked orders)."""
-        return self._engine.scheduler.tracker
+        return self._scheduler.tracker
 
     def waiting(self) -> List[Job]:
         """The scheduler's ``waiting_jobs()`` at this arrival, fetched once
         and only by the orders that read it (callers must not mutate it)."""
         if self._waiting is None:
-            self._waiting = self._engine.scheduler.waiting_jobs()
+            self._waiting = self._scheduler.waiting_jobs()
         return self._waiting
 
     def duration_of(self, job: Job) -> float:
@@ -194,12 +197,12 @@ class HybridFSTObserver(Observer):
         if d is not None:
             return d
         if self.estimate_mode == "wcl":
-            d = job.wcl + self._engine.chain_tail_wcl(job)
+            d = job.wcl + self._tail_wcl.get(job.id, 0.0)
         else:
             rt = job.runtime
-            if self._engine.kill_policy is KillPolicy.AT_WCL:
+            if self._kill_policy is KillPolicy.AT_WCL:
                 rt = min(rt, job.wcl)
-            d = max(rt + self._engine.chain_tail_runtime(job), 1e-9)
+            d = max(rt + self._tail_runtime.get(job.id, 0.0), 1e-9)
         self.durations[job.id] = d
         return d
 
@@ -207,7 +210,7 @@ class HybridFSTObserver(Observer):
         self.lanes.remove(job)
         if self.estimate_mode == "wcl":
             end = job.start_time + job.wcl
-            tail = self._engine.chain_tail_wcl(job)
+            tail = self._tail_wcl.get(job.id, 0.0)
             if tail:
                 self._moving[job.id] = (job.nodes, end, tail)
                 return

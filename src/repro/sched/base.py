@@ -6,7 +6,8 @@ completion hooks).  The base class owns:
 * the waiting-job list, and the same jobs as per-user FCFS lanes
   (a :class:`UserLanes`, read by the fairshare order and by ``rr.user``),
 * the fairshare usage tracker and its daily decay tick,
-* start bookkeeping (usage charging, queue and lane removal),
+* start bookkeeping (usage charging, queue and lane removal, the
+  ``started`` list the engine launches after each pass),
 * the priority-order cache: sorting the queue is needed at every
   scheduling event (often several times per pass), but the fairshare order
   only changes when some user's decayed usage changes or the queue gains a
@@ -16,21 +17,22 @@ completion hooks).  The base class owns:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from ..core.engine import Engine
 from ..core.events import EventKind
-from ..core.job import Job
+from ..core.job import Job, JobState
 from ..obs import counters as _counters
 from .fairshare import DAY, FairshareTracker
 from .queues import (
-    FairshareOrder,
     OrderingPolicy,
-    SrptOrder,
     UserLanes,
     _remove_identical,
+    fairshare_order,
     fcfs_order,
     shortest_first_order,
+    srpt_order,
     widest_first_order,
 )
 
@@ -51,16 +53,22 @@ class BaseScheduler:
         decay_interval: float = DAY,
     ) -> None:
         self.tracker = FairshareTracker(decay_factor, decay_interval)
+        self.queue: List[Job] = []
+        #: ``queue`` as per-user FCFS lanes
+        self.lanes = UserLanes()
+        # per-run state is bound with partial: deepcopy copies its
+        # arguments, so a forked scheduler's order reads the fork's state
         if priority == "fairshare":
-            self.ordering: OrderingPolicy = FairshareOrder(self)
+            self.ordering: Optional[OrderingPolicy] = partial(
+                fairshare_order, self.tracker, self.lanes
+            )
         elif priority == "fcfs":
             self.ordering = fcfs_order
         elif priority == "spt":
             self.ordering = shortest_first_order
         elif priority == "srpt":
-            # remaining estimate = own wcl + chain tail; the engine owns the
-            # chain bookkeeping, and it is attached before any ordering call
-            self.ordering = SrptOrder(self)
+            # bound to the engine's chain tails in attach
+            self.ordering = None
         elif priority == "widest":
             self.ordering = widest_first_order
         else:
@@ -69,20 +77,22 @@ class BaseScheduler:
                 f"known: {', '.join(PRIORITY_POLICIES)}"
             )
         self.priority = priority
-        self.queue: List[Job] = []
-        #: ``queue`` as per-user FCFS lanes
-        self.lanes = UserLanes()
-        self.engine: Optional[Engine] = None
+        #: jobs started since the engine last launched a pass's starts
+        self.started: List[Job] = []
         self._order_cache: Optional[List[Job]] = None
         self._order_version = -1
 
     # -- engine protocol ---------------------------------------------------------
 
     def attach(self, engine: Engine) -> None:
-        self.engine = engine
+        """Take the cluster and the event queue from ``engine``; the
+        scheduler keeps no engine."""
         self.cluster = engine.cluster
+        self.events = engine.events
+        if self.priority == "srpt":
+            self.ordering = partial(srpt_order, engine.tail_wcl)
         if self.tracker.decay_factor < 1.0:
-            engine.add_timer(self.tracker.decay_interval, None, EventKind.DECAY_TICK)
+            self.events.push(self.tracker.decay_interval, EventKind.DECAY_TICK)
 
     def enqueue(self, job: Job, now: float) -> None:
         self.queue.append(job)
@@ -96,9 +106,9 @@ class BaseScheduler:
         if kind is EventKind.DECAY_TICK:
             self.tracker.decay(now)
             # keep ticking as long as anything remains to simulate
-            if self.engine.events:
-                self.engine.add_timer(
-                    now + self.tracker.decay_interval, None, EventKind.DECAY_TICK
+            if self.events:
+                self.events.push(
+                    now + self.tracker.decay_interval, EventKind.DECAY_TICK
                 )
 
     def schedule(self, now: float, reason: str) -> None:
@@ -107,16 +117,24 @@ class BaseScheduler:
     # -- helpers for subclasses -----------------------------------------------------
 
     def start(self, job: Job, now: float) -> None:
-        """Start a queued job: allocate, charge usage, drop from the queue
-        and its lane."""
+        """Start a queued job: drop it from the queue and its lane, then
+        :meth:`_allocate` it."""
         if not _remove_identical(self.queue, job):
             raise ValueError(f"job {job.id} is not queued")
         self.lanes.remove(job)
+        self._drop_from_order(job)
+        self._allocate(job, now)
+
+    def _allocate(self, job: Job, now: float) -> None:
+        """Allocate the job's nodes, charge its usage and list it in
+        ``started``, which the engine launches after the pass."""
+        if job.state is not JobState.QUEUED:
+            raise RuntimeError(f"cannot start job {job.id} in state {job.state}")
         c = _counters.ACTIVE
         if c is not None:
             c.hit("sched.start")
-        self._drop_from_order(job)
-        self.engine.start_job(job)
+        self.cluster.start(job, now)
+        self.started.append(job)
         self.tracker.job_started(job, now)
 
     def _drop_from_order(self, job: Job) -> None:

@@ -73,7 +73,7 @@ class NoGuaranteeScheduler(BaseScheduler):
         # split job that already waited out the threshold is immediately
         # eligible again rather than restarting its starvation clock
         eligible_at = max(now, job.seniority + self.starvation_threshold)
-        self.engine.add_timer(eligible_at, job, EventKind.STARVATION_TIMER)
+        self.events.push(eligible_at, EventKind.STARVATION_TIMER, job)
 
     def on_timer(self, payload, now: float, kind: EventKind) -> None:
         if kind is not EventKind.STARVATION_TIMER:
@@ -90,8 +90,8 @@ class NoGuaranteeScheduler(BaseScheduler):
             self._unchanged = False
         else:
             # barred heavy user: poll again as usage decays
-            self.engine.add_timer(
-                now + self.recheck_interval, job, EventKind.STARVATION_TIMER
+            self.events.push(
+                now + self.recheck_interval, EventKind.STARVATION_TIMER, job
             )
 
     def _may_enter_starvation(self, job: Job, now: float) -> bool:
@@ -125,11 +125,7 @@ class NoGuaranteeScheduler(BaseScheduler):
         if job.id in self._starved_ids:
             self._starved_ids.discard(job.id)
             _remove_identical(self.starvation_queue, job)
-            c = _counters.ACTIVE
-            if c is not None:
-                c.hit("sched.start")
-            self.engine.start_job(job)
-            self.tracker.job_started(job, now)
+            self._allocate(job, now)
         else:
             super().start(job, now)
 

@@ -3,12 +3,13 @@
 Two orders matter in the paper: FCFS (arrival order; the starvation queue
 and the classic baselines) and fairshare (decayed per-user usage; the main
 CPlant queue).  The size-based orders (shortest/widest/SRPT) drive the
-extension policies of the fairness matrix.  A policy is just a callable
-producing a sorted job list; all are deterministic with (submit_time, id)
-tie-breaks.  :class:`UserLanes` keeps the same waiting jobs as per-user
-FCFS lanes, for readers that go user by user: every scheduler keeps its
-queue in one, from which :class:`FairshareOrder` ranks users rather than
-jobs, and ``rr.user`` rotates over its lane heads.
+extension policies of the fairness matrix.  An order is a function of
+``(jobs, now)`` producing a sorted job list, deterministic with
+(submit_time, id) tie-breaks; per-run state it reads comes first, bound
+with ``functools.partial``.  :class:`UserLanes` keeps the same waiting
+jobs as per-user FCFS lanes, for readers that go user by user: every
+scheduler keeps its queue in one, from which :func:`fairshare_order`
+ranks users rather than jobs, and ``rr.user`` rotates over its lane heads.
 """
 
 from __future__ import annotations
@@ -100,27 +101,16 @@ class UserLanes:
             self.users.remove(job.user_id)
 
 
-class FairshareOrder:
+def fairshare_order(tracker, lanes: UserLanes, jobs: Iterable[Job],
+                    now: float) -> List[Job]:
     """Fairshare order of a scheduler's queue, from its lanes.
 
     The scheduler's :class:`UserLanes` hold exactly its queue, so the
     order is built user by user from them
     (:meth:`~repro.sched.fairshare.FairshareTracker.order`) and the
-    ``jobs`` argument is not read.  A callable object rather than a
-    closure so that a deep-copied scheduler (``Engine.fork()``) re-binds
-    to its *own* tracker and lanes — ``copy.deepcopy`` treats plain
-    functions as atomic, which would leave a closure pointing at the
-    original.
+    ``jobs`` argument is not read.
     """
-
-    __slots__ = ("scheduler",)
-
-    def __init__(self, scheduler) -> None:
-        self.scheduler = scheduler
-
-    def __call__(self, jobs: Iterable[Job], now: float) -> List[Job]:
-        sched = self.scheduler
-        return sched.tracker.order(sched.lanes, now)
+    return tracker.order(lanes, now)
 
 
 def widest_first_order(jobs: Iterable[Job], now: float) -> List[Job]:
@@ -133,28 +123,19 @@ def shortest_first_order(jobs: Iterable[Job], now: float) -> List[Job]:
     return sorted(jobs, key=lambda j: (j.wcl, j.submit_time, j.id))
 
 
-class SrptOrder:
-    """Shortest-remaining-estimate-first bound to a chain-tail oracle.
+def srpt_order(tail_wcl: Dict[int, float], jobs: Iterable[Job],
+               now: float) -> List[Job]:
+    """Shortest-remaining-estimate-first.
 
     A queued job's remaining estimate is its own wall-clock limit plus the
-    estimates of the chunks still behind it in a runtime-limit chain, so a
-    split job that already burned most of its chain ranks ahead of a fresh
-    one of the same total length.  Both components are fixed once the job
-    is enqueued, so the order only changes with queue membership.
-
-    A callable object for the same fork-safety reason as
-    :class:`FairshareOrder`: the oracle owner must follow the scheduler
-    through ``copy.deepcopy``.
+    estimates of the chunks still behind it in a runtime-limit chain
+    (``tail_wcl``, the engine's job id -> chain tail map), so a split job
+    that already burned most of its chain ranks ahead of a fresh one of
+    the same total length.  Both components are fixed once the job is
+    enqueued, so the order only changes with queue membership.
     """
-
-    __slots__ = ("scheduler",)
-
-    def __init__(self, scheduler) -> None:
-        self.scheduler = scheduler
-
-    def __call__(self, jobs: Iterable[Job], now: float) -> List[Job]:
-        chain_tail = self.scheduler.engine.chain_tail_wcl
-        return sorted(
-            jobs, key=lambda j: (j.wcl + chain_tail(j), j.submit_time, j.id)
-        )
+    tail = tail_wcl.get
+    return sorted(
+        jobs, key=lambda j: (j.wcl + tail(j.id, 0.0), j.submit_time, j.id)
+    )
 

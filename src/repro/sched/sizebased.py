@@ -28,7 +28,8 @@ every such change, so the order is deterministic and cache-friendly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -157,6 +158,13 @@ class VirtualFairShare:
         return key
 
 
+def fsp_order(vfs: VirtualFairShare, jobs: Iterable[Job], now: float) -> List[Job]:
+    """The jobs by projected virtual completion in ``vfs``, FCFS on ties."""
+    out = fcfs_order(jobs, now)
+    out.sort(key=vfs.projection())
+    return out
+
+
 class FairSojournScheduler(BaseScheduler):
     """FSP-like policy: start order = virtual-fair-share completion order.
 
@@ -174,12 +182,6 @@ class FairSojournScheduler(BaseScheduler):
         self.backfill = backfill
         self.name = f"fsp.{backfill}"
         self.vfs: VirtualFairShare | None = None
-        self.ordering = self._fsp_order
-
-    def _fsp_order(self, jobs, now: float) -> List[Job]:
-        out = fcfs_order(jobs, now)
-        out.sort(key=self.vfs.projection())
-        return out
 
     def _order_epoch(self, now: float) -> int:
         self.vfs.settle(now)
@@ -188,6 +190,7 @@ class FairSojournScheduler(BaseScheduler):
     def attach(self, engine) -> None:
         super().attach(engine)
         self.vfs = VirtualFairShare(engine.cluster.size)
+        self.ordering = partial(fsp_order, self.vfs)
 
     def enqueue(self, job: Job, now: float) -> None:
         super().enqueue(job, now)

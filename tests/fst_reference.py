@@ -48,16 +48,16 @@ class ReferenceFSTObserver(Observer):
     def duration(self, job) -> float:
         engine = self.engine
         if self.estimate_mode == "wcl":
-            return job.wcl + engine.chain_tail_wcl(job)
+            return job.wcl + engine.tail_wcl.get(job.id, 0.0)
         rt = job.runtime
         if engine.kill_policy is KillPolicy.AT_WCL:
             rt = min(rt, job.wcl)
-        return max(rt + engine.chain_tail_runtime(job), 1e-9)
+        return max(rt + engine.tail_runtime.get(job.id, 0.0), 1e-9)
 
     def running_end(self, job, now: float) -> float:
         if self.estimate_mode == "wcl":
             return max(job.start_time + job.wcl,
-                       now + self.engine.chain_tail_wcl(job))
+                       now + self.engine.tail_wcl.get(job.id, 0.0))
         return job.start_time + self.duration(job)
 
     def order(self, name: str, waiting, now: float):

@@ -132,7 +132,7 @@ class TestChunkChains:
         chain = self.chain(n_chunks=3, rt=100.0)
         engine = Engine(Cluster(8), NoBackfillScheduler("fcfs"), chain)
         jobs = engine._jobs
-        tails = sorted(engine.chain_tail_runtime(j) for j in jobs)
+        tails = sorted(engine.tail_runtime.get(j.id, 0.0) for j in jobs)
         assert tails == [0.0, 100.0, 200.0]
 
     def test_other_jobs_can_interleave_between_chunks(self):

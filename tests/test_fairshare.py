@@ -1,6 +1,8 @@
 """Unit tests for the fairshare usage tracker."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sched.fairshare import DAY, FairshareTracker
 from repro.sched.queues import UserLanes
@@ -149,3 +151,43 @@ class TestHeavyUsers:
         for k in range(10):
             t.decay(DAY * (k + 1))
         assert not t.is_heavy(1, now=10 * DAY)
+
+
+#: one tracker operation: (kind, user, nodes, seconds since the last one)
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["start", "finish", "settle", "decay", "mean"]),
+        st.integers(1, 4),
+        st.integers(1, 64),
+        st.sampled_from([0.0, 1e-12, 1e-9, 0.5, 30.0, 3600.0, DAY]),
+    ),
+    max_size=40,
+)
+
+
+class TestMeanCache:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, factor=st.sampled_from([0.0, 1e-9, 0.5, 1.0]))
+    def test_cached_mean_is_a_fresh_mean(self, ops, factor):
+        """Across settles, decays (tiny accounts deleted), starts and
+        finishes, the cached mean equals one computed from scratch, bit
+        for bit."""
+        t = FairshareTracker(decay_factor=factor)
+        running, now, next_id = [], 0.0, 1
+        for kind, user, nodes, dt in ops:
+            now += dt
+            if kind == "start":
+                job = make_job(id=next_id, user=user, nodes=nodes)
+                next_id += 1
+                t.job_started(job, now)
+                running.append(job)
+            elif kind == "finish" and running:
+                t.job_finished(running.pop(user % len(running)), now)
+            elif kind == "settle":
+                t.settle(now)
+            elif kind == "decay":
+                t.decay(now)
+            cached = t.mean_active_usage(now)
+            vals = [u for u in t._usage.values() if u > 0]
+            fresh = sum(vals) / len(vals) if vals else 0.0
+            assert cached == fresh

@@ -103,6 +103,10 @@ class Recorder:
         super().__init__(*args, **kw)
         self.log = []
 
+    def attach(self, engine):
+        super().attach(engine)
+        self.kill_policy = engine.kill_policy
+
     def start(self, job, now):
         self.log.append(("start", now, job.id))
         super().start(job, now)
@@ -134,7 +138,7 @@ class Skipping(Recorder, NoGuaranteeScheduler):
             running = list(self.cluster.running_jobs())
             if self.starvation_queue:
                 self.situations.add("starvation head")
-            if (self.engine.kill_policy is KillPolicy.IF_NEEDED
+            if (self.kill_policy is KillPolicy.IF_NEEDED
                     and any(j.start_time + j.wcl < now for j in running)):
                 self.situations.add("IF_NEEDED overrun")
             if self._reason == "timer" and self.entrance == "fair":

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs-consistency checks (run by the CI `docs` job and usable locally).
 
-Ten checks:
+Eleven checks:
 
 1. **Scenario catalog** — every scenario registered in
    ``repro.scenarios`` must appear (as `` `name` ``) in
@@ -46,6 +46,13 @@ Ten checks:
     must appear as a string literal (``"name"``) in some ``*.py`` file
     under ``src/repro/`` other than ``obs/counters.py``, so a counter
     cannot outlive the code that hits it.
+11. **Engine ownership docs** — docs/, README.md and examples/ must not
+    name an engine service that ownership made obsolete
+    (:data:`DELETED_SERVICES`: schedulers no longer call back into the
+    engine), and the observer paragraph of docs/ARCHITECTURE.md's "The
+    event-loop contract" must name every hook in
+    ``repro.core.engine.OBSERVER_HOOKS`` (as `` `hook` ``), so the
+    observer contract cannot drift.
 
 Exit status 0 = consistent; 1 = problems (all listed on stderr).
 
@@ -73,6 +80,11 @@ _ARTIFACT_ROW = re.compile(r"^\| `(\w+)` \| `([\w.]+)` \|", re.M)
 _LAYER_CELL = re.compile(r"^\|([^|]*)\|", re.M)
 #: a source path as a Layer cell names it (`sched/base.py`)
 _PY_PATH = re.compile(r"`([\w/]+\.py)`")
+#: engine services and order classes that one-way ownership deleted: a
+#: scheduler starts jobs on the cluster and pushes its own timers, and an
+#: order is a function bound with ``functools.partial``
+DELETED_SERVICES = ("start_job", "add_timer", "chain_tail_",
+                    "FairshareOrder", "SrptOrder", "GENERIC_TIMER")
 
 
 def check_scenario_catalog() -> list[str]:
@@ -240,6 +252,46 @@ def check_counter_emitters() -> list[str]:
     ]
 
 
+def deleted_service_mentions(text: str) -> list[str]:
+    """The :data:`DELETED_SERVICES` that ``text`` names."""
+    return [name for name in DELETED_SERVICES if name in text]
+
+
+def missing_observer_hooks(arch: str) -> list[str]:
+    """The observer hooks that the observer paragraph (the one naming
+    `` `Observer` ``) of the "The event-loop contract" section of ``arch``
+    (docs/ARCHITECTURE.md) does not name; every hook when there is no
+    such paragraph."""
+    from repro.core.engine import OBSERVER_HOOKS
+
+    _, _, section = arch.partition("## The event-loop contract")
+    section = section.split("\n## ", 1)[0]
+    paragraph = next(
+        (p for p in re.split(r"\n\s*\n|\n- ", section) if "`Observer`" in p),
+        "",
+    )
+    return [hook for hook in OBSERVER_HOOKS if f"`{hook}`" not in paragraph]
+
+
+def check_engine_docs() -> list[str]:
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+            *sorted((ROOT / "examples").glob("*"))]
+    problems = [
+        f"{path.relative_to(ROOT)}: names `{name}`, which the engine no "
+        f"longer has"
+        for path in docs if path.is_file()
+        for name in deleted_service_mentions(path.read_text())
+    ]
+    arch = ROOT / "docs" / "ARCHITECTURE.md"
+    problems += [
+        f"docs/ARCHITECTURE.md: the event-loop contract's observer "
+        f"paragraph does not name the hook `{hook}`"
+        for hook in missing_observer_hooks(
+            arch.read_text() if arch.is_file() else "")
+    ]
+    return problems
+
+
 def check_scheduler_docs() -> list[str]:
     from repro.metrics import REFERENCE_ORDERS
     from repro.sched.registry import policy_names
@@ -319,7 +371,7 @@ def main() -> int:
     problems = (check_scenario_catalog() + check_links()
                 + check_performance_docs() + check_pipeline_docs()
                 + check_observability_docs() + check_counter_emitters()
-                + check_scheduler_docs()
+                + check_scheduler_docs() + check_engine_docs()
                 + check_robustness_docs() + check_service_docs()
                 + check_source_citations())
     for p in problems:
