@@ -24,8 +24,10 @@ Quick tour::
         live.advance(3600.0)
         print(live.snapshot())
 
-Heavier subsystems (scenarios, campaign, artifacts, service) import
-lazily, so ``import repro.api`` stays light.
+The artifact pipeline and the service import lazily, so
+``import repro.api`` loads no ``repro.artifacts``, ``repro.service`` or
+``repro.obs.trace`` module.  The campaign and scenario subsystems load
+with the package itself (``repro/__init__.py`` re-exports them).
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
+from . import scenarios as _scenarios
 from .core.engine import KillPolicy, Observer
 from .experiments import runner as _runner
 from .experiments.runner import PolicyRun, RunOptions
-from .sched.registry import get_policy
+from .sched.registry import REGISTRY, get_policy
 from .workload.generator import GeneratorConfig, generate_cplant_workload
 from .workload.model import Workload
 from .workload.swf import read_swf
@@ -115,9 +118,7 @@ class SimulationRequest:
         if self.workload is not None:
             return self.workload
         if self.scenario is not None:
-            from .scenarios import get_scenario as _get
-
-            return _get(self.scenario).build(
+            return _scenarios.get_scenario(self.scenario).build(
                 seed=self.seed, **dict(self.params)
             )
         if self.swf is not None:
@@ -130,9 +131,7 @@ class SimulationRequest:
         """Canonical engine options, with scenario defaults applied."""
         defaults: Dict[str, object] = {}
         if self.scenario is not None:
-            from .scenarios import get_scenario as _get
-
-            defaults = dict(_get(self.scenario).options)
+            defaults = dict(_scenarios.get_scenario(self.scenario).options)
         opts = self.options
         if opts is None:
             return RunOptions.from_mapping(defaults)
@@ -263,20 +262,14 @@ def serve(host: str = "127.0.0.1", port: int = 0, **kwargs):
 
 def list_scenarios():
     """Every registered scenario recipe, in catalog order."""
-    from .scenarios import all_scenarios
-
-    return tuple(all_scenarios())
+    return tuple(_scenarios.all_scenarios())
 
 
 def get_scenario(name: str):
     """One registered scenario by name (KeyError lists known names)."""
-    from .scenarios import get_scenario as _get
-
-    return _get(name)
+    return _scenarios.get_scenario(name)
 
 
 def list_policies() -> Dict[str, object]:
     """Every registered policy key -> its spec (description, factory...)."""
-    from .sched.registry import REGISTRY
-
     return dict(REGISTRY)

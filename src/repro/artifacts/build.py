@@ -36,12 +36,7 @@ from ..campaign.cache import (
     cell_key,
     code_version,
 )
-from ..campaign.executor import (
-    ProgressFn,
-    default_journal_dir,
-    memo_workload,
-    run_cells,
-)
+from ..campaign.executor import ProgressFn, memo_workload, run_cells
 from ..campaign.retry import RetryPolicy, RunReport
 from ..campaign.spec import CampaignCell, WorkloadSpec
 from ..experiments.export import RecordRun
@@ -258,14 +253,10 @@ def build_artifacts(
     """
     t0 = time.perf_counter()
     plan = plan_build(only, config)
-    journal_dir = default_journal_dir(cache)
     stats = RunReport()
     results = run_cells(
         plan.cells, jobs=jobs, cache=cache, force=force, progress=progress,
-        retry=retry,
-        journal=((journal_dir, "paper-build")
-                 if journal_dir is not None else None),
-        resume=resume, report=stats,
+        retry=retry, journal="paper-build", resume=resume, report=stats,
     )
     # the same policy may appear under different options across artifacts,
     # so suites are assembled per artifact from the content-addressed keys

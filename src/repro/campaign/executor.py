@@ -6,16 +6,16 @@ and streams completions back in arbitrary order; determinism lives in the
 cells themselves (pure worker + seeded generators), not in scheduling, so
 ``--jobs 4`` and ``--jobs 1`` produce bit-identical metrics.
 
-The worker, :func:`run_cell`, is a pure top-level function: it builds the
-cell's workload (memoized per worker process — one trace typically feeds
-many policy cells) and runs it through :func:`repro.api.run`, the facade
-every other path uses, then flattens the result into the JSON-safe metric
-record the cache stores.  Cells that differ only in their hybrid-FST
-reference orders share one simulation (:func:`run_family`): observers
+The worker, :func:`run_family`, is a pure top-level function: it builds
+the cells' workload (memoized per worker process — one trace typically
+feeds many policy cells) and runs it through :func:`repro.api.run`, the
+facade every other path uses, then flattens the result into the
+JSON-safe metric records the cache stores.  Its cells differ only in
+their hybrid-FST reference orders and share one simulation: observers
 never influence scheduling, so one run that observes every order they
-ask for yields each of their records.  Such a family is the unit of work
-on every path; ``--jobs 1`` drives the same loop as the pool, with an
-in-process executor.
+ask for yields each of their records (:func:`run_cell` is the family of
+one).  Such a family is the unit of work on every path; ``--jobs 1``
+drives the same loop as the pool, with an in-process executor.
 
 Because a 10k-cell sweep will meet real failures, the executor is a
 *runtime*, not a loop (semantics in ``docs/ROBUSTNESS.md``):
@@ -50,7 +50,6 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..experiments import runner as _runner
@@ -175,34 +174,6 @@ def run_family(
     return out
 
 
-def _check_fault(cell: CampaignCell, key: Optional[str], attempt: int,
-                 inline: bool) -> None:
-    """Fire the fault plan's ``cell.run`` fault for this attempt, if any."""
-    plan = faults.active_plan()
-    if plan is not None:
-        fault = plan.check("cell.run", key if key is not None
-                           else cell_key(cell), attempt)
-        if fault is not None:
-            fault.fire(inline=inline)
-
-
-def _run_cell_timed(
-    cell: CampaignCell,
-    key: Optional[str] = None,
-    attempt: int = 0,
-    inline: bool = True,
-) -> Tuple[Dict[str, object], float]:
-    """Worker entry: metrics plus execution time measured *in* the worker
-    (a submit-to-completion clock would fold in pool queue wait).
-
-    ``attempt`` is tracked by the parent so the deterministic fault layer
-    sees a count that survives worker death; ``inline`` degrades
-    worker-kill faults to a raise when there is no worker to kill.
-    """
-    _check_fault(cell, key, attempt, inline)
-    return run_family([cell])[0]
-
-
 def _run_task(
     cells: Sequence[CampaignCell],
     key: str,
@@ -210,13 +181,21 @@ def _run_task(
     inline: bool,
     held: Optional[Tuple[Dict[str, object], float]] = None,
 ) -> List[Tuple[Dict[str, object], float]]:
-    """Worker entry for one task: ``cells[0]``'s fault check, then its
-    ``held`` record (a sibling's, kept by the driver) if given, else one
-    simulation for every cell (:func:`run_family`; a lone cell runs
-    through :func:`_run_cell_timed`)."""
-    if held is None and len(cells) == 1:
-        return [_run_cell_timed(cells[0], key, attempt, inline)]
-    _check_fault(cells[0], key, attempt, inline)
+    """Worker entry for one task: ``cells[0]``'s ``cell.run`` fault check,
+    then its ``held`` record (a sibling's, kept by the driver) if given,
+    else one simulation for every cell (:func:`run_family`), each record
+    with its execution time measured *in* the worker (a
+    submit-to-completion clock would fold in pool queue wait).
+
+    ``attempt`` is tracked by the parent so the deterministic fault layer
+    sees a count that survives worker death; ``inline`` degrades
+    worker-kill faults to a raise when there is no worker to kill.
+    """
+    plan = faults.active_plan()
+    if plan is not None:
+        fault = plan.check("cell.run", key, attempt)
+        if fault is not None:
+            fault.fire(inline=inline)
     return [held] if held is not None else run_family(cells)
 
 
@@ -313,7 +292,8 @@ def run_cells(
     progress: Optional[ProgressFn] = None,
     *,
     retry: Optional[RetryPolicy] = None,
-    journal: Optional[Tuple[PathLike, str]] = None,
+    journal: Optional[str] = None,
+    journal_dir: Optional[PathLike] = None,
     resume: bool = False,
     keep_going: bool = False,
     report: Optional[RunReport] = None,
@@ -330,12 +310,13 @@ def run_cells(
     sweeps call it on an expanded grid, the paper-artifact builder on a
     deduplicated union of artifact requirements.
 
-    ``journal`` is ``(directory, name)``: the run journals its
-    completions to the grid's auto-named :class:`~.journal.RunJournal`
-    in that directory, labelled ``name``, and with ``resume=True``
-    replays it first.  ``resume`` without a ``journal`` raises
-    ``ValueError``: there is nothing to replay, and re-running every
-    cell silently would pass for a resume.
+    ``journal`` names the run: it journals its completions to the grid's
+    auto-named :class:`~.journal.RunJournal`, labelled ``journal``, under
+    ``journal_dir`` (default: the cache root's ``journals/``; no journal
+    without either), and with ``resume=True`` replays it first.
+    ``resume`` without a journal raises ``ValueError``: there is nothing
+    to replay, and re-running every cell silently would pass for a
+    resume.
 
     ``retry`` defaults to :class:`RetryPolicy` (retries on, watchdog
     off); pass ``RetryPolicy(max_attempts=1)`` to restore fail-fast.
@@ -345,7 +326,10 @@ def run_cells(
     recovery counts as they happen, everything else when the run ends,
     even a run that dies mid-flight.
     """
-    if resume and journal is None:
+    if journal_dir is None and cache is not None:
+        journal_dir = cache.root / JOURNAL_DIR_NAME
+    journaled = journal is not None and journal_dir is not None
+    if resume and not journaled:
         raise ValueError(
             "resume needs a run journal, and run journals live under the "
             "cache root: resuming without a cache (--no-cache) cannot "
@@ -366,9 +350,8 @@ def run_cells(
 
     replayed: Dict[str, Dict[str, object]] = {}
     run_journal = None
-    if journal is not None:
-        journal_dir, name = journal
-        run_journal = RunJournal.at(journal_dir, keys, name=name)
+    if journaled:
+        run_journal = RunJournal.at(journal_dir, keys, name=journal)
         if resume and not force:
             replayed = run_journal.completed_cells(keys)
 
@@ -732,25 +715,16 @@ def run_campaign(
     """Expand a spec and run its grid through :func:`run_cells`.
 
     The run writes — and with ``resume=True`` replays — the grid's
-    auto-named crash-safe journal under ``journal_dir`` (default: the
-    cache root's ``journals/``; no journal without either), so the same
-    spec always maps to the same resume point.
+    auto-named crash-safe journal, named for the spec, where
+    :func:`run_cells` puts it, so the same spec always maps to the same
+    resume point.
     """
-    if journal_dir is None:
-        journal_dir = default_journal_dir(cache)
     rep = report if report is not None else RunReport()
     results = run_cells(
         spec.expand(), jobs=jobs, cache=cache, force=force,
         progress=progress, retry=retry,
-        journal=(journal_dir, spec.name) if journal_dir is not None else None,
-        resume=resume, keep_going=keep_going, report=rep,
+        journal=spec.name, journal_dir=journal_dir, resume=resume,
+        keep_going=keep_going, report=rep,
     )
     return CampaignResult(spec=spec, results=results, stats=rep)
 
-
-def default_journal_dir(cache: Optional[CampaignCache]) -> Optional[Path]:
-    """Where auto-named run journals live for a given cache (its root's
-    ``journals/`` subdirectory), or ``None`` without a cache."""
-    if cache is None:
-        return None
-    return cache.root / JOURNAL_DIR_NAME

@@ -169,25 +169,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _render_artifacts(arts, suite, wl: Workload) -> str:
+def cmd_render(args) -> int:
+    """``figures`` / ``tables``: print the artifacts the subcommand names,
+    simulating the union of their policies on one workload."""
+    wl = _load_workload(args)
+    print(wl.describe())
+    arts = [A.get_artifact(i) for i in args.artifacts]
+    keys = list(dict.fromkeys(p for art in arts for p in art.policies))
+    suite = api.compare(keys, workload=wl, progress=True) if keys else {}
     inputs = A.ArtifactInputs(suite, wl)
-    return "\n\n".join(art.build_text(inputs) for art in arts)
-
-
-def cmd_figures(args) -> int:
-    wl = _load_workload(args)
-    print(wl.describe())
-    suite = api.compare(PAPER_POLICIES, workload=wl, progress=True)
-    figures = [a for a in A.all_artifacts() if a.kind == "figure"]
-    print(_render_artifacts(figures, suite, wl))
-    return 0
-
-
-def cmd_tables(args) -> int:
-    wl = _load_workload(args)
-    print(wl.describe())
-    tables = [A.get_artifact("table1"), A.get_artifact("table2")]
-    print(_render_artifacts(tables, {}, wl))
+    print("\n\n".join(art.build_text(inputs) for art in arts))
     return 0
 
 
@@ -271,6 +262,11 @@ def _cache(args) -> Optional[CampaignCache]:
 
 
 def _add_robustness_args(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that keep a run report and a run journal
+    (``sweep``, ``paper build``)."""
+    p.add_argument("--stats", action="store_true",
+                   help="print the run-stats block (cache hits, cell-time "
+                        "percentiles, worker utilization, recovery counts)")
     p.add_argument("--retries", type=int, default=2,
                    help="extra attempts per failed cell (0 = fail fast)")
     p.add_argument("--timeout", type=float, default=None,
@@ -665,11 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("figures", help="print every paper figure")
     _add_workload_args(f)
-    f.set_defaults(fn=cmd_figures)
+    f.set_defaults(fn=cmd_render, artifacts=[
+        a.id for a in A.all_artifacts() if a.kind == "figure"])
 
     t = sub.add_parser("tables", help="print Tables 1-2")
     _add_workload_args(t)
-    t.set_defaults(fn=cmd_tables)
+    t.set_defaults(fn=cmd_render, artifacts=["table1", "table2"])
 
     a = sub.add_parser("analyze", help="workload characterization summary")
     _add_workload_args(a)
@@ -693,9 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell_run_args(sw)
     sw.add_argument("--json", default=None, help="aggregate JSON output path")
     sw.add_argument("--csv", default=None, help="aggregate CSV output path")
-    sw.add_argument("--stats", action="store_true",
-                    help="print the run-stats block (cache hits, cell-time "
-                         "percentiles, worker utilization, recovery counts)")
     _add_robustness_args(sw)
     sw.add_argument("--keep-going", action="store_true",
                     help="on terminal cell failures, aggregate what "
@@ -749,9 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output directory for renderings + manifest.json")
     pb.add_argument("--check", action="store_true",
                     help="run each artifact's qualitative shape checks")
-    pb.add_argument("--stats", action="store_true",
-                    help="print the run-stats block (cache hits, cell-time "
-                         "percentiles, worker utilization, recovery counts)")
     _add_robustness_args(pb)
     pb.set_defaults(fn=cmd_paper_build)
 

@@ -5,10 +5,16 @@ conservative and aggressive backfilling, giving the first n jobs in the
 queue a reservation."  This scheduler is that whole family:
 
 * depth 0  — no-guarantee backfilling (no reservations at all),
-* depth 1  — aggressive/EASY backfilling,
 * depth k  — the first k jobs in priority order hold reservations,
 * depth ∞  — conservative backfilling with dynamic reservations: the
   paper's ``consdyn`` policies (Section 5.4), named ``consdyn.<priority>``.
+
+Depth 1 is close to EASY but is not EASY
+(:class:`repro.sched.EasyBackfillScheduler`): depth k gives its k
+reservations to the top k jobs in priority order, counting jobs that
+start in this pass, while EASY reserves for the first *blocked* job.
+When the top job starts, depth 1 has spent its reservation and the next
+blocked job is unprotected (``tests/test_depthk.py`` pins such a case).
 
 At every scheduling event the pass copies the persistent running-job
 profile (:class:`repro.sched.conservative.RunningProfile`, the occupations

@@ -43,8 +43,6 @@ class FairshareTracker:
         #: bumped whenever any user's decayed usage changes; priority-order
         #: caches key on this to avoid re-sorting an unchanged queue
         self.usage_version = 0
-        #: (usage_version, mean) of the last :meth:`mean_active_usage`
-        self._mean: Tuple[int, float] = (-1, 0.0)
 
     # -- accounting --------------------------------------------------------------
 
@@ -101,15 +99,12 @@ class FairshareTracker:
         return self._usage.get(user, 0.0)
 
     def mean_active_usage(self, now: float) -> float:
-        """Mean decayed usage over users with nonzero usage (0 if none);
-        cached on ``usage_version``, which every usage change bumps."""
+        """Mean decayed usage over users with nonzero usage (0 if none).
+        Every stored usage is positive: settle adds ``procs * dt > 0``,
+        decay deletes accounts below 1e-9, and every read uses ``.get``."""
         self.settle(now)
-        version, mean = self._mean
-        if version != self.usage_version:
-            vals = [u for u in self._usage.values() if u > 0]
-            mean = sum(vals) / len(vals) if vals else 0.0
-            self._mean = (self.usage_version, mean)
-        return mean
+        usage = self._usage
+        return sum(usage.values()) / len(usage) if usage else 0.0
 
     def is_heavy(self, user: int, now: float, heavy_factor: float = 1.0) -> bool:
         """Is this user's decayed usage above ``heavy_factor`` x the mean

@@ -10,6 +10,10 @@ calls) with structured errors.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +283,28 @@ def test_structural_observer_runs(small_workload):
                        observers=(_FullObserver(),))
     bare = api.run(policy="fcfs.nobackfill", workload=small_workload)
     assert observed.digest() == bare.digest()
+
+
+# -- import weight ---------------------------------------------------------------
+
+
+def test_import_api_leaves_the_heavy_subsystems_unloaded():
+    """A fresh ``import repro.api`` loads no artifact-pipeline, service or
+    trace module; those import only when their entry point is called."""
+    prog = (
+        "import sys\n"
+        "import repro.api\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(__file__).resolve().parents[1] / "src")
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", prog], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = proc.stdout.split()
+    assert "repro.api" in loaded
+    heavy = [m for m in loaded
+             if m.split(".")[:2] in (["repro", "artifacts"],
+                                     ["repro", "service"])
+             or m == "repro.obs.trace"]
+    assert heavy == []

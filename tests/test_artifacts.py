@@ -210,6 +210,17 @@ class TestBuild:
                 texts.append(text[:-1])
         assert "\n".join(kept) == "\n\n".join(texts)
 
+    def test_tables_command_prints_the_built_tables(self, built, capsys):
+        root, _, _ = built
+        assert main(["tables", "--scale", str(SMALL.scale),
+                     "--seed", str(SMALL.seed)]) == 0
+        out = capsys.readouterr().out
+        # the first line describes the workload; the tables simulate nothing
+        _, rest = out.split("\n", 1)
+        texts = [(root / "out" / get_artifact(i).output).read_text()
+                 for i in ("table1", "table2")]
+        assert rest == "\n".join(texts)
+
     def test_manifest_names_inputs_and_digests(self, built):
         root, _, result = built
         doc = json.loads(result.manifest_path.read_text())

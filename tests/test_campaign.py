@@ -264,14 +264,14 @@ class TestExecutor:
             self, tmp_path, monkeypatch):
         from repro.campaign import executor as ex
 
-        real = ex._run_cell_timed
+        real = ex._run_task
 
-        def flaky(cell, key=None, attempt=0, inline=True):
-            if cell.policy == "fcfs.nobackfill":
+        def flaky(cells, key, attempt, inline, held=None):
+            if cells[0].policy == "fcfs.nobackfill":
                 raise RuntimeError("boom")
-            return real(cell, key, attempt, inline)
+            return real(cells, key, attempt, inline, held)
 
-        monkeypatch.setattr(ex, "_run_cell_timed", flaky)
+        monkeypatch.setattr(ex, "_run_task", flaky)
         spec = small_spec(workloads=[{"kind": "random", "n_jobs": 20,
                                       "system_size": 16, "seeds": [1]}])
         cache = CampaignCache(tmp_path / "cache")
@@ -284,10 +284,10 @@ class TestExecutor:
         from repro.campaign import executor as ex
         from repro.campaign.retry import CellFailure, RetryPolicy
 
-        def always_boom(cell, key=None, attempt=0, inline=True):
-            raise ValueError(f"boom for {cell.policy}")
+        def always_boom(cells, key, attempt, inline, held=None):
+            raise ValueError(f"boom for {cells[0].policy}")
 
-        monkeypatch.setattr(ex, "_run_cell_timed", always_boom)
+        monkeypatch.setattr(ex, "_run_task", always_boom)
         spec = small_spec(workloads=[{"kind": "random", "n_jobs": 20,
                                       "system_size": 16, "seeds": [1]}])
         with pytest.raises(RuntimeError) as ei:

@@ -52,16 +52,16 @@ FAST = dict(backoff_base=0.001, backoff_cap=0.01)
 
 class TestRetry:
     def test_transient_failure_is_retried_to_success(self, monkeypatch):
-        real = ex._run_cell_timed
+        real = ex._run_task
         seen = []
 
-        def flaky(cell, key=None, attempt=0, inline=True):
+        def flaky(cells, key, attempt, inline, held=None):
             seen.append(attempt)
             if attempt == 0:
                 raise TransientError("worker hiccup")
-            return real(cell, key, attempt, inline)
+            return real(cells, key, attempt, inline, held)
 
-        monkeypatch.setattr(ex, "_run_cell_timed", flaky)
+        monkeypatch.setattr(ex, "_run_task", flaky)
         report = RunReport()
         result = run_campaign(spec_of(1), jobs=1,
                               retry=RetryPolicy(**FAST), report=report)
@@ -73,11 +73,11 @@ class TestRetry:
     def test_identical_failure_twice_is_quarantined_early(self, monkeypatch):
         calls = []
 
-        def same_boom(cell, key=None, attempt=0, inline=True):
+        def same_boom(cells, key, attempt, inline, held=None):
             calls.append(attempt)
             raise ValueError("deterministic boom")
 
-        monkeypatch.setattr(ex, "_run_cell_timed", same_boom)
+        monkeypatch.setattr(ex, "_run_task", same_boom)
         report = RunReport()
         with pytest.raises(RuntimeError, match="quarantined"):
             run_cells(spec_of(1).expand()[:1],
@@ -90,10 +90,10 @@ class TestRetry:
         assert report.failures[0].quarantined
 
     def test_varying_transient_failure_exhausts_attempts(self, monkeypatch):
-        def changing(cell, key=None, attempt=0, inline=True):
+        def changing(cells, key, attempt, inline, held=None):
             raise TransientError(f"flake #{attempt}")
 
-        monkeypatch.setattr(ex, "_run_cell_timed", changing)
+        monkeypatch.setattr(ex, "_run_task", changing)
         report = RunReport()
         with pytest.raises(RuntimeError, match="campaign cells failed"):
             run_cells(spec_of(1).expand()[:1],
@@ -104,14 +104,14 @@ class TestRetry:
 
     def test_keep_going_returns_partial_with_explicit_accounting(
             self, monkeypatch):
-        real = ex._run_cell_timed
+        real = ex._run_task
 
-        def boom_one_policy(cell, key=None, attempt=0, inline=True):
-            if cell.policy == "fcfs.nobackfill":
+        def boom_one_policy(cells, key, attempt, inline, held=None):
+            if cells[0].policy == "fcfs.nobackfill":
                 raise ValueError("boom")
-            return real(cell, key, attempt, inline)
+            return real(cells, key, attempt, inline, held)
 
-        monkeypatch.setattr(ex, "_run_cell_timed", boom_one_policy)
+        monkeypatch.setattr(ex, "_run_task", boom_one_policy)
         report = RunReport()
         result = run_campaign(spec_of(2), jobs=1, keep_going=True,
                               retry=RetryPolicy(**FAST), report=report)

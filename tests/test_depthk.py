@@ -48,6 +48,24 @@ class TestDepthSemantics:
         for ja, jb in zip(a.jobs, b.jobs):
             assert ja.start_time == jb.start_time
 
+    def test_depth1_is_not_easy_when_the_reserved_job_starts(self):
+        """Depth k reserves for the top k jobs in priority order, counting
+        jobs that start in this pass; EASY reserves for the first blocked
+        job.  At t=60 job 3 starts and uses depth 1's one reservation, so
+        nothing protects the wide job 4 and the long job 5 backfills."""
+        jobs = lambda: [  # noqa: E731
+            make_job(id=1, submit=0.0, nodes=4, runtime=100.0),
+            make_job(id=2, submit=0.0, nodes=4, runtime=60.0),
+            make_job(id=3, submit=5.0, nodes=2, runtime=20.0),
+            make_job(id=4, submit=10.0, nodes=8, runtime=100.0),
+            make_job(id=5, submit=20.0, nodes=2, runtime=500.0),
+        ]
+        easy = simulate(EasyBackfillScheduler(priority="fcfs"), jobs())
+        depth1 = simulate(DepthKScheduler(depth=1, priority="fcfs"), jobs())
+        e, d = easy.job_by_id(), depth1.job_by_id()
+        assert (e[4].start_time, e[5].start_time) == (100.0, 200.0)
+        assert (d[5].start_time, d[4].start_time) == (60.0, 560.0)
+
     def test_consdyn_is_depth_inf(self):
         """Conservative backfilling with dynamic reservations is depth ∞,
         under the paper's name; its depth is fixed by the registry."""

@@ -102,10 +102,10 @@ class TestMatrixConfig:
     def test_unknown_policy_and_order_fail_before_any_simulation(
         self, monkeypatch, capsys,
     ):
-        def no_simulation(cell):
-            raise AssertionError(f"simulated {cell.label()}")
+        def no_simulation(cells):
+            raise AssertionError(f"simulated {cells[0].label()}")
 
-        monkeypatch.setattr(executor, "run_cell", no_simulation)
+        monkeypatch.setattr(executor, "run_family", no_simulation)
         for argv, message in [
             (["--policies", "bogus.policy"], "unknown policy"),
             (["--orders", "bogus"], "unknown reference order"),

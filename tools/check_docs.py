@@ -47,9 +47,11 @@ Eleven checks:
     under ``src/repro/`` other than ``obs/counters.py``, so a counter
     cannot outlive the code that hits it.
 11. **Engine ownership docs** — docs/, README.md and examples/ must not
-    name an engine service that ownership made obsolete
-    (:data:`DELETED_SERVICES`: schedulers no longer call back into the
-    engine), and the observer paragraph of docs/ARCHITECTURE.md's "The
+    name an engine service that ownership made obsolete, or a deleted
+    second path of the campaign executor (:data:`DELETED_SERVICES`:
+    schedulers no longer call back into the engine, every task enters
+    the worker through ``_run_task``, and ``run_cells`` alone places a
+    run journal), and the observer paragraph of docs/ARCHITECTURE.md's "The
     event-loop contract" must name every hook in
     ``repro.core.engine.OBSERVER_HOOKS`` (as `` `hook` ``), so the
     observer contract cannot drift.
@@ -80,11 +82,13 @@ _ARTIFACT_ROW = re.compile(r"^\| `(\w+)` \| `([\w.]+)` \|", re.M)
 _LAYER_CELL = re.compile(r"^\|([^|]*)\|", re.M)
 #: a source path as a Layer cell names it (`sched/base.py`)
 _PY_PATH = re.compile(r"`([\w/]+\.py)`")
-#: engine services and order classes that one-way ownership deleted: a
+#: engine services and order classes that one-way ownership deleted (a
 #: scheduler starts jobs on the cluster and pushes its own timers, and an
-#: order is a function bound with ``functools.partial``
+#: order is a function bound with ``functools.partial``), and the
+#: executor's deleted lone-cell worker entry and journal-directory helper
 DELETED_SERVICES = ("start_job", "add_timer", "chain_tail_",
-                    "FairshareOrder", "SrptOrder", "GENERIC_TIMER")
+                    "FairshareOrder", "SrptOrder", "GENERIC_TIMER",
+                    "_run_cell_timed", "default_journal_dir")
 
 
 def check_scenario_catalog() -> list[str]:
@@ -277,8 +281,8 @@ def check_engine_docs() -> list[str]:
     docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
             *sorted((ROOT / "examples").glob("*"))]
     problems = [
-        f"{path.relative_to(ROOT)}: names `{name}`, which the engine no "
-        f"longer has"
+        f"{path.relative_to(ROOT)}: names `{name}`, which no longer "
+        f"exists"
         for path in docs if path.is_file()
         for name in deleted_service_mentions(path.read_text())
     ]
