@@ -4,7 +4,7 @@ Each figure/table of the paper is a registered
 :class:`~repro.artifacts.spec.Artifact`; the builder resolves a
 selection into the deduplicated set of simulation cells it needs,
 executes them through the campaign subsystem's content-addressed cache,
-renders outputs in parallel, and writes a deterministic
+renders the outputs one after another, and writes a deterministic
 ``manifest.json`` of input/output digests.  See ``docs/PIPELINE.md``.
 """
 

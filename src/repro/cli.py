@@ -126,7 +126,8 @@ def cmd_trace_run(args) -> int:
 
     wl = _load_workload(args)
     print(wl.describe())
-    obs = TraceObserver(args.out or None, meta={"workload": wl.name})
+    obs = TraceObserver(args.out or None,
+                        meta={"workload": wl.name, "policy": args.policy})
     api.run(policy=args.policy, workload=wl, observers=(obs,))
     if args.out:
         records = list(read_trace(args.out))

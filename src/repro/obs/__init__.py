@@ -26,16 +26,7 @@ from .counters import (
     Counters,
 )
 from .counters import (
-    active as counters_active,
-)
-from .counters import (
     collect as collect_counters,
-)
-from .counters import (
-    disable as disable_counters,
-)
-from .counters import (
-    enable as enable_counters,
 )
 from .counters import (
     render as render_counters,
@@ -49,9 +40,6 @@ __all__ = [
     "Counters",
     "ProgressMeter",
     "collect_counters",
-    "counters_active",
-    "disable_counters",
-    "enable_counters",
     "format_eta",
     "get_logger",
     "percentile",

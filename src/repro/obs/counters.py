@@ -78,25 +78,6 @@ class Counters:
         return f"Counters({head}{more})"
 
 
-def enable(counters: Optional[Counters] = None) -> Counters:
-    """Install ``counters`` (or a fresh registry) as the active one."""
-    global ACTIVE
-    ACTIVE = counters if counters is not None else Counters()
-    return ACTIVE
-
-
-def disable() -> Optional[Counters]:
-    """Stop collecting; returns the registry that was active (if any)."""
-    global ACTIVE
-    out = ACTIVE
-    ACTIVE = None
-    return out
-
-
-def active() -> Optional[Counters]:
-    return ACTIVE
-
-
 @contextmanager
 def collect(counters: Optional[Counters] = None) -> Iterator[Counters]:
     """Scope-bound collection; restores the previous registry on exit."""

@@ -25,7 +25,7 @@ from .registry import (
     validate_overrides,
 )
 from .roundrobin import RoundRobinScheduler
-from .sizebased import FairSojournScheduler, VirtualFairShare
+from .sizebased import VirtualFairShare
 
 __all__ = [
     "BaseScheduler",
@@ -34,7 +34,6 @@ __all__ = [
     "DAY",
     "DepthKScheduler",
     "EasyBackfillScheduler",
-    "FairSojournScheduler",
     "FairshareTracker",
     "MATRIX_POLICIES",
     "MINOR_POLICIES",

@@ -8,6 +8,8 @@ completion hooks).  The base class owns:
 * the fairshare usage tracker and its daily decay tick,
 * start bookkeeping (usage charging, queue and lane removal, the
   ``started`` list the engine launches after each pass),
+* the priority order (:data:`PRIORITY_POLICIES`); for ``fsp`` also the
+  fluid machine of :mod:`.sizebased` that ranks jobs, fed each arrival,
 * the priority-order cache: sorting the queue is needed at every
   scheduling event (often several times per pass), but the fairshare order
   only changes when some user's decayed usage changes or the queue gains a
@@ -35,9 +37,10 @@ from .queues import (
     srpt_order,
     widest_first_order,
 )
+from .sizebased import VirtualFairShare, fsp_order
 
 #: priority keys :class:`BaseScheduler` understands, in catalog order
-PRIORITY_POLICIES = ("fairshare", "fcfs", "spt", "srpt", "widest")
+PRIORITY_POLICIES = ("fairshare", "fcfs", "spt", "srpt", "widest", "fsp")
 
 
 class BaseScheduler:
@@ -66,8 +69,9 @@ class BaseScheduler:
             self.ordering = fcfs_order
         elif priority == "spt":
             self.ordering = shortest_first_order
-        elif priority == "srpt":
-            # bound to the engine's chain tails in attach
+        elif priority in ("srpt", "fsp"):
+            # bound to the engine's chain tails / a fresh fluid machine
+            # in attach
             self.ordering = None
         elif priority == "widest":
             self.ordering = widest_first_order
@@ -91,6 +95,9 @@ class BaseScheduler:
         self.events = engine.events
         if self.priority == "srpt":
             self.ordering = partial(srpt_order, engine.tail_wcl)
+        elif self.priority == "fsp":
+            self.vfs = VirtualFairShare(engine.cluster.size)
+            self.ordering = partial(fsp_order, self.vfs)
         if self.tracker.decay_factor < 1.0:
             self.events.push(self.tracker.decay_interval, EventKind.DECAY_TICK)
 
@@ -98,6 +105,8 @@ class BaseScheduler:
         self.queue.append(job)
         self.lanes.add(job)
         self._order_cache = None
+        if self.priority == "fsp":
+            self.vfs.add(job, now)
 
     def on_completion(self, job: Job, now: float) -> None:
         self.tracker.job_finished(job, now)
@@ -147,15 +156,17 @@ class BaseScheduler:
     def _order_epoch(self, now: float) -> int:
         """The cache-invalidation version of the priority order.
 
-        Fairshare priorities move with decayed usage; every other built-in
-        order depends only on per-job constants, so membership changes (via
-        ``enqueue``/``start``) are the only invalidation.  Subclasses with
-        stateful orders (e.g. the virtual fair-share rank of FSP) override
-        this to settle and expose their own version counter.
+        Fairshare priorities move with decayed usage and FSP ranks with
+        the fluid machine's drain; every other built-in order depends only
+        on per-job constants, so membership changes (via
+        ``enqueue``/``start``) are the only invalidation.
         """
         if self.priority == "fairshare":
             self.tracker.settle(now)
             return self.tracker.usage_version
+        if self.priority == "fsp":
+            self.vfs.settle(now)
+            return self.vfs.version
         return 0
 
     def ordered_queue(self, now: float) -> List[Job]:

@@ -9,7 +9,11 @@ events.
 Not one of the paper's nine evaluated policies, but (a) the starvation
 queue of the CPlant baseline gives its head exactly this aggressive
 reservation, so the machinery is shared, and (b) it is a useful reference
-point in the extension sweeps.
+point in the extension sweeps.  :func:`head_first_pass` is the one
+head-first pass: :class:`EasyBackfillScheduler` runs it with backfilling
+and :class:`~repro.sched.nobackfill.NoBackfillScheduler` without, each
+over any :data:`~repro.sched.base.PRIORITY_POLICIES` order — ``fsp.easy``
+and ``fsp.nobackfill`` are these two passes with the ``fsp`` priority.
 """
 
 from __future__ import annotations

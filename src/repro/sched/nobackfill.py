@@ -14,7 +14,7 @@ from .easy import head_first_pass
 
 
 class NoBackfillScheduler(BaseScheduler):
-    """FCFS or fairshare strict no-backfill scheduler."""
+    """Strict no-backfill scheduler over any priority order."""
 
     def __init__(self, priority: str = "fcfs", **kw) -> None:
         super().__init__(priority=priority, **kw)

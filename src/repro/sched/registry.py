@@ -20,7 +20,6 @@ from .easy import EasyBackfillScheduler
 from .nobackfill import NoBackfillScheduler
 from .noguarantee import NoGuaranteeScheduler
 from .roundrobin import RoundRobinScheduler
-from .sizebased import FairSojournScheduler
 
 HOUR = 3600.0
 
@@ -148,14 +147,14 @@ _SPECS: Tuple[PolicySpec, ...] = (
         None, "EASY backfilling with widest-job-first priority",
     ),
     PolicySpec(
-        "fsp.easy", lambda **kw: FairSojournScheduler(backfill="easy", **kw),
+        "fsp.easy", lambda **kw: EasyBackfillScheduler(priority="fsp", **kw),
         None,
         "fair-sojourn (FSP-like) rank from a virtual equal-share machine, "
         "with EASY backfilling around a blocked head",
     ),
     PolicySpec(
         "fsp.nobackfill",
-        lambda **kw: FairSojournScheduler(backfill="none", **kw),
+        lambda **kw: NoBackfillScheduler(priority="fsp", **kw),
         None, "fair-sojourn (FSP-like) rank, strict list scheduling",
     ),
     PolicySpec(

@@ -13,12 +13,16 @@ model already used by
 :func:`repro.metrics.fairness.resource_equality_deficits`: while ``N``
 jobs are live in the virtual system, each processes at
 ``min(width, machine_size / N)`` nodes.  A job's *virtual completion
-time* under that fluid schedule is its rank; the real machine then
-starts jobs in rank order, optionally EASY-backfilling around a blocked
-head.  Jobs stay in the virtual system until they virtually complete,
-whether or not the real machine has finished them — that memory of
-received service is what makes FSP fair rather than merely short-job-
-greedy.
+time* under that fluid schedule is its rank.  Jobs stay in the virtual
+system until they virtually complete, whether or not the real machine has
+finished them — that memory of received service is what makes FSP fair
+rather than merely short-job-greedy.
+
+This module holds only the fluid machine and its order.  FSP is the
+``fsp`` priority of the shared head-first passes
+(:class:`~repro.sched.easy.EasyBackfillScheduler` and
+:class:`~repro.sched.nobackfill.NoBackfillScheduler`), which start jobs in
+rank order, EASY-backfilling around a blocked head or not.
 
 Ranks of not-yet-virtually-complete jobs are projected at the current
 instant (remaining virtual work over current share); shares only drift
@@ -28,15 +32,12 @@ every such change, so the order is deterministic and cache-friendly.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.job import Job
 from ..obs import counters as _counters
-from .base import BaseScheduler
-from .easy import head_first_pass
 from .queues import fcfs_order
 
 
@@ -163,38 +164,3 @@ def fsp_order(vfs: VirtualFairShare, jobs: Iterable[Job], now: float) -> List[Jo
     out = fcfs_order(jobs, now)
     out.sort(key=vfs.projection())
     return out
-
-
-class FairSojournScheduler(BaseScheduler):
-    """FSP-like policy: start order = virtual-fair-share completion order.
-
-    ``backfill="easy"`` lets jobs leap a blocked head under the classic
-    shadow/extra-nodes rule (the head's rank-one position is preserved);
-    ``backfill="none"`` is the strict list-schedule variant.
-    """
-
-    def __init__(self, backfill: str = "easy", **kw) -> None:
-        if backfill not in ("easy", "none"):
-            raise ValueError(
-                f"unknown backfill mode {backfill!r}; known: 'easy', 'none'"
-            )
-        super().__init__(priority="fcfs", **kw)
-        self.backfill = backfill
-        self.name = f"fsp.{backfill}"
-        self.vfs: VirtualFairShare | None = None
-
-    def _order_epoch(self, now: float) -> int:
-        self.vfs.settle(now)
-        return self.vfs.version
-
-    def attach(self, engine) -> None:
-        super().attach(engine)
-        self.vfs = VirtualFairShare(engine.cluster.size)
-        self.ordering = partial(fsp_order, self.vfs)
-
-    def enqueue(self, job: Job, now: float) -> None:
-        super().enqueue(job, now)
-        self.vfs.add(job, now)
-
-    def schedule(self, now: float, reason: str) -> None:
-        head_first_pass(self, now, backfill=self.backfill == "easy")

@@ -24,8 +24,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.cluster import Cluster
+from repro.core.engine import Engine
 from repro.core.job import Job
-from repro.experiments.runner import RunOptions, run_policy
+from repro.experiments.runner import RunOptions, metric_observers, run_policy
+from repro.sched.easy import EasyBackfillScheduler
+from repro.sched.nobackfill import NoBackfillScheduler
 from repro.workload.generator import GeneratorConfig, generate_cplant_workload, random_workload
 from repro.workload.model import Workload
 
@@ -216,6 +220,23 @@ def test_digest_matches_recorded_baseline(case, digest_workloads):
         f"{case}: simulation outcome changed — optimizations must be "
         "byte-identical (see docs/PERFORMANCE.md)"
     )
+
+
+@pytest.mark.parametrize("case, make", [
+    ("fsp.easy|small", lambda: EasyBackfillScheduler(priority="fsp")),
+    ("fsp.nobackfill|small", lambda: NoBackfillScheduler(priority="fsp")),
+])
+def test_fsp_is_a_priority_of_the_head_first_passes(case, make,
+                                                    digest_workloads):
+    """FSP needs no scheduler class of its own: the shared EASY and
+    no-backfill passes, given the ``fsp`` priority and built without the
+    registry, reproduce the recorded ``fsp.*`` runs."""
+    wl = digest_workloads["small"]
+    options = RunOptions()
+    engine = Engine(Cluster(wl.system_size), make(), wl.jobs,
+                    observers=metric_observers(options),
+                    kill_policy=options.kill_policy)
+    assert engine.run().digest() == ALL_DIGESTS[case]
 
 
 def test_digest_is_deterministic(digest_workloads):

@@ -442,12 +442,29 @@ class TestCli:
         assert rc == 0
         assert trace.exists()
         out = capsys.readouterr().out
-        assert "trace: policy cons.fairshare" in out
+        assert "trace: policy cons.nomax" in out
         rc = main(["trace", "summarize", str(trace), "--json"])
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == TRACE_SCHEMA
         assert doc["events"]["arrival"] == doc["events"]["complete"]
+
+    def test_trace_header_names_the_policy_key(self, tmp_path, capsys):
+        # a baseline and its 72 h-limit variant share a scheduler name; the
+        # header carries the registry key, so their traces stay apart
+        from repro.cli import main
+
+        policies = {}
+        for key in ("cplant24.nomax.all", "cplant24.72max.all"):
+            trace = tmp_path / f"{key}.jsonl"
+            assert main(["trace", "run", "--scale", "0.01", "--policy", key,
+                         "--out", str(trace)]) == 0
+            policies[key] = next(read_trace(trace))["policy"]
+        assert policies == {key: key for key in policies}
+        capsys.readouterr()
+        assert main(["trace", "summarize",
+                     str(tmp_path / "cplant24.72max.all.jsonl")]) == 0
+        assert "trace: policy cplant24.72max.all" in capsys.readouterr().out
 
     def test_trace_summarize_bad_file_fails(self, tmp_path, capsys):
         from repro.cli import main

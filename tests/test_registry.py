@@ -20,7 +20,6 @@ from repro.sched.registry import (
     validate_overrides,
 )
 from repro.sched.roundrobin import RoundRobinScheduler
-from repro.sched.sizebased import FairSojournScheduler
 
 HOUR = 3600.0
 
@@ -108,10 +107,14 @@ class TestFrontierPolicies:
         spt = get_policy("spt.nobackfill").make_scheduler()
         assert isinstance(spt, NoBackfillScheduler)
         assert spt.priority == "spt"
-        for key, prio in (("easy.spt", "spt"), ("easy.srpt", "srpt"),
-                          ("easy.widest", "widest")):
+        for key, cls, prio in (
+                ("easy.spt", EasyBackfillScheduler, "spt"),
+                ("easy.srpt", EasyBackfillScheduler, "srpt"),
+                ("easy.widest", EasyBackfillScheduler, "widest"),
+                ("fsp.easy", EasyBackfillScheduler, "fsp"),
+                ("fsp.nobackfill", NoBackfillScheduler, "fsp")):
             sched = get_policy(key).make_scheduler()
-            assert isinstance(sched, EasyBackfillScheduler)
+            assert isinstance(sched, cls)
             assert sched.priority == prio
 
     def test_srpt_carries_the_runtime_limit(self):
@@ -120,10 +123,6 @@ class TestFrontierPolicies:
         assert get_policy("easy.spt").max_runtime is None
 
     def test_fsp_and_rr_types(self):
-        assert isinstance(get_policy("fsp.easy").make_scheduler(),
-                          FairSojournScheduler)
-        assert isinstance(get_policy("fsp.nobackfill").make_scheduler(),
-                          FairSojournScheduler)
         assert isinstance(get_policy("rr.user").make_scheduler(),
                           RoundRobinScheduler)
 

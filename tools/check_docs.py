@@ -27,8 +27,10 @@ Eleven checks:
    Observability section, so the telemetry catalog cannot drift.
 6. **Scheduler docs** — docs/SCHEDULERS.md must document every policy
    key in ``repro.sched.registry`` and every hybrid-FST reference order
-   in ``repro.metrics.REFERENCE_ORDERS`` (as `` `name` ``), so the
-   scheduler catalog cannot drift.
+   in ``repro.metrics.REFERENCE_ORDERS`` (as `` `name` ``), and its
+   "Queue priorities" section every value of
+   ``repro.sched.base.PRIORITY_POLICIES``, so the scheduler catalog
+   cannot drift.
 7. **Robustness docs** — docs/ROBUSTNESS.md must document every fault
    site and kind in ``repro.campaign.faults`` (as `` `name` ``) plus
    the resume/cache-maintenance entry points, and docs/ARCHITECTURE.md
@@ -47,11 +49,13 @@ Eleven checks:
     under ``src/repro/`` other than ``obs/counters.py``, so a counter
     cannot outlive the code that hits it.
 11. **Engine ownership docs** — docs/, README.md and examples/ must not
-    name an engine service that ownership made obsolete, or a deleted
-    second path of the campaign executor (:data:`DELETED_SERVICES`:
-    schedulers no longer call back into the engine, every task enters
-    the worker through ``_run_task``, and ``run_cells`` alone places a
-    run journal), and the observer paragraph of docs/ARCHITECTURE.md's "The
+    name an engine service that ownership made obsolete, a deleted
+    second path of the campaign executor, or another deleted second way
+    (:data:`DELETED_SERVICES`: schedulers no longer call back into the
+    engine, every task enters the worker through ``_run_task``,
+    ``run_cells`` alone places a run journal, FSP is a priority rather
+    than a scheduler class, and ``collect_counters`` alone turns counters
+    on), and the observer paragraph of docs/ARCHITECTURE.md's "The
     event-loop contract" must name every hook in
     ``repro.core.engine.OBSERVER_HOOKS`` (as `` `hook` ``), so the
     observer contract cannot drift.
@@ -85,10 +89,14 @@ _PY_PATH = re.compile(r"`([\w/]+\.py)`")
 #: engine services and order classes that one-way ownership deleted (a
 #: scheduler starts jobs on the cluster and pushes its own timers, and an
 #: order is a function bound with ``functools.partial``), and the
-#: executor's deleted lone-cell worker entry and journal-directory helper
+#: executor's deleted lone-cell worker entry and journal-directory helper,
+#: the FSP scheduler class (FSP is the ``fsp`` priority) and the counter
+#: switches (``collect_counters`` is the one way to turn counters on)
 DELETED_SERVICES = ("start_job", "add_timer", "chain_tail_",
                     "FairshareOrder", "SrptOrder", "GENERIC_TIMER",
-                    "_run_cell_timed", "default_journal_dir")
+                    "_run_cell_timed", "default_journal_dir",
+                    "FairSojournScheduler", "enable_counters",
+                    "disable_counters", "counters_active")
 
 
 def check_scenario_catalog() -> list[str]:
@@ -296,6 +304,17 @@ def check_engine_docs() -> list[str]:
     return problems
 
 
+def undocumented_priorities(doc: str) -> list[str]:
+    """The values of ``PRIORITY_POLICIES`` that the "Queue priorities"
+    section of ``doc`` (docs/SCHEDULERS.md) does not name as
+    `` `value` ``; every value when there is no such section."""
+    from repro.sched.base import PRIORITY_POLICIES
+
+    _, _, section = doc.partition("## Queue priorities")
+    section = section.split("\n## ", 1)[0]
+    return [name for name in PRIORITY_POLICIES if f"`{name}`" not in section]
+
+
 def check_scheduler_docs() -> list[str]:
     from repro.metrics import REFERENCE_ORDERS
     from repro.sched.registry import policy_names
@@ -313,6 +332,11 @@ def check_scheduler_docs() -> list[str]:
         f"docs/SCHEDULERS.md: reference order `{name}` is not documented"
         for name in REFERENCE_ORDERS
         if f"`{name}`" not in doc
+    ]
+    problems += [
+        f"docs/SCHEDULERS.md: priority `{name}` is not documented under "
+        f"Queue priorities"
+        for name in undocumented_priorities(doc)
     ]
     for needle in ("repro policies", "repro matrix"):
         if needle not in doc:
